@@ -1,8 +1,9 @@
 //! Ablation: what does fault tolerance cost when nothing goes wrong, and
 //! how fast is recovery when something does?
 //!
-//! Two questions, two sweeps, both landing in `BENCH_recovery.json` at the
-//! repository root (override the path with `MVEE_BENCH_JSON`):
+//! Two questions, two sweeps, one printed row per cell (the last committed
+//! record of this bench is archived in `BASELINES.md`; the end-to-end
+//! numbers now come from `benchmark/`):
 //!
 //! * **Snapshot overhead** — the same deferrable-heavy call stream (one
 //!   sync op per call, so every call crosses the snapshot choke point)
@@ -18,17 +19,17 @@
 //!
 //! `MVEE_BENCH_VARIANTS` (default `2,8`) tunes the overhead sweep and
 //! `MVEE_BENCH_SCALE` shrinks the calibration budget for CI smokes.  On a
-//! 1-vCPU box all variants share one core, so wall numbers carry
-//! scheduling noise; the JSON records that caveat.
+//! small box all variants share the same cores, so wall numbers carry
+//! scheduling noise.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use mvee_bench::{map_region, mprotect_request, stream_request};
 use mvee_core::config::RecoveryPolicy;
 use mvee_core::journal::{JournalMode, JournalRecorder};
 use mvee_core::mvee::Mvee;
-use mvee_kernel::syscall::{SyscallRequest, Sysno};
 use mvee_sync_agent::agents::AgentKind;
 
 const THREADS: usize = 2;
@@ -49,18 +50,6 @@ fn variant_counts() -> Vec<usize> {
         return vec![2, 8];
     }
     mvee_bench::variant_counts()
-}
-
-/// The benched stream: deferrable address-space calls with one replicated
-/// flush point every 32 calls — the `ablation_remote` mix, so the off cell
-/// compares directly with the other ablation records.
-fn req_for(i: u64) -> SyscallRequest {
-    match i % 32 {
-        31 => SyscallRequest::new(Sysno::Gettimeofday),
-        n if n % 3 == 0 => SyscallRequest::new(Sysno::Brk).with_int(0),
-        n if n % 3 == 1 => SyscallRequest::new(Sysno::Mmap).with_int(8192),
-        _ => SyscallRequest::new(Sysno::Mprotect).with_int(4096),
-    }
 }
 
 fn build(variants: usize, threads: usize, snapshot_every: u64) -> Mvee {
@@ -90,9 +79,11 @@ fn run(variants: usize, snapshot_every: u64) -> u64 {
             let mvee = Arc::clone(&mvee);
             handles.push(std::thread::spawn(move || {
                 let port = mvee.thread_port(variant, thread);
+                let region = map_region(|req| port.syscall(req));
                 for i in 0..OPS {
                     port.sync_op(0x1000, || ());
-                    port.syscall(&req_for(i)).expect("bench call diverged");
+                    port.syscall(&stream_request(i, region))
+                        .expect("bench call diverged");
                 }
             }));
         }
@@ -146,6 +137,7 @@ fn measure_respawn(suffix: u64) -> (u128, u64) {
             let mvee = Arc::clone(&mvee);
             handles.push(std::thread::spawn(move || {
                 let port = mvee.thread_port(variant, 0);
+                let region = map_region(|req| port.syscall(req));
                 for i in 0..calls {
                     port.sync_op(0x1000, || ());
                     let len = if staged_victim && variant == 2 && i == calls - 1 {
@@ -153,7 +145,7 @@ fn measure_respawn(suffix: u64) -> (u128, u64) {
                     } else {
                         4096
                     };
-                    let r = port.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(len));
+                    let r = port.syscall(&mprotect_request(region, len));
                     if r.is_err() {
                         break; // the quarantined victim stops issuing
                     }
@@ -174,39 +166,6 @@ fn measure_respawn(suffix: u64) -> (u128, u64) {
     let elapsed = started.elapsed().as_nanos();
     assert!(report.replayed_records > 0);
     (elapsed, report.replayed_records)
-}
-
-/// Writes the machine-readable ablation record.  The vendored serde stub
-/// is a no-op, so the JSON is formatted by hand.
-fn emit_json(overhead: &[(usize, u64, f64)], respawns: &[(u64, u128, u64)]) {
-    let overhead_lines: Vec<String> = overhead
-        .iter()
-        .map(|(variants, every, ns)| {
-            format!(
-                "    {{ \"variants\": {variants}, \"snapshot_every\": {every}, \"ns_per_call\": {ns:.1} }}"
-            )
-        })
-        .collect();
-    let respawn_lines: Vec<String> = respawns
-        .iter()
-        .map(|(suffix, ns, replayed)| {
-            format!(
-                "    {{ \"suffix_calls\": {suffix}, \"replayed_records\": {replayed}, \"respawn_ns\": {ns} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ablation_recovery\",\n  \"unit\": \"ns_per_call\",\n  \"config\": {{ \"threads\": {THREADS}, \"ops_per_thread\": {OPS}, \"batch\": {BATCH}, \"respawn_prefix\": {RESPAWN_PREFIX}, \"respawn_snapshot_every\": 32 }},\n  \"caveat\": \"single-box numbers: every variant shares the same cores, so wall times include scheduling noise; snapshot_every 0 means snapshots off (the pre-recovery baseline)\",\n  \"snapshot_overhead\": [\n{}\n  ],\n  \"respawn\": [\n{}\n  ]\n}}\n",
-        overhead_lines.join(",\n"),
-        respawn_lines.join(",\n")
-    );
-    let path = std::env::var("MVEE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_recovery.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("recovery ablation record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    print!("{json}");
 }
 
 fn bench_recovery(c: &mut Criterion) {
@@ -233,20 +192,19 @@ fn bench_recovery(c: &mut Criterion) {
 criterion_group!(benches, bench_recovery);
 
 fn main() {
-    // The calibrated pass behind `BENCH_recovery.json` runs first, so the
-    // record lands even if the criterion sweep is cut short.
+    // The calibrated pass runs first, so its rows land even if the
+    // criterion sweep is cut short.
     let budget = if std::env::var("MVEE_BENCH_SCALE").is_ok() {
         Duration::from_millis(200)
     } else {
         Duration::from_millis(800)
     };
-    let mut overhead = Vec::new();
     for variants in variant_counts() {
         for every in SNAPSHOT_CELLS {
-            overhead.push((variants, every, measure_overhead(variants, every, budget)));
+            let ns = measure_overhead(variants, every, budget);
+            println!("ablation/recovery {variants}v snapshot_every {every:<5} {ns:>9.1} ns/call");
         }
     }
-    let mut respawns = Vec::new();
     for suffix in SUFFIX_CELLS {
         let mut total_ns = 0u128;
         let mut replayed = 0u64;
@@ -255,8 +213,10 @@ fn main() {
             total_ns += ns;
             replayed = records;
         }
-        respawns.push((suffix, total_ns / RESPAWN_REPS as u128, replayed));
+        println!(
+            "ablation/recovery respawn after {suffix} suffix calls: {} ns, {replayed} records replayed",
+            total_ns / RESPAWN_REPS as u128
+        );
     }
-    emit_json(&overhead, &respawns);
     benches();
 }

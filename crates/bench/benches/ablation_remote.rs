@@ -11,8 +11,9 @@
 //! loopback) and blocks only at the replicated flush points, while the
 //! follower pump absorbs the comparison cost asynchronously.
 //!
-//! Three measurements per cell land in `BENCH_remote.json` at the
-//! repository root (override the path with `MVEE_BENCH_JSON`):
+//! Three measurements per cell are printed, one row each (the last
+//! committed record of this bench is archived in `BASELINES.md`; the
+//! end-to-end numbers now come from `benchmark/`):
 //!
 //! * wall ns per monitored call for the full run,
 //! * *issue latency* — ns from a compare-only call's start to control
@@ -26,15 +27,16 @@
 //! `MVEE_BENCH_VARIANTS` (default `2,8`) tunes the sweep;
 //! `MVEE_BENCH_REMOTE_MODES` (comma-separated `Transport::label()` values,
 //! e.g. `sync,remote-inproc`) restricts which cells run — CI uses it for a
-//! socket-loopback smoke.  On a 1-vCPU box the leader, the follower's
-//! reader/pump threads and every slave variant share one core, so the wall
-//! numbers carry scheduling noise the paper's multi-machine deployment
-//! would not; the JSON records that caveat.
+//! socket-loopback smoke.  On a small box the leader, the follower's
+//! reader/pump threads and every slave variant share the same cores, so the
+//! wall numbers carry scheduling noise the paper's multi-machine deployment
+//! would not.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use mvee_bench::{map_region, mprotect_request, stream_request};
 use mvee_core::config::{RemoteChannel, Transport};
 use mvee_core::mvee::Mvee;
 use mvee_kernel::syscall::{SyscallRequest, Sysno};
@@ -53,18 +55,6 @@ fn variant_counts() -> Vec<usize> {
         return vec![2, 8];
     }
     mvee_bench::variant_counts()
-}
-
-/// The benched stream: deferrable address-space calls with one replicated
-/// flush point every 32 calls — the same mix as `ablation_transport`, so
-/// the two records compare directly.
-fn req_for(i: u64) -> SyscallRequest {
-    match i % 32 {
-        31 => SyscallRequest::new(Sysno::Gettimeofday),
-        n if n % 3 == 0 => SyscallRequest::new(Sysno::Brk).with_int(0),
-        n if n % 3 == 1 => SyscallRequest::new(Sysno::Mmap).with_int(8192),
-        _ => SyscallRequest::new(Sysno::Mprotect).with_int(4096),
-    }
 }
 
 /// The measurement cells: the in-proc sync baseline and the three
@@ -130,13 +120,17 @@ fn run(variants: usize, transport: Transport) -> u64 {
             handles.push(std::thread::spawn(move || {
                 if transport.is_remote() && variant == 0 {
                     let port = mvee.leader_port(thread);
+                    let region = map_region(|req| port.syscall(req));
                     for i in 0..OPS {
-                        port.syscall(&req_for(i)).expect("bench call diverged");
+                        port.syscall(&stream_request(i, region))
+                            .expect("bench call diverged");
                     }
                 } else {
                     let port = mvee.thread_port(variant, thread);
+                    let region = map_region(|req| port.syscall(req));
                     for i in 0..OPS {
-                        port.syscall(&req_for(i)).expect("bench call diverged");
+                        port.syscall(&stream_request(i, region))
+                            .expect("bench call diverged");
                     }
                 }
             }));
@@ -216,8 +210,9 @@ fn measure_detection_lag(channel: RemoteChannel) -> u64 {
         let mvee = Arc::clone(&mvee);
         std::thread::spawn(move || {
             let port = mvee.leader_port(0);
-            for _ in 0..BATCH {
-                let _ = port.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(4096));
+            let region = map_region(|req| port.syscall(req));
+            for _ in 1..BATCH {
+                let _ = port.syscall(&mprotect_request(region, 4096));
             }
             // Give the follower pump time to deposit the batch before the
             // sync ops land, then pace them so they are ingested — and
@@ -236,10 +231,11 @@ fn measure_detection_lag(channel: RemoteChannel) -> u64 {
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
             let port = mvee.thread_port(1, 0);
-            for i in 0..BATCH {
+            let region = map_region(|req| port.syscall(req));
+            for i in 1..BATCH {
                 let len = if i == 3 { 666 } else { 4096 };
                 // The flush that carries the mismatch returns the verdict.
-                let _ = port.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(len));
+                let _ = port.syscall(&mprotect_request(region, len));
             }
         })
     };
@@ -276,41 +272,6 @@ fn measure_cell(variants: usize, transport: Transport, budget: Duration) -> (f64
     (wall, issue_ns as f64 / issue_calls as f64)
 }
 
-/// Writes the machine-readable ablation record.  The vendored serde stub is
-/// a no-op, so the JSON is formatted by hand.
-fn emit_json(cells: &[(usize, Transport, f64, f64)], lags: &[(RemoteChannel, u64)]) {
-    let results: Vec<String> = cells
-        .iter()
-        .map(|(variants, transport, wall, issue)| {
-            format!(
-                "    {{ \"variants\": {variants}, \"mode\": \"{}\", \"ns_per_call\": {wall:.1}, \"issue_ns_per_call\": {issue:.1} }}",
-                transport.label()
-            )
-        })
-        .collect();
-    let lag_lines: Vec<String> = lags
-        .iter()
-        .map(|(channel, lag)| {
-            format!(
-                "    {{ \"channel\": \"{}\", \"staged_sync_ops\": {LAG_SYNC_OPS}, \"detection_lag_sync_ops\": {lag} }}",
-                channel.name()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ablation_remote\",\n  \"unit\": \"ns_per_call\",\n  \"config\": {{ \"threads\": {THREADS}, \"ops_per_thread\": {OPS}, \"issue_ops_per_thread\": {ISSUE_OPS}, \"batch\": {BATCH} }},\n  \"caveat\": \"single-box loopback: the leader, the follower's reader/pump threads and every slave variant share the same cores, so remote wall times include scheduling noise a multi-machine deployment would not pay\",\n  \"results\": [\n{}\n  ],\n  \"detection_lag\": [\n{}\n  ]\n}}\n",
-        results.join(",\n"),
-        lag_lines.join(",\n")
-    );
-    let path = std::env::var("MVEE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_remote.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("remote ablation record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    print!("{json}");
-}
-
 fn bench_remote(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/remote");
     group.warm_up_time(Duration::from_millis(300));
@@ -330,25 +291,28 @@ fn bench_remote(c: &mut Criterion) {
 criterion_group!(benches, bench_remote);
 
 fn main() {
-    // The calibrated pass behind `BENCH_remote.json` runs first, so the
-    // record lands even if the criterion sweep is cut short.
+    // The calibrated pass runs first, so its rows land even if the
+    // criterion sweep is cut short.
     let budget = if std::env::var("MVEE_BENCH_SCALE").is_ok() {
         Duration::from_millis(200)
     } else {
         Duration::from_millis(800)
     };
-    let mut measured = Vec::new();
     for variants in variant_counts() {
         for transport in cells() {
             let (wall, issue) = measure_cell(variants, transport, budget);
-            measured.push((variants, transport, wall, issue));
+            println!(
+                "ablation/remote {variants}v {:<14} {wall:>9.1} ns/call  {issue:>8.1} issue ns/call",
+                transport.label()
+            );
         }
     }
-    let lags: Vec<(RemoteChannel, u64)> = cells()
-        .iter()
-        .filter_map(|t| t.remote_channel())
-        .map(|channel| (channel, measure_detection_lag(channel)))
-        .collect();
-    emit_json(&measured, &lags);
+    for channel in cells().iter().filter_map(|t| t.remote_channel()) {
+        println!(
+            "ablation/remote detection lag over {}: {} of {LAG_SYNC_OPS} staged sync ops",
+            channel.name(),
+            measure_detection_lag(channel)
+        );
+    }
     benches();
 }

@@ -14,9 +14,9 @@
 //! stretches in between.
 //!
 //! Besides the criterion groups, the harness measures one calibrated pass
-//! per (variants × transport) cell and writes the machine-readable
-//! `BENCH_transport.json` at the repository root (override the path with
-//! `MVEE_BENCH_JSON`); `BASELINES.md` records the same numbers.
+//! per (variants × transport) cell and prints one row per cell (the last
+//! committed record of this bench is archived in `BASELINES.md`; the
+//! end-to-end numbers now come from `benchmark/`).
 //! `MVEE_BENCH_VARIANTS` (default `2,8`) tunes the sweep;
 //! `MVEE_BENCH_TRANSPORTS` (comma-separated cell labels — the
 //! `Transport::label()` values plus `sync+journal`, e.g. `sync,async-pool1`)
@@ -28,6 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use mvee_bench::{map_region, stream_request};
 use mvee_core::async_port::SubmitOutcome;
 use mvee_core::config::{Pollers, Transport};
 use mvee_core::journal::{JournalMode, JournalRecorder};
@@ -47,17 +48,6 @@ fn variant_counts() -> Vec<usize> {
         return vec![2, 8];
     }
     mvee_bench::variant_counts()
-}
-
-/// The benched stream: deferrable address-space calls with one replicated
-/// flush point every 32 calls.
-fn req_for(i: u64) -> SyscallRequest {
-    match i % 32 {
-        31 => SyscallRequest::new(Sysno::Gettimeofday),
-        n if n % 3 == 0 => SyscallRequest::new(Sysno::Brk).with_int(0),
-        n if n % 3 == 1 => SyscallRequest::new(Sysno::Mmap).with_int(8192),
-        _ => SyscallRequest::new(Sysno::Mprotect).with_int(4096),
-    }
 }
 
 /// One measurement cell: a transport, optionally with divergence-journal
@@ -115,15 +105,18 @@ fn run(variants: usize, cell: Cell) -> u64 {
             handles.push(std::thread::spawn(move || match cell.transport {
                 Transport::Sync => {
                     let port = mvee.thread_port(variant, thread);
+                    let region = map_region(|req| port.syscall(req));
                     for i in 0..OPS {
-                        port.syscall(&req_for(i)).expect("bench call diverged");
+                        port.syscall(&stream_request(i, region))
+                            .expect("bench call diverged");
                     }
                 }
                 Transport::AsyncRings { .. } => {
                     let port = mvee.async_thread_port(variant, thread);
+                    let region = map_region(|req| port.syscall(req));
                     let mut tickets = Vec::with_capacity(REAP_BLOCK);
                     for i in 0..OPS {
-                        match port.submit(&req_for(i)) {
+                        match port.submit(&stream_request(i, region)) {
                             SubmitOutcome::Completed(result) => {
                                 result.expect("bench call diverged");
                             }
@@ -286,31 +279,6 @@ fn measure_cell(variants: usize, cell: Cell, budget: Duration) -> (f64, f64) {
     (wall, issue_ns as f64 / issue_calls as f64)
 }
 
-/// Writes the machine-readable ablation record.  The vendored serde stub is
-/// a no-op, so the JSON is formatted by hand.
-fn emit_json(cells: &[(usize, Cell, f64, f64)]) {
-    let results: Vec<String> = cells
-        .iter()
-        .map(|(variants, cell, wall, issue)| {
-            format!(
-                "    {{ \"variants\": {variants}, \"transport\": \"{}\", \"ns_per_call\": {wall:.1}, \"issue_ns_per_call\": {issue:.1} }}",
-                cell.label()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ablation_transport\",\n  \"unit\": \"ns_per_call\",\n  \"config\": {{ \"threads\": {THREADS}, \"ops_per_thread\": {OPS}, \"issue_ops_per_thread\": {ISSUE_OPS}, \"batch\": {BATCH}, \"ring_depth\": {RING_DEPTH}, \"reap_block\": {REAP_BLOCK} }},\n  \"results\": [\n{}\n  ]\n}}\n",
-        results.join(",\n")
-    );
-    let path = std::env::var("MVEE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_transport.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("transport ablation record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    print!("{json}");
-}
-
 fn bench_transports(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/transport");
     group.warm_up_time(Duration::from_millis(300));
@@ -330,20 +298,21 @@ fn bench_transports(c: &mut Criterion) {
 criterion_group!(benches, bench_transports);
 
 fn main() {
-    // The calibrated pass behind `BENCH_transport.json` runs first, so the
-    // record lands even if the criterion sweep is cut short.
+    // The calibrated pass runs first, so its rows land even if the
+    // criterion sweep is cut short.
     let budget = if std::env::var("MVEE_BENCH_SCALE").is_ok() {
         Duration::from_millis(200)
     } else {
         Duration::from_millis(800)
     };
-    let mut measured = Vec::new();
     for variants in variant_counts() {
         for cell in cells() {
             let (wall, issue) = measure_cell(variants, cell, budget);
-            measured.push((variants, cell, wall, issue));
+            println!(
+                "ablation/transport {variants}v {:<16} {wall:>9.1} ns/call  {issue:>8.1} issue ns/call",
+                cell.label()
+            );
         }
     }
-    emit_json(&measured);
     benches();
 }

@@ -19,32 +19,51 @@
 //! variants (the key's thread index is assigned identically in every
 //! variant).  The table exploits this: slots are partitioned by logical
 //! thread index into [`LockstepTable::shard_count`] independent *shards*,
-//! each with its own mutex-protected map and condition variable.  Threads
-//! whose indices fall into different shards never contend on the same lock,
-//! which is what lets the monitor scale to many-variant (8–16), many-thread
-//! runs instead of funnelling every compared call through one global lock.
-//! `shards = 1` reproduces the original single-table behaviour exactly and is
-//! kept for apples-to-apples ablations (`ablation_sharding` bench).
+//! each with its own mutex-protected map and its own [`EventCount`].
+//! Threads whose indices fall into different shards never contend on the
+//! same lock, which is what lets the monitor scale to many-variant (8–16),
+//! many-thread runs instead of funnelling every compared call through one
+//! global lock.  `shards = 1` reproduces the original single-table behaviour
+//! exactly and is kept for apples-to-apples ablations (`ablation_sharding`
+//! bench).
+//!
+//! # One deposit → poll core
+//!
+//! Every wait has exactly one implementation, the non-blocking one: `try_*`
+//! deposits under the shard lock and returns `Ready` or a `Pending` token
+//! whose deadline is fixed at deposit time; `poll_*` re-examines a token
+//! without sleeping and is the only place a verdict (`Consistent`,
+//! `Mismatch`, `Timeout(arrived)`, `Poisoned`) is computed.  A polling
+//! monitor shard ([`crate::poller`]) drives that face directly.  The
+//! blocking calls ([`LockstepTable::arrive`],
+//! [`LockstepTable::arrive_batch`], [`LockstepTable::wait_outcome_until`]
+//! and their `re*` twins) are `try_*` plus one shared wait: a bounded run of
+//! `yield_now` + `poll_*` rounds — the peer needs microseconds of gateway
+//! code to get here, and a peer that is already running makes a futex sleep
+//! unnecessary — and only then a park on the shard's event count, with a
+//! `poll_*` on every wake.  Every state change (deposit, publication,
+//! poison, quarantine, re-admission) posts the event count, whose
+//! no-sleeper path is a fence and a load: a run in which nobody has fallen
+//! asleep makes no futex syscall on the hand-off path at all.
 //!
 //! # Poisoning
 //!
-//! Divergence aborts are flagged in a single [`AtomicBool`], so the hot-path
-//! check in every rendezvous loop is a lock-free load.  [`LockstepTable::
-//! poison`] then broadcasts shard by shard — briefly taking one shard lock at
-//! a time so a waiter between its poison check and its condvar wait cannot
-//! miss the wake-up — rather than serializing all shards behind a global
-//! poisoned mutex.
+//! Divergence aborts are flagged in a single [`AtomicBool`], so the check in
+//! every poll is a lock-free load.  [`LockstepTable::poison`] then posts
+//! every shard's event count; the event count's register → fence → re-check
+//! handshake guarantees a waiter between its poison check and its park
+//! cannot miss the wake-up, without the poisoner touching any shard lock.
 //!
 //! # Batching
 //!
-//! The per-call rendezvous cost is one shard-lock acquisition plus one
-//! condvar round per compared call.  For syscall-dense phases the monitor
-//! amortizes that cost with [`LockstepTable::arrive_batch`]: a variant
-//! thread deposits a bounded block of pending ([`SlotKey`],
-//! [`ComparisonKey`]) pairs — a [`BatchArrival`] each — under a *single*
-//! shard-lock acquisition and resolves them as a unit.  Every key still gets
-//! its own [`ArrivalResult`], so a mismatch in the middle of a batch reports
-//! the exact offending slot, and the other keys of the batch resolve
+//! The per-call rendezvous cost is one shard-lock acquisition plus one wait
+//! per compared call.  For syscall-dense phases the monitor amortizes that
+//! cost with [`LockstepTable::arrive_batch`]: a variant thread deposits a
+//! bounded block of pending ([`SlotKey`], [`ComparisonKey`]) pairs — a
+//! [`BatchArrival`] each — under a *single* shard-lock acquisition and
+//! resolves them as a unit.  Every key still gets its own
+//! [`ArrivalResult`], so a mismatch in the middle of a batch reports the
+//! exact offending slot, and the other keys of the batch resolve
 //! independently, exactly as a sequence of single [`LockstepTable::arrive`]
 //! calls would.  All keys of a batch must belong to one logical thread (and
 //! therefore one shard); this is what a per-thread deferred-comparison queue
@@ -53,26 +72,27 @@
 //! # Slot lifetime
 //!
 //! Slots are reclaimed once every variant has consumed them **and** no
-//! waiter still holds a reference.  Each blocked `arrive` (and each
-//! unresolved key of an `arrive_batch`) registers in the slot's waiter
-//! refcount, so a slot can never vanish underneath a waiter that is about to
-//! re-inspect it; a late waiter always observes a clean
+//! waiter still holds a reference.  Each `Pending` arrival token (and each
+//! unresolved key of a batch token) holds a registration in the slot's
+//! waiter refcount, so a slot can never vanish underneath a waiter that is
+//! about to re-inspect it; a late waiter always observes a clean
 //! `Consistent`/`Mismatch`/`Poisoned` result instead of panicking on a
-//! vanished slot.  Every registration is released **exactly once** — a key
-//! that resolves before its batch's deadline must not be released again on
-//! the timeout path — and the release site doubles as the reclaim check.
-//! The table's size stays bounded by the number of in-flight calls, not by
-//! the length of the execution.
+//! vanished slot.  Every registration is released **exactly once**, by the
+//! `poll_*` call that resolves its token — a key that resolves before its
+//! batch's deadline must not be released again on the timeout path — and
+//! the release site doubles as the reclaim check.  The table's size stays
+//! bounded by the number of in-flight calls, not by the length of the
+//! execution.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
-use mvee_sync_agent::guards::EventCount;
+use mvee_sync_agent::guards::{EventCount, WaitStrategy, Waiter};
 
 use crate::divergence::first_mismatch;
 
@@ -93,6 +113,13 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// acquisition) and the per-wake-up resolution scan O(small); the monitor
 /// clamps its batch knob to this value.
 pub const MAX_BATCH: usize = 1024;
+
+/// How a blocking call waits for its token to resolve: no busy-spin phase
+/// (the peer is microseconds of gateway code away, not a few instructions),
+/// the adaptive waiter's fixed yield budget — a peer that is already running
+/// gets here within a few yields, and a yield costs a fifth of a park/wake
+/// round trip — and only then a park on the shard's event count.
+const YIELD_THEN_PARK: Waiter = Waiter::with_strategy(0, WaitStrategy::Adaptive);
 
 /// One pending comparison of a batched rendezvous: the slot it belongs to
 /// and the key the depositing variant presents there.
@@ -216,19 +243,12 @@ fn full_mask(variants: usize) -> u64 {
 }
 
 /// One independent partition of the rendezvous table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shard {
     slots: Mutex<HashMap<SlotKey, Slot>>,
-    changed: Condvar,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            slots: Mutex::new(HashMap::new()),
-            changed: Condvar::new(),
-        }
-    }
+    /// Posted on every state change a blocked waiter of this shard could be
+    /// waiting for (see the module docs on the shared wait).
+    changed: EventCount,
 }
 
 /// Wake signal shared between the rendezvous table and a polling monitor
@@ -326,7 +346,7 @@ impl LockstepTable {
         LockstepTable {
             variants,
             active_mask: AtomicU64::new(full_mask(variants)),
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards).map(|_| Shard::default()).collect(),
             placement_map: None,
             poisoned: AtomicBool::new(false),
             observers: Mutex::new(Vec::new()),
@@ -423,19 +443,27 @@ impl LockstepTable {
     ///
     /// Called when divergence has been detected so that threads blocked in a
     /// rendezvous or waiting for a replicated result abort promptly instead
-    /// of running into their timeouts.  The flag is a single atomic store;
-    /// the wake-up is broadcast shard by shard (each shard lock is taken
-    /// briefly, one at a time, never all together) so a poisoning thread
-    /// cannot stall behind long-held rendezvous locks in unrelated shards.
+    /// of running into their timeouts.  The flag is a single atomic store
+    /// and the wake-up takes no shard lock, so a poisoning thread cannot
+    /// stall behind long-held rendezvous locks.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Posts every shard's event count and raises the observers: the
+    /// table-wide wake of poison, quarantine and re-admission.
+    fn wake_all(&self) {
         for shard in self.shards.iter() {
-            // Taking (and immediately releasing) the shard lock before the
-            // broadcast closes the window where a waiter has checked the
-            // poison flag but not yet parked on the condvar.
-            drop(shard.slots.lock());
-            shard.changed.notify_all();
+            shard.changed.notify();
         }
+        self.notify_observers();
+    }
+
+    /// Posts `shard`'s event count and raises the observers, after a state
+    /// change in that shard.  Free of syscalls while nobody is parked.
+    fn wake(&self, shard: &Shard) {
+        shard.changed.notify();
         self.notify_observers();
     }
 
@@ -515,9 +543,8 @@ impl LockstepTable {
                 // waiters — the state `consume` reclaims on.
                 !(slot.waiters == 0 && slot.expected > 0 && slot.fully_consumed())
             });
-            shard.changed.notify_all();
         }
-        self.notify_observers();
+        self.wake_all();
         true
     }
 
@@ -532,11 +559,7 @@ impl LockstepTable {
         assert!(variant < self.variants, "readmit variant out of range");
         self.active_mask
             .fetch_or(variant_bit(variant), Ordering::SeqCst);
-        for shard in self.shards.iter() {
-            drop(shard.slots.lock());
-            shard.changed.notify_all();
-        }
-        self.notify_observers();
+        self.wake_all();
     }
 
     /// Registers a polling-shard waker: from now on every deposit, outcome
@@ -602,7 +625,9 @@ impl LockstepTable {
     }
 
     /// Registers variant `variant`'s arrival at `key` with comparison key
-    /// `cmp` and waits until every expected variant has arrived (lockstep).
+    /// `cmp` and waits until every expected variant has arrived (lockstep):
+    /// [`try_arrive`](Self::try_arrive), then the shared wait over
+    /// [`poll_arrival`](Self::poll_arrival).
     pub fn arrive(
         &self,
         key: SlotKey,
@@ -610,7 +635,7 @@ impl LockstepTable {
         cmp: ComparisonKey,
         timeout: Duration,
     ) -> ArrivalResult {
-        self.arrive_inner(key, variant, cmp, timeout, true)
+        self.await_arrival(self.try_arrive(key, variant, cmp, timeout))
     }
 
     /// Re-registers an arrival whose first verdict was superseded by a
@@ -625,88 +650,36 @@ impl LockstepTable {
         cmp: ComparisonKey,
         timeout: Duration,
     ) -> ArrivalResult {
-        self.arrive_inner(key, variant, cmp, timeout, false)
+        self.await_arrival(self.try_rearrive(key, variant, cmp, timeout))
     }
 
-    fn arrive_inner(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-        journal: bool,
-    ) -> ArrivalResult {
-        let deadline = Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut slots = shard.slots.lock();
-        if !self.is_active(variant) {
-            // A quarantined lane's late arrival: refuse the deposit (it is
-            // no longer part of any expected set) with the same verdict a
-            // poisoned table reports — the caller shuts the lane down.
-            return ArrivalResult::Poisoned;
-        }
-        if journal {
-            self.journal_arrival(key, variant, &cmp);
-        }
-        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
-        slot.deposit(variant, cmp);
-        if let Some(result) = self.slot_result(slot) {
-            if matches!(result, ArrivalResult::Mismatch(..)) {
-                slot.mismatch = true;
+    fn await_arrival(&self, deposit: TryArrive) -> ArrivalResult {
+        match deposit {
+            TryArrive::Ready(result) => result,
+            TryArrive::Pending(token) => {
+                self.wait_on(self.shard(token.key), token, |t| self.poll_arrival(t))
             }
-            shard.changed.notify_all();
-            drop(slots);
-            self.notify_observers();
-            return result;
         }
-        // Not complete yet: register as a waiter so the slot cannot be
-        // reclaimed while this thread sleeps, wake the shard (another variant
-        // may be waiting for our arrival on a *different* slot of this
-        // shard's map under the same condvar), then block.
-        slot.waiters += 1;
-        shard.changed.notify_all();
-        self.notify_observers();
-        let result = self.wait_for_rendezvous(shard, &mut slots, key, deadline);
-        // The registration is released exactly once, here, whatever path
-        // `wait_for_rendezvous` returned through.
-        self.release_waiter(&mut slots, key);
-        result
     }
 
-    /// The blocking half of [`arrive`](Self::arrive): waits until the slot
-    /// resolves, the table is poisoned, or the deadline passes.  Called with
-    /// the slot's waiter refcount already taken; the caller releases it.
-    fn wait_for_rendezvous(
-        &self,
-        shard: &Shard,
-        slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>,
-        key: SlotKey,
-        deadline: std::time::Instant,
-    ) -> ArrivalResult {
-        loop {
-            if self.is_poisoned() {
-                return ArrivalResult::Poisoned;
+    /// The one blocking wait of the table: re-polls `pending` until it
+    /// resolves.  [`YIELD_THEN_PARK`] spends its yield budget on rounds of
+    /// `yield_now` and `poll`, then parks on `shard`'s event count with a
+    /// `poll` on every wake.  `poll` owns the deadline (fixed in the token at
+    /// deposit time), so timeouts are attributed exactly as on the polling
+    /// face.
+    fn wait_on<P, T>(&self, shard: &Shard, pending: P, poll: impl Fn(P) -> Result<T, P>) -> T {
+        let mut pending = Some(pending);
+        let mut resolved = None;
+        YIELD_THEN_PARK.wait_until_event(&shard.changed, || {
+            let token = pending.take().expect("the wait ends at the first Ok poll");
+            match poll(token) {
+                Ok(value) => resolved = Some(value),
+                Err(token) => pending = Some(token),
             }
-            let Some(slot) = slots.get(&key) else {
-                // Defensive: the waiter refcount makes this unreachable, but
-                // a vanished slot means the rendezvous completed and was
-                // consumed, so report the benign outcome instead of
-                // panicking.
-                return ArrivalResult::Consistent;
-            };
-            if let Some(result) = self.slot_result(slot) {
-                return result;
-            }
-            if shard.changed.wait_until(slots, deadline).timed_out() {
-                let Some(slot) = slots.get(&key) else {
-                    return ArrivalResult::Consistent;
-                };
-                if let Some(result) = self.slot_result(slot) {
-                    return result;
-                }
-                return ArrivalResult::Timeout(Self::arrived_variants(slot));
-            }
-        }
+            resolved.is_some()
+        });
+        resolved.expect("the wait returns only once a poll resolved")
     }
 
     /// Deposits a whole block of pending comparisons under a **single**
@@ -715,7 +688,7 @@ impl LockstepTable {
     /// Semantically equivalent to calling [`arrive`](Self::arrive) once per
     /// element of `batch` (each key receives its own [`ArrivalResult`], and a
     /// mismatch on one key does not disturb the verdicts of the others), but
-    /// the lock/condvar cost is paid once per batch instead of once per call
+    /// the lock/wait cost is paid once per batch instead of once per call
     /// — the amortization the `ablation_batching` benchmark measures.  The
     /// one semantic difference is the deadline: the whole batch shares one
     /// `timeout` instead of each key restarting it, so keys a peer never
@@ -738,7 +711,7 @@ impl LockstepTable {
         batch: &[BatchArrival],
         timeout: Duration,
     ) -> Vec<ArrivalResult> {
-        self.arrive_batch_inner(variant, batch, timeout, true)
+        self.await_batch(self.try_arrive_batch(variant, batch, timeout))
     }
 
     /// The batched twin of [`rearrive`](Self::rearrive): re-deposits the
@@ -749,127 +722,16 @@ impl LockstepTable {
         batch: &[BatchArrival],
         timeout: Duration,
     ) -> Vec<ArrivalResult> {
-        self.arrive_batch_inner(variant, batch, timeout, false)
+        self.await_batch(self.try_rearrive_batch(variant, batch, timeout))
     }
 
-    fn arrive_batch_inner(
-        &self,
-        variant: usize,
-        batch: &[BatchArrival],
-        timeout: Duration,
-        journal: bool,
-    ) -> Vec<ArrivalResult> {
-        assert!(
-            batch.len() <= MAX_BATCH,
-            "batch of {} exceeds MAX_BATCH ({MAX_BATCH})",
-            batch.len()
-        );
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let shard_idx = self.shard_of(batch[0].key.0);
-        assert!(
-            batch.iter().all(|a| self.shard_of(a.key.0) == shard_idx),
-            "a batch must stay within one rendezvous shard"
-        );
-        // Hard assert, like the bound and shard checks above: the documented
-        // contract promises a panic, and a silent duplicate would overwrite
-        // the first deposit and double-register a waiter.  O(n²) on n ≤
-        // MAX_BATCH keys, paid once per flush, off the per-call hot path.
-        assert!(
-            (1..batch.len()).all(|i| batch[..i].iter().all(|a| a.key != batch[i].key)),
-            "a batch must not deposit the same slot twice"
-        );
-        let deadline = Instant::now() + timeout;
-        let shard = &self.shards[shard_idx];
-        let mut slots = shard.slots.lock();
-        if !self.is_active(variant) {
-            // Quarantined lane: refuse the whole batch, as `arrive` would.
-            return vec![ArrivalResult::Poisoned; batch.len()];
-        }
-
-        // Deposit every key under the one lock hold.  Keys whose rendezvous
-        // completes right here resolve immediately; the rest register a
-        // waiter each so their slots survive the wait.
-        let mut results: Vec<Option<ArrivalResult>> = vec![None; batch.len()];
-        let mut holds_waiter = vec![false; batch.len()];
-        let mut unresolved = 0usize;
-        for (i, arrival) in batch.iter().enumerate() {
-            if journal {
-                self.journal_arrival(arrival.key, variant, &arrival.cmp);
-            }
-            let slot = slots.entry(arrival.key).or_insert_with(|| self.new_slot());
-            slot.deposit(variant, arrival.cmp.clone());
-            if let Some(result) = self.slot_result(slot) {
-                if matches!(result, ArrivalResult::Mismatch(..)) {
-                    slot.mismatch = true;
-                }
-                results[i] = Some(result);
-            } else {
-                slot.waiters += 1;
-                holds_waiter[i] = true;
-                unresolved += 1;
+    fn await_batch(&self, deposit: TryBatch) -> Vec<ArrivalResult> {
+        match deposit {
+            TryBatch::Ready(results) => results,
+            TryBatch::Pending(token) => {
+                self.wait_on(&self.shards[token.shard_idx], token, |t| self.poll_batch(t))
             }
         }
-        shard.changed.notify_all();
-        self.notify_observers();
-
-        while unresolved > 0 {
-            if self.is_poisoned() {
-                for r in results.iter_mut().filter(|r| r.is_none()) {
-                    *r = Some(ArrivalResult::Poisoned);
-                }
-                break;
-            }
-            // Resolve every key that completed since the last wake-up.
-            for (i, arrival) in batch.iter().enumerate() {
-                if results[i].is_some() {
-                    continue;
-                }
-                let resolved = match slots.get(&arrival.key) {
-                    // Defensive, as in `wait_for_rendezvous`: the waiter
-                    // refcount makes a vanished slot unreachable.
-                    None => Some(ArrivalResult::Consistent),
-                    Some(slot) => self.slot_result(slot),
-                };
-                if let Some(result) = resolved {
-                    results[i] = Some(result);
-                    unresolved -= 1;
-                }
-            }
-            if unresolved == 0 {
-                break;
-            }
-            if shard.changed.wait_until(&mut slots, deadline).timed_out() {
-                // Keys that completed right at the wire still resolve; the
-                // rest report which variants did arrive.
-                for (i, arrival) in batch.iter().enumerate() {
-                    if results[i].is_some() {
-                        continue;
-                    }
-                    results[i] = Some(match slots.get(&arrival.key) {
-                        None => ArrivalResult::Consistent,
-                        Some(slot) => self.slot_result(slot).unwrap_or_else(|| {
-                            ArrivalResult::Timeout(Self::arrived_variants(slot))
-                        }),
-                    });
-                }
-                break;
-            }
-        }
-
-        // Release every registration exactly once — including the ones whose
-        // keys resolved long before the deadline — and reclaim on the way
-        // out.  This is the single release site of the batch path.
-        for (i, arrival) in batch.iter().enumerate() {
-            if holds_waiter[i] {
-                self.release_waiter(&mut slots, arrival.key);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch key resolves before return"))
-            .collect()
     }
 
     /// Publishes the master's outcome (and, for ordered calls, the syscall
@@ -883,9 +745,8 @@ impl LockstepTable {
         let slot = slots.entry(key).or_insert_with(|| self.new_slot());
         slot.outcome = Some(outcome);
         slot.timestamp = timestamp;
-        shard.changed.notify_all();
         drop(slots);
-        self.notify_observers();
+        self.wake(shard);
     }
 
     /// Blocks until the master has published an outcome for `key`.
@@ -900,37 +761,24 @@ impl LockstepTable {
     }
 
     /// [`wait_outcome`](Self::wait_outcome) with an early-abort predicate,
-    /// re-checked on every wake-up.  A quarantine broadcast-wakes every
-    /// shard, so a slave parked on a dead publisher's slot passes through
-    /// `abort` immediately — the monitor uses this to fail replication over
-    /// to the new master without spending the whole rendezvous deadline.
-    /// Returns `None` when `abort` fired and no outcome had been published.
+    /// checked after every poll that finds nothing published.  A quarantine
+    /// wakes every shard, so a slave parked on a dead publisher's slot
+    /// passes through `abort` immediately — the monitor uses this to fail
+    /// replication over to the new master without spending the whole
+    /// rendezvous deadline.  Returns `None` when `abort` fired and no outcome
+    /// had been published.
     pub fn wait_outcome_until(
         &self,
         key: SlotKey,
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> Option<(SyscallOutcome, Option<u64>)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut slots = shard.slots.lock();
-        loop {
-            if self.is_poisoned() {
-                return None;
-            }
-            if let Some(slot) = slots.get(&key) {
-                if let Some(outcome) = &slot.outcome {
-                    return Some((outcome.clone(), slot.timestamp));
-                }
-            }
-            if abort() {
-                return None;
-            }
-            if shard.changed.wait_until(&mut slots, deadline).timed_out() {
-                let slot = slots.get(&key)?;
-                let outcome = slot.outcome.clone()?;
-                return Some((outcome, slot.timestamp));
-            }
+        match self.try_wait_outcome(key, timeout) {
+            TryOutcome::Ready(outcome) => outcome,
+            TryOutcome::Pending(token) => self.wait_on(self.shard(key), token, |t| {
+                self.poll_outcome(t)
+                    .or_else(|t| if abort() { Ok(None) } else { Err(t) })
+            }),
         }
     }
 
@@ -951,19 +799,17 @@ impl LockstepTable {
         }
     }
 
-    // --- Poll-mode rendezvous: the non-blocking mirror of the API above ---
+    // --- The deposit → poll core every wait above is built on ---
     //
     // A polling monitor shard must never sleep inside one port's rendezvous,
     // or a cross-variant circular wait (thread A of v0 and thread B of v1
     // arriving in opposite order) deadlocks it the way it would deadlock a
-    // naive blocking drain.  The `try_*` calls deposit exactly like their
-    // blocking twins and return `Pending` with a token instead of parking;
-    // `poll_*` re-examines a token without sleeping.  Deadlines are fixed at
-    // deposit time — precisely where the blocking calls compute theirs — so
-    // the `Timeout` verdicts (and their arrived-variant lists) are identical
-    // to what the blocking path would report.  A `Pending` token holds the
-    // slot's waiter registration; it is released exactly once, by the
-    // `poll_*` call that resolves it, so slot reclamation is unchanged.
+    // naive blocking drain.  The `try_*` calls deposit and return `Pending`
+    // with a token instead of parking; `poll_*` re-examines a token without
+    // sleeping.  Deadlines are fixed at deposit time, so the `Timeout`
+    // verdicts (and their arrived-variant lists) do not depend on who polls
+    // or how often.  A `Pending` token holds the slot's waiter registration;
+    // it is released exactly once, by the `poll_*` call that resolves it.
 
     /// Deposits variant `variant`'s arrival at `key` without blocking.
     ///
@@ -1005,6 +851,9 @@ impl LockstepTable {
         let shard = self.shard(key);
         let mut slots = shard.slots.lock();
         if !self.is_active(variant) {
+            // A quarantined lane's late arrival: refuse the deposit (it is
+            // no longer part of any expected set) with the same verdict a
+            // poisoned table reports — the caller shuts the lane down.
             return TryArrive::Ready(ArrivalResult::Poisoned);
         }
         if journal {
@@ -1016,21 +865,24 @@ impl LockstepTable {
             if matches!(result, ArrivalResult::Mismatch(..)) {
                 slot.mismatch = true;
             }
-            shard.changed.notify_all();
             drop(slots);
-            self.notify_observers();
+            self.wake(shard);
             return TryArrive::Ready(result);
         }
+        // Not complete yet: register as a waiter so the slot cannot be
+        // reclaimed before the token is polled, and wake the shard (another
+        // variant may be waiting for this very deposit).
         slot.waiters += 1;
-        shard.changed.notify_all();
         if self.is_poisoned() {
-            // Same verdict the blocking path's first wake-up would return;
-            // resolve immediately so no token (and no registration) escapes.
+            // Same verdict the first poll would return; resolve immediately
+            // so no token (and no registration) escapes.
             self.release_waiter(&mut slots, key);
+            drop(slots);
+            self.wake(shard);
             return TryArrive::Ready(ArrivalResult::Poisoned);
         }
         drop(slots);
-        self.notify_observers();
+        self.wake(shard);
         TryArrive::Pending(ArrivalToken { key, deadline })
     }
 
@@ -1047,8 +899,9 @@ impl LockstepTable {
             return Ok(ArrivalResult::Poisoned);
         }
         let resolved = match slots.get(&token.key) {
-            // Defensive, as in `wait_for_rendezvous`: the waiter refcount
-            // makes a vanished slot unreachable.
+            // Defensive: the waiter refcount makes a vanished slot
+            // unreachable, and one that did vanish was completed and
+            // consumed — report the benign outcome instead of panicking.
             None => Some(ArrivalResult::Consistent),
             Some(slot) => self.slot_result(slot),
         };
@@ -1057,9 +910,8 @@ impl LockstepTable {
             return Ok(result);
         }
         if Instant::now() >= token.deadline {
-            // The slot was just inspected and is incomplete: report which
-            // variants did arrive, exactly like the blocking timeout path
-            // (whose at-the-wire re-check this poll already performed).
+            // The slot was just inspected (the at-the-wire re-check) and is
+            // incomplete: report which variants did arrive.
             let arrived = slots
                 .get(&token.key)
                 .map(Self::arrived_variants)
@@ -1120,6 +972,9 @@ impl LockstepTable {
             batch.iter().all(|a| self.shard_of(a.key.0) == shard_idx),
             "a batch must stay within one rendezvous shard"
         );
+        // Hard assert, like the bound and shard checks above: a silent
+        // duplicate would overwrite the first deposit and double-register a
+        // waiter.  O(n²) on n ≤ MAX_BATCH keys, paid once per flush.
         assert!(
             (1..batch.len()).all(|i| batch[..i].iter().all(|a| a.key != batch[i].key)),
             "a batch must not deposit the same slot twice"
@@ -1155,22 +1010,20 @@ impl LockstepTable {
                 token.unresolved += 1;
             }
         }
-        shard.changed.notify_all();
         if token.unresolved > 0 && self.is_poisoned() {
             for r in token.results.iter_mut().filter(|r| r.is_none()) {
                 *r = Some(ArrivalResult::Poisoned);
             }
             token.unresolved = 0;
         }
-        if token.unresolved == 0 {
-            let results = token.resolve(self, &mut slots);
-            drop(slots);
-            self.notify_observers();
-            return TryBatch::Ready(results);
-        }
+        let deposit = if token.unresolved == 0 {
+            TryBatch::Ready(token.resolve(self, &mut slots))
+        } else {
+            TryBatch::Pending(token)
+        };
         drop(slots);
-        self.notify_observers();
-        TryBatch::Pending(token)
+        self.wake(shard);
+        deposit
     }
 
     /// Checks a pending batch without sleeping: resolves every key that
@@ -1935,6 +1788,147 @@ mod tests {
         let e2 = waker.epoch();
         table.poison();
         assert!(waker.epoch() > e2, "poison must raise the waker");
+    }
+
+    /// Runs `wait` on its own thread and returns once it has spent its
+    /// yield budget and parked on `key`'s shard.
+    fn parked<T: Send + 'static>(
+        table: &Arc<LockstepTable>,
+        key: SlotKey,
+        wait: impl FnOnce(&LockstepTable) -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        let t = Arc::clone(table);
+        let handle = std::thread::spawn(move || wait(&t));
+        while !table.shard(key).changed.has_waiters() {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    /// Joins a parked waiter, asserting that `event` woke it within 50 ms.
+    fn woken<T>(waiter: std::thread::JoinHandle<T>, event: impl FnOnce()) -> T {
+        let started = Instant::now();
+        event();
+        let result = waiter.join().unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "woken after {took:?}");
+        result
+    }
+
+    #[test]
+    fn every_state_change_wakes_a_parked_waiter() {
+        const LONG: Duration = Duration::from_secs(10);
+        let key = (0, 0);
+        let fresh = || Arc::new(LockstepTable::new(2));
+        let arrival = move |t: &LockstepTable| t.arrive(key, 0, cmp(Sysno::Brk, b""), LONG);
+
+        let table = fresh();
+        let result = woken(parked(&table, key, arrival), || {
+            let _ = table.try_arrive(key, 1, cmp(Sysno::Brk, b""), LONG);
+        });
+        assert_eq!(result, ArrivalResult::Consistent, "deposit");
+
+        let table = fresh();
+        let result = woken(parked(&table, key, arrival), || table.poison());
+        assert_eq!(result, ArrivalResult::Poisoned, "poison");
+
+        // The sweep completes the rendezvous without the quarantined peer.
+        let table = fresh();
+        let result = woken(parked(&table, key, arrival), || {
+            table.quarantine(1);
+        });
+        assert_eq!(result, ArrivalResult::Consistent, "quarantine");
+
+        let table = fresh();
+        let waiter = parked(&table, key, move |t| t.wait_outcome(key, LONG));
+        let result = woken(waiter, || {
+            table.publish_outcome(key, SyscallOutcome::ok(7), None)
+        });
+        assert_eq!(result, Some((SyscallOutcome::ok(7), None)), "publish");
+
+        // Re-admission changes no slot; a waiter sees it through `abort`.
+        let table = fresh();
+        table.quarantine(1);
+        let waiter = parked(&table, key, move |t| {
+            t.wait_outcome_until(key, LONG, || t.is_active(1))
+        });
+        assert_eq!(woken(waiter, || table.readmit(1)), None, "readmit");
+    }
+
+    #[test]
+    fn outcome_wait_aborts_on_master_failover_without_spending_the_deadline() {
+        let table = Arc::new(LockstepTable::new(3));
+        let waiter = parked(&table, (0, 0), |t| {
+            t.wait_outcome_until((0, 0), Duration::from_secs(10), || {
+                t.active_variants()[0] != 0
+            })
+        });
+        let result = woken(waiter, || {
+            table.quarantine(0);
+        });
+        assert_eq!(result, None, "nothing was published: the caller fails over");
+    }
+
+    #[test]
+    fn blocking_and_polling_faces_attribute_timeouts_identically() {
+        // One schedule on both faces: variant 1 of 3 arrives alone at a
+        // single key and at a two-key batch, and nobody ever publishes.
+        let short = Duration::from_millis(30);
+        let (single, key) = ((1, 0), cmp(Sysno::Brk, b"x"));
+        let batch: Vec<BatchArrival> = (1..3u64)
+            .map(|seq| BatchArrival {
+                key: (1, seq),
+                cmp: cmp(Sysno::Brk, &[seq as u8]),
+            })
+            .collect();
+        let blocking = LockstepTable::new(3);
+        let arrived = blocking.arrive(single, 1, key.clone(), short);
+        let batched = blocking.arrive_batch(1, &batch, short);
+        let published = blocking.wait_outcome(single, short);
+        assert_eq!(arrived, ArrivalResult::Timeout(vec![1]));
+
+        let polling = LockstepTable::new(3);
+        let TryArrive::Pending(arrival) = polling.try_arrive(single, 1, key, short) else {
+            panic!("two peers are missing")
+        };
+        let TryBatch::Pending(deposit) = polling.try_arrive_batch(1, &batch, short) else {
+            panic!("two peers are missing")
+        };
+        let TryOutcome::Pending(outcome) = polling.try_wait_outcome(single, short) else {
+            panic!("nothing is published")
+        };
+        std::thread::sleep(short * 2);
+        assert_eq!(polling.poll_arrival(arrival), Ok(arrived));
+        assert_eq!(polling.poll_batch(deposit).expect("expired"), batched);
+        assert_eq!(polling.poll_outcome(outcome), Ok(published));
+        // A `ReplicationTimeout` report reads its `arrived` field here.
+        assert_eq!(blocking.arrivals(single), vec![1]);
+        assert_eq!(polling.arrivals(single), vec![1]);
+    }
+
+    #[test]
+    fn batch_with_a_never_arriving_peer_releases_every_registration_once() {
+        let table = Arc::new(LockstepTable::new(2));
+        let batch: Vec<BatchArrival> = (0..3u64)
+            .map(|seq| BatchArrival {
+                key: (0, seq),
+                cmp: cmp(Sysno::Brk, &[seq as u8]),
+            })
+            .collect();
+        let waiter = parked(&table, (0, 0), move |t| {
+            t.arrive_batch(0, &batch, Duration::from_millis(200))
+        });
+        // Fully consumed under the parked waiter: only its registrations
+        // keep the slots alive, so a leaked one pins a slot for good and a
+        // doubly released one underflows the refcount.
+        for seq in 0..3u64 {
+            table.consume((0, seq), 0);
+            table.consume((0, seq), 1);
+        }
+        assert_eq!(table.live_slots(), 3);
+        let results = waiter.join().unwrap();
+        assert_eq!(results, vec![ArrivalResult::Timeout(vec![0]); 3]);
+        assert_eq!(table.live_slots(), 0);
     }
 
     #[test]

@@ -824,22 +824,24 @@ impl Monitor {
         batch: &[BatchArrival],
     ) -> Result<(), MonitorError> {
         self.count_batch_flush(lane);
-        let results = self
+        let mut results = self
             .lockstep
             .arrive_batch(variant, batch, self.config.lockstep_timeout);
-        let mut batch: Vec<BatchArrival> = batch.to_vec();
-        let mut results = results;
+        // Only the rare quarantine retry owns a copy of (part of) the batch.
+        let mut batch = batch;
+        let mut unsettled: Vec<BatchArrival>;
         loop {
-            match self.settle_batch_results(variant, thread, &batch, results) {
+            match self.settle_batch_results(variant, thread, batch, results) {
                 BatchSettle::Done(outcome) => return outcome,
                 BatchSettle::Retry(indices) => {
                     // Re-present only the unsettled keys: the settled ones
                     // were consumed, and re-depositing them could resurrect
                     // reclaimed slots the peers will never revisit.
-                    batch = indices.into_iter().map(|i| batch[i].clone()).collect();
+                    unsettled = indices.into_iter().map(|i| batch[i].clone()).collect();
+                    batch = &unsettled;
                     results =
                         self.lockstep
-                            .rearrive_batch(variant, &batch, self.config.lockstep_timeout);
+                            .rearrive_batch(variant, batch, self.config.lockstep_timeout);
                 }
             }
         }
@@ -1079,21 +1081,20 @@ impl Monitor {
         seq: u64,
         req: &SyscallRequest,
     ) -> Result<(), MonitorError> {
-        let cmp = req.comparison_key();
-        let mut result =
-            self.lockstep
-                .arrive(key, variant, cmp.clone(), self.config.lockstep_timeout);
+        let timeout = self.config.lockstep_timeout;
+        let mut result = self
+            .lockstep
+            .arrive(key, variant, req.comparison_key(), timeout);
         loop {
             match self.settle_sync_arrival(result, variant, thread, seq) {
                 ArrivalSettle::Done => return Ok(()),
                 ArrivalSettle::Fail(error) => return Err(error),
+                // The first deposit took the key; the rare quarantine retry
+                // rebuilds it from the request.
                 ArrivalSettle::Retry => {
-                    result = self.lockstep.rearrive(
-                        key,
-                        variant,
-                        cmp.clone(),
-                        self.config.lockstep_timeout,
-                    );
+                    result = self
+                        .lockstep
+                        .rearrive(key, variant, req.comparison_key(), timeout);
                 }
             }
         }

@@ -751,7 +751,7 @@ impl Kernel {
     ) -> KernelResult<SyscallOutcome> {
         let fd = Self::arg_fd(req, 0)?;
         let socket = Self::socket_of(st, pid, fd)?;
-        st.net.close(socket)?;
+        st.net.shutdown(socket)?;
         Ok(SyscallOutcome::ok(0))
     }
 

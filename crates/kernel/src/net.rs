@@ -80,6 +80,9 @@ struct Socket {
     backlog: VecDeque<u64>,
     /// Link this socket's connection traverses.
     link: LinkKind,
+    /// Whether the descriptor naming this socket is gone (`close`, not just
+    /// `shutdown`): only the peer can still observe it.
+    released: bool,
 }
 
 impl Socket {
@@ -91,6 +94,7 @@ impl Socket {
             rx: BytesMut::new(),
             backlog: VecDeque::new(),
             link: LinkKind::Loopback,
+            released: false,
         }
     }
 }
@@ -254,8 +258,32 @@ impl NetworkStack {
             .ok_or(Errno::Ebadf)
     }
 
-    /// Shuts down a socket.
+    /// Closes a socket: shuts it down and gives up the descriptor naming it.
+    ///
+    /// A closed end of a connection stays in the table for as long as its
+    /// peer can still observe it (EOF on `recv`); once both ends are closed
+    /// the pair is reaped, so a server's accept/close cycles do not grow the
+    /// table.  Closing an end that was already reaped is a no-op, as closing
+    /// an already closed socket always was.
     pub fn close(&mut self, socket: u64) -> KernelResult<()> {
+        match self.shutdown(socket) {
+            Err(Errno::Ebadf) if socket < self.next_socket => return Ok(()),
+            shut_down => shut_down?,
+        }
+        let s = self.sockets.get_mut(&socket).expect("shut down above");
+        s.released = true;
+        if let Some(peer) = s.peer {
+            if self.sockets.get(&peer).is_none_or(|p| p.released) {
+                self.sockets.remove(&socket);
+                self.sockets.remove(&peer);
+            }
+        }
+        Ok(())
+    }
+
+    /// Shuts a socket down; its descriptor stays valid and its peer reads
+    /// EOF from now on.
+    pub fn shutdown(&mut self, socket: u64) -> KernelResult<()> {
         let port = {
             let s = self.sockets.get_mut(&socket).ok_or(Errno::Ebadf)?;
             s.state = SocketState::Closed;
@@ -375,6 +403,44 @@ mod tests {
         let (client, server) = connected_pair(&mut stack, LinkKind::Loopback);
         stack.close(client).unwrap();
         assert_eq!(stack.recv(server, 10).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn accept_close_cycles_do_not_grow_the_socket_table() {
+        let mut stack = NetworkStack::new();
+        let listener = stack.socket();
+        stack.bind(listener, 80).unwrap();
+        stack.listen(listener).unwrap();
+        for cycle in 0..10_000 {
+            let client = stack.socket();
+            stack.connect(client, 80, LinkKind::Loopback).unwrap();
+            let server = stack.accept(listener).unwrap();
+            stack.send(server, b"bye").unwrap();
+            stack.close(server).unwrap();
+            // The surviving end still drains the data and then reads EOF.
+            assert_eq!(&stack.recv(client, 8).unwrap()[..], b"bye");
+            assert_eq!(stack.recv(client, 8).unwrap().len(), 0);
+            assert_eq!(stack.state(server).unwrap(), SocketState::Closed);
+            stack.close(client).unwrap();
+            assert_eq!(stack.sockets.len(), 1, "cycle {cycle} leaked a socket");
+            assert_eq!(stack.state(server), Err(Errno::Ebadf));
+        }
+        // A second close of a reaped end (a dup'ed or shut-down descriptor)
+        // stays the no-op it always was.
+        assert_eq!(stack.close(listener + 1), Ok(()));
+    }
+
+    #[test]
+    fn shutdown_keeps_the_descriptor_valid() {
+        let mut stack = NetworkStack::new();
+        let (client, server) = connected_pair(&mut stack, LinkKind::Loopback);
+        stack.shutdown(client).unwrap();
+        stack.close(server).unwrap();
+        // `client` is only shut down: its descriptor still names a socket.
+        assert_eq!(stack.state(client).unwrap(), SocketState::Closed);
+        assert_eq!(stack.recv(client, 8).unwrap().len(), 0);
+        stack.close(client).unwrap();
+        assert_eq!(stack.sockets.len(), 1, "only the listener is left");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct PartialOrderAgent {
 impl PartialOrderAgent {
     /// Creates a partial-order agent for `config.variants` variants.
     pub fn new(config: AgentConfig) -> Self {
-        let readers = config.slave_count().max(1);
+        let readers = config.slave_count();
         let waiter = config.waiter();
         PartialOrderAgent {
             ring: RecordRing::new(config.buffer_capacity, readers),

@@ -37,7 +37,7 @@ pub struct TotalOrderAgent {
 impl TotalOrderAgent {
     /// Creates a total-order agent for `config.variants` variants.
     pub fn new(config: AgentConfig) -> Self {
-        let readers = config.slave_count().max(1);
+        let readers = config.slave_count();
         let waiter = config.waiter();
         TotalOrderAgent {
             ring: RecordRing::new(config.buffer_capacity, readers),
@@ -58,7 +58,7 @@ impl TotalOrderAgent {
     /// Number of records currently recorded and not yet consumed by the
     /// slowest slave.
     pub fn max_backlog(&self) -> u64 {
-        (0..self.config.slave_count().max(1))
+        (0..self.ring.readers())
             .map(|s| self.ring.backlog(s))
             .max()
             .unwrap_or(0)

@@ -63,7 +63,7 @@ impl WallOfClocksAgent {
     /// `config.threads`) funnels several producers into that ring and it
     /// must stay multi-producer-safe.
     pub fn new(config: AgentConfig) -> Self {
-        let readers = config.slave_count().max(1);
+        let readers = config.slave_count();
         let waiter = config.waiter();
         WallOfClocksAgent {
             rings: (0..config.threads)

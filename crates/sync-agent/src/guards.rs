@@ -212,8 +212,10 @@ pub struct Waiter {
 
 impl Default for Waiter {
     /// The default spin budget (64 iterations per yield) with the legacy
-    /// spin/yield discipline, used by the monitor wait paths (which have no
-    /// event count to park on).
+    /// spin/yield discipline: for deadline-bounded waits on state nobody
+    /// posts an event count for — the monitor's ordering-clock turn waits.
+    /// Everything that *can* park does: the agents on their rings' event
+    /// counts, the monitor's rendezvous waits on their shard's.
     fn default() -> Self {
         Waiter::new(64)
     }
@@ -221,8 +223,8 @@ impl Default for Waiter {
 
 impl Waiter {
     /// Creates a legacy spin/yield waiter with the given spin budget per
-    /// yield.  Existing callers (the monitor, guard-free waits) keep the
-    /// pre-adaptive behaviour.
+    /// yield.  Existing callers (the ordering-clock turn waits, guard-free
+    /// waits) keep the pre-adaptive behaviour.
     pub fn new(spin_before_yield: u32) -> Self {
         Waiter {
             spin_before_yield,
@@ -232,7 +234,7 @@ impl Waiter {
 
     /// Creates a waiter with an explicit strategy; agents build theirs from
     /// [`AgentConfig`](crate::context::AgentConfig) this way.
-    pub fn with_strategy(spin_before_yield: u32, strategy: WaitStrategy) -> Self {
+    pub const fn with_strategy(spin_before_yield: u32, strategy: WaitStrategy) -> Self {
         Waiter {
             spin_before_yield,
             strategy,

@@ -148,11 +148,12 @@ pub struct RecordRing {
 
 impl RecordRing {
     /// Creates a multi-producer ring with `capacity` slots (must be a power
-    /// of two) and `readers` independent read cursors.
+    /// of two) and `readers` independent read cursors.  A ring with zero
+    /// readers (a master with no slaves) never fills: nothing is ever unread.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is not a power of two or `readers` is zero.
+    /// Panics if `capacity` is not a power of two.
     pub fn new(capacity: usize, readers: usize) -> Self {
         Self::build(capacity, readers, false)
     }
@@ -164,7 +165,7 @@ impl RecordRing {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is not a power of two or `readers` is zero.
+    /// Panics if `capacity` is not a power of two.
     pub fn new_spsc(capacity: usize, readers: usize) -> Self {
         Self::build(capacity, readers, true)
     }
@@ -174,7 +175,6 @@ impl RecordRing {
             capacity.is_power_of_two(),
             "capacity must be a power of two"
         );
-        assert!(readers > 0, "need at least one reader");
         RecordRing {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             capacity: capacity as u64,
@@ -225,13 +225,14 @@ impl RecordRing {
         self.reader_cursors[reader].0.load(Ordering::Acquire)
     }
 
-    /// The slowest reader's position; slots below it may be reused.
+    /// The slowest reader's position; slots below it may be reused.  With
+    /// no readers at all that is every slot written so far.
     pub fn min_reader_pos(&self) -> u64 {
         self.reader_cursors
             .iter()
             .map(|c| c.0.load(Ordering::Acquire))
             .min()
-            .unwrap_or(0)
+            .unwrap_or_else(|| self.write_pos())
     }
 
     /// Whether at least one slot is free for the next push.
@@ -253,7 +254,10 @@ impl RecordRing {
         // `fetch_max` keeps the cache monotone when racing producers
         // publish rescan results out of order.
         self.cached_min_reader.0.fetch_max(min, Ordering::Relaxed);
-        pos.wrapping_sub(min) < self.capacity
+        // `min` can have passed a racing producer's stale `pos` (always, on
+        // a ring without readers); that is "free" — the push's
+        // compare-exchange then fails and reloads.
+        pos.saturating_sub(min) < self.capacity
     }
 
     /// Attempts to append `record` without blocking.
@@ -600,8 +604,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one reader")]
-    fn zero_readers_panics() {
-        let _ = RecordRing::new_spsc(4, 0);
+    fn a_ring_without_readers_never_fills() {
+        // A master with no slaves: nothing is ever unread, so every slot may
+        // be reused — the ring must wrap many times without reporting full.
+        for ring in both_rings(4, 0) {
+            for i in 0..64u64 {
+                assert_eq!(
+                    ring.try_push(SyncRecord::simple(0, i)),
+                    PushOutcome::Stored(i)
+                );
+                assert!(ring.has_space());
+            }
+            assert_eq!(ring.get(63).map(|r| r.addr), Some(63));
+        }
     }
 }

@@ -150,6 +150,21 @@ fn wall_of_clocks_eight_variants_sixteen_threads_smoke() {
 }
 
 #[test]
+fn one_variant_runs_far_past_the_ring_capacity() {
+    // Regression: a master without slaves used to record into a ring whose
+    // phantom reader never advanced, and hung for good once the ring had
+    // filled (after `buffer_capacity` sync ops).
+    for kind in [
+        AgentKind::TotalOrder,
+        AgentKind::PartialOrder,
+        AgentKind::WallOfClocks,
+    ] {
+        let agent = run_scenario(kind, 1, 1, 100_000);
+        assert_eq!(agent.stats().ops_recorded, 100_000, "{kind:?}");
+    }
+}
+
+#[test]
 fn poisoning_unblocks_a_stalled_slave_replay() {
     // A slave thread blocked on a recording that will never continue (the
     // master died after divergence) must return promptly once the agent is
