@@ -7,9 +7,9 @@
 //!   shard-lock acquisition and one full 8-variant barrier per call);
 //!   larger sizes deposit the same comparisons through `arrive_batch`,
 //!   amortizing the lock/condvar cost across the block.
-//! * **monitor** — the full `Monitor::syscall` gateway drives a brk-dense
-//!   (address-space-call) stream, the syscall class whose comparisons the
-//!   batched monitor defers.  `batch = 1` pays a synchronous 8-variant
+//! * **monitor** — the full gateway (one `ThreadPort` per thread) drives a
+//!   brk-dense (address-space-call) stream, the syscall class whose
+//!   comparisons the batched monitor defers.  `batch = 1` pays a synchronous 8-variant
 //!   rendezvous barrier on every call; `batch > 1` replaces it with one
 //!   batched rendezvous per block while the ordering machinery runs
 //!   unchanged.
@@ -22,10 +22,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvee_core::lockstep::{ArrivalResult, BatchArrival, LockstepTable};
-use mvee_core::monitor::{Monitor, MonitorConfig};
+use mvee_core::mvee::Mvee;
 use mvee_core::policy::MonitoringPolicy;
-use mvee_kernel::kernel::Kernel;
 use mvee_kernel::syscall::{ComparisonKey, SyscallRequest, Sysno};
+use mvee_sync_agent::agents::AgentKind;
 
 const VARIANTS: usize = 8;
 const THREADS: usize = 8;
@@ -87,41 +87,37 @@ fn hammer_table(batch: usize) {
 /// Runs the full monitor gateway: every (variant, thread) issues `OPS`
 /// compared-and-ordered brk calls with the comparison batch set to `batch`.
 fn hammer_monitor(batch: usize) {
-    let kernel = Arc::new(Kernel::new_manual_clock());
-    let pids = (0..VARIANTS).map(|_| kernel.spawn_process()).collect();
-    let config = MonitorConfig {
-        variants: VARIANTS,
-        policy: MonitoringPolicy::StrictLockstep,
-        lockstep_timeout: Duration::from_secs(30),
-        max_threads: THREADS,
-        shards: THREADS,
-        batch,
-        ..MonitorConfig::default()
-    };
-    let monitor = Arc::new(Monitor::new(config, kernel, pids));
+    let mvee = Mvee::builder()
+        .variants(VARIANTS)
+        .threads(THREADS)
+        .policy(MonitoringPolicy::StrictLockstep)
+        // The stream is syscall-only; the null agent keeps the sync-op side
+        // out of the measurement.
+        .agent(AgentKind::Null)
+        .lockstep_timeout(Duration::from_secs(30))
+        .shards(THREADS)
+        .batch(batch)
+        .manual_clock(true)
+        .build();
     let mut handles = Vec::with_capacity(VARIANTS * THREADS);
     for variant in 0..VARIANTS {
         for thread in 0..THREADS {
-            let monitor = Arc::clone(&monitor);
+            let port = mvee.thread_port(variant, thread);
             handles.push(std::thread::spawn(move || {
                 let req = SyscallRequest::new(Sysno::Brk).with_int(0);
                 for _ in 0..OPS {
-                    monitor
-                        .syscall(variant, thread, &req)
-                        .expect("bench monitor call diverged");
+                    port.syscall(&req).expect("bench monitor call diverged");
                 }
                 // Drain the tail so every comparison is accounted for.
-                monitor
-                    .flush_deferred(variant, thread)
-                    .expect("tail flush diverged");
+                port.flush().expect("tail flush diverged");
             }));
         }
     }
     for h in handles {
         h.join().expect("bench thread panicked");
     }
-    assert!(!monitor.has_diverged());
-    assert_eq!(monitor.live_deferred(), 0);
+    assert!(!mvee.monitor().has_diverged());
+    assert_eq!(mvee.monitor().live_slots(), 0);
 }
 
 fn bench_batch_sizes(c: &mut Criterion) {

@@ -1,23 +1,13 @@
-//! Ablation: the thread-port gateway vs the legacy index-addressed gateway,
-//! and the shard-placement policies, under a many-variant load.
+//! Ablation: the shard-placement policies under a many-variant load.
 //!
 //! Eight variants × eight logical threads drive a brk-dense
 //! (compared-and-ordered address-space) stream through the full monitor
-//! gateway:
-//!
-//! * **gateway** — the legacy `Monitor::syscall(variant, thread, req)` hot
-//!   path: bounds asserts, `ThreadState` indexing, a shared atomic sequence
-//!   counter and a mutex-guarded deferred queue on every call.
-//! * **port** — the redesigned [`ThreadPort`] hot path: the same calls
-//!   through a per-thread handle that cached its shard binding at
-//!   acquisition time and owns its sequence counter and batch queue
-//!   locally.
-//!
-//! Both run at batch 1 (per-call rendezvous) and batch 8 (deferred
-//! comparisons); the port additionally sweeps the three [`Placement`]
-//! policies, whose binding is resolved once per port instead of per call.
-//! The acceptance bar for the thread-port tentpole is port ≥ gateway
-//! throughput at 8 variants; `BASELINES.md` records the numbers.
+//! gateway, every (variant, thread) through its own `ThreadPort` — a
+//! per-thread handle that resolved its shard binding at acquisition time
+//! and owns its sequence counter and batch queue locally.  The sweep
+//! crosses the three [`Placement`] policies with batch 1 (per-call
+//! rendezvous) and batch 8 (deferred comparisons); `BASELINES.md` records
+//! the numbers.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,7 +40,7 @@ fn build_mvee(batch: usize, placement: Placement) -> Mvee {
 }
 
 /// Every (variant, thread) issues `OPS` compared-and-ordered brk calls
-/// through its own [`ThreadPort`], then drains its batch tail.
+/// through its own `ThreadPort`, then drains its batch tail.
 fn hammer_ports(batch: usize, placement: &Placement) {
     let mvee = Arc::new(build_mvee(batch, placement.clone()));
     let mut handles = Vec::with_capacity(VARIANTS * THREADS);
@@ -74,43 +64,12 @@ fn hammer_ports(batch: usize, placement: &Placement) {
     assert!(!mvee.monitor().has_diverged());
 }
 
-/// The same stream through the legacy index-addressed gateway.
-fn hammer_gateway(batch: usize) {
-    let mvee = Arc::new(build_mvee(batch, Placement::RoundRobin));
-    let mut handles = Vec::with_capacity(VARIANTS * THREADS);
-    for variant in 0..VARIANTS {
-        let gateway = mvee.gateway(variant);
-        for thread in 0..THREADS {
-            let gateway = gateway.clone();
-            let monitor = Arc::clone(mvee.monitor());
-            handles.push(std::thread::spawn(move || {
-                let req = SyscallRequest::new(Sysno::Brk).with_int(0);
-                for _ in 0..OPS {
-                    gateway
-                        .syscall(thread, &req)
-                        .expect("bench gateway call diverged");
-                }
-                monitor
-                    .flush_deferred(variant, thread)
-                    .expect("tail flush diverged");
-            }));
-        }
-    }
-    for h in handles {
-        h.join().expect("bench thread panicked");
-    }
-    assert!(!mvee.monitor().has_diverged());
-}
-
 fn bench_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/placement-8-variants");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
     for batch in [1usize, 8] {
-        group.bench_function(BenchmarkId::new("gateway", batch), |b| {
-            b.iter(|| hammer_gateway(batch));
-        });
         for placement in [
             Placement::RoundRobin,
             Placement::Grouped,

@@ -1,15 +1,14 @@
 //! Ablation: the variant↔monitor transport — synchronous ports vs the
 //! asynchronous submission/completion rings, with the ring cells split by
-//! who drains them: a dedicated gateway worker per port (`PerPort`) or a
-//! fixed polling pool of 1, 2 or `THREADS` shards (`Pool(n)`).
+//! the size of the polling pool that drains them: 1, 2 or `THREADS` shards
+//! (`Pool(n)`).
 //!
 //! Every (variant, thread) pair drives the same deferrable-heavy call
 //! stream (brk/mmap/mprotect with a periodic replicated `gettimeofday`)
 //! through either a synchronous [`ThreadPort`] — each call blocks inline in
 //! the monitor pipeline — or an [`AsyncThreadPort`] — compare-only calls
 //! are deposited into the port's submission ring and their verdicts reaped
-//! in blocks while the gateway worker runs the identical pipeline in the
-//! background.  The replicated call pins both transports to the same
+//! in blocks while a poller runs the same pipeline in the background.  The replicated call pins both transports to the same
 //! synchronization points, so the delta isolates what the rings buy on the
 //! stretches in between.
 //!
@@ -209,8 +208,7 @@ fn run_issue_timed(variants: usize, cell: Cell) -> (u64, u128) {
 }
 
 /// The measurement cells: sync, sync with journal recording on (the
-/// journal-overhead cell), per-port ring workers, and polling pools of
-/// 1, 2 and `THREADS` shards.  `MVEE_BENCH_TRANSPORTS` (comma-separated
+/// journal-overhead cell), and polling pools of 1, 2 and `THREADS` shards.  `MVEE_BENCH_TRANSPORTS` (comma-separated
 /// labels) restricts the set — CI uses it for a `sync,async-pool1` smoke.
 fn cells() -> Vec<Cell> {
     let all = vec![
@@ -219,10 +217,6 @@ fn cells() -> Vec<Cell> {
             transport: Transport::Sync,
             journal: true,
         },
-        Cell::plain(Transport::AsyncRings {
-            depth: RING_DEPTH,
-            pollers: Pollers::PerPort,
-        }),
         Cell::plain(Transport::AsyncRings {
             depth: RING_DEPTH,
             pollers: Pollers::Pool(1),

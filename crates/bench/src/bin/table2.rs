@@ -8,10 +8,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mvee_bench::{format_row, print_table_header, workload_scale};
+use mvee_bench::{format_row, map_region, mprotect_request, print_table_header, workload_scale};
 use mvee_core::config::{RemoteChannel, Transport};
 use mvee_core::mvee::Mvee;
-use mvee_kernel::syscall::{SyscallRequest, Sysno};
 use mvee_sync_agent::agents::AgentKind;
 use mvee_variant::runner::{run_mvee, run_native, RunConfig};
 use mvee_workloads::catalog::{BenchmarkSpec, Suite, CATALOG};
@@ -170,8 +169,10 @@ fn measure_detection_lag(channel: RemoteChannel) -> u64 {
         let mvee = Arc::clone(&mvee);
         std::thread::spawn(move || {
             let port = mvee.leader_port(0);
-            for _ in 0..BATCH {
-                let _ = port.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(4096));
+            // The region's mmap is the batch's first deferred comparison.
+            let region = map_region(|req| port.syscall(req));
+            for _ in 1..BATCH {
+                let _ = port.syscall(&mprotect_request(region, 4096));
             }
             // Let the pump deposit the batch first, then pace the sync ops
             // so they are ingested while the arrival is still pending.
@@ -189,9 +190,10 @@ fn measure_detection_lag(channel: RemoteChannel) -> u64 {
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
             let port = mvee.thread_port(1, 0);
-            for i in 0..BATCH {
+            let region = map_region(|req| port.syscall(req));
+            for i in 1..BATCH {
                 let len = if i == 3 { 666 } else { 4096 };
-                let _ = port.syscall(&SyscallRequest::new(Sysno::Mprotect).with_int(len));
+                let _ = port.syscall(&mprotect_request(region, len));
             }
         })
     };

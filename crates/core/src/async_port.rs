@@ -1,8 +1,9 @@
 //! The asynchronous syscall gateway: per-port submission/completion rings.
 //!
 //! The synchronous transport blocks a variant thread inside every
-//! rendezvous: [`ThreadPort::syscall`] walks the monitor pipeline — gate,
-//! lockstep arrival, replication/ordering — on the caller's own stack.
+//! rendezvous: [`ThreadPort::syscall`](crate::port::ThreadPort::syscall)
+//! walks the monitor pipeline — gate, lockstep arrival,
+//! replication/ordering — on the caller's own stack.
 //! dMVX-style deployments decouple variant progress from comparison
 //! instead: the variant deposits a descriptor of the call and runs ahead
 //! into work that does not depend on the verdict, while the monitor
@@ -22,29 +23,24 @@
 //! generalized to carry owned descriptors; see
 //! [`mvee_sync_agent::spsc`](mvee_sync_agent::spsc).
 //!
-//! # Who drains the rings: per-port workers or a poller pool
+//! # Who drains the rings: the poller pool
 //!
-//! Under `Pollers::PerPort` each `AsyncThreadPort` owns a dedicated
-//! *gateway worker* thread on the monitor side.  The worker owns the
-//! port's inner [`ThreadPort`] and drains the submission ring's whole
-//! backlog in one pass, running every descriptor through the **identical**
-//! pipeline (`gate_and_count`/`arrive_sync`/`resolve_batch`/
-//! `dispatch_resolved`, via `ThreadPort::syscall`) — same rendezvous keys,
-//! same batching, same statistics lanes, same verdicts, by construction.
-//! The per-port worker is not an accident of convenience: a shared drain
-//! thread multiplexing several logical threads' *blocking* rendezvous
-//! would deadlock, because cross-thread submission order legitimately
-//! differs between variants (the paper's premise) — a worker blocked in
-//! thread A's rendezvous for variant 0 may be the only thing that could
-//! deposit thread B's arrival, which variant 1's worker is blocked waiting
-//! for.
-//!
-//! Under `Pollers::Pool(n)` no thread is spawned per port: the MVEE's
-//! shared [`PollerPool`] serves all ports from `n` polling monitor shards
-//! that advance each port through *non-blocking* rendezvous
-//! (`try_arrive`/`poll_*`; see [`crate::poller`]), which removes the
-//! circular-wait hazard and caps monitor-side threads at `n` regardless of
-//! variants×threads.  `PerPort` remains as the ablation baseline.
+//! No thread is spawned per port: the MVEE's shared [`PollerPool`] serves
+//! all ports from a fixed number of polling monitor shards
+//! ([`Pollers`](crate::config::Pollers)) that run every descriptor through
+//! the **same** monitor pipeline a synchronous `ThreadPort` call walks
+//! (`gate_and_count`, the rendezvous, `dispatch_resolved`'s replicate /
+//! order / execute tail) — same rendezvous keys, same batching, same
+//! statistics lanes, same verdicts.  The shards advance each port through
+//! *non-blocking* rendezvous (`try_arrive`/`poll_*`; see
+//! [`crate::poller`]): a drain thread that *blocked* inside one logical
+//! thread's rendezvous while multiplexing several would deadlock, because
+//! cross-thread submission order legitimately differs between variants
+//! (the paper's premise) — the thread blocked in thread A's rendezvous for
+//! variant 0 may be the only thing that could deposit thread B's arrival,
+//! which variant 1 is waiting for.  Polling removes that circular-wait
+//! hazard and caps monitor-side threads at the pool size regardless of
+//! variants×threads.
 //!
 //! # When the variant still blocks
 //!
@@ -64,23 +60,21 @@
 //! only pipelines compare-only deferrable calls and uncompared local calls
 //! as [`SubmitOutcome::Ticket`].  Deadlock cannot arise from backpressure:
 //! a variant blocked on a full submission ring opportunistically drains
-//! its completion ring first, so the worker can always make progress.
+//! its completion ring first, so the poller can always make progress.
 //!
 //! # Shutdown
 //!
-//! Every submitted ticket is answered — on divergence the worker's
-//! pipeline returns the error and the worker posts it as the completion —
-//! so a reaper parked on the completion ring always wakes with a verdict
-//! instead of hanging.  Dropping the port enqueues [`Submission::Close`]
-//! and joins the worker; the worker's inner `ThreadPort` drop then flushes
-//! any still-deferred comparisons and releases the (variant, thread)
-//! binding, so async ports re-acquire across workload phases exactly like
-//! sync ports.
+//! Every submitted ticket is answered — on divergence the pipeline returns
+//! the error and the poller posts it as the completion — so a reaper
+//! parked on the completion ring always wakes with a verdict instead of
+//! hanging.  Dropping the port enqueues [`Submission::Close`] and waits
+//! for the poller to reach it; the poller then flushes any still-deferred
+//! comparisons and releases the (variant, thread) binding, so async ports
+//! re-acquire across workload phases exactly like sync ports.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
@@ -91,7 +85,6 @@ use mvee_sync_agent::SyncAgent;
 use crate::lockstep::PollWaker;
 use crate::monitor::{Monitor, MonitorError};
 use crate::poller::{PollerPool, TaskDone};
-use crate::port::ThreadPort;
 
 /// A completion ticket: identifies one submitted call on its port.
 /// Tickets are per-port and monotonically increasing.
@@ -114,7 +107,7 @@ pub(crate) enum Submission {
         /// The ticket the barrier's verdict is posted under.
         ticket: Ticket,
     },
-    /// Shut the gateway worker down (sent by `Drop`).
+    /// Stop serving this port and release its binding (sent by `Drop`).
     Close,
 }
 
@@ -123,24 +116,6 @@ pub(crate) enum Submission {
 pub(crate) struct Completion {
     pub(crate) ticket: Ticket,
     pub(crate) result: Result<SyscallOutcome, MonitorError>,
-}
-
-/// Who serves this port's submission ring on the monitor side.
-enum Gateway {
-    /// A dedicated gateway worker thread owning the port's inner
-    /// [`ThreadPort`] (`Pollers::PerPort`, and the only mode available on
-    /// an MVEE built without a poller pool).
-    Dedicated(Option<JoinHandle<()>>),
-    /// A shared polling shard ([`PollerPool`], `Pollers::Pool(n)`): no
-    /// thread is spawned for this port.  The waker tells the serving
-    /// poller a submission landed; `done` is raised once `Close` has been
-    /// fully processed and the binding released.
-    Pooled {
-        /// Keeps the pool's poller threads alive until the last port closes.
-        _pool: Arc<PollerPool>,
-        waker: Arc<PollWaker>,
-        done: Arc<TaskDone>,
-    },
 }
 
 /// What [`AsyncThreadPort::submit`] did with a call.
@@ -157,13 +132,13 @@ pub enum SubmitOutcome {
 
 /// The variant-side handle of the asynchronous gateway: a per-(variant,
 /// thread) port whose calls travel through paired submission/completion
-/// rings to a dedicated monitor-side gateway worker.
+/// rings to the polling shard that serves it.
 ///
-/// Like [`ThreadPort`], the handle is `Send` (move it into the OS thread
-/// that runs the logical thread) but `!Sync` (the ticket counter and reap
-/// buffer are unsynchronized per-thread state), and at most one live port
-/// may own a (variant, thread) — enforced through the inner `ThreadPort`
-/// acquisition.
+/// Like [`ThreadPort`](crate::port::ThreadPort), the handle is `Send`
+/// (move it into the OS thread that runs the logical thread) but `!Sync`
+/// (the ticket counter and reap buffer are unsynchronized per-thread
+/// state), and at most one live port may own a (variant, thread) —
+/// enforced through the monitor's port acquisition, like `ThreadPort`'s.
 pub struct AsyncThreadPort {
     monitor: Arc<Monitor>,
     agent: Arc<dyn SyncAgent>,
@@ -173,7 +148,7 @@ pub struct AsyncThreadPort {
     submissions: Arc<DescRing<Submission>>,
     completions: Arc<DescRing<Completion>>,
     /// The reaper's wait discipline: spin → yield → park on the completion
-    /// ring's event count, the agents' adaptive strategy.
+    /// ring's event count, like the agents.
     waiter: Waiter,
     /// Next ticket to hand out; plain `Cell`, this port is the only writer.
     next_ticket: Cell<Ticket>,
@@ -182,63 +157,26 @@ pub struct AsyncThreadPort {
     /// Verdicts drained from the completion ring but not yet asked for
     /// (reaps may happen out of submission order).
     reaped: RefCell<HashMap<Ticket, Result<SyscallOutcome, MonitorError>>>,
-    gateway: Gateway,
+    /// Keeps the pool's poller threads alive until the last port closes.
+    _pool: Arc<PollerPool>,
+    /// Tells the serving poller a submission landed.
+    waker: Arc<PollWaker>,
+    /// Raised once `Close` has been fully processed and the binding
+    /// released.
+    done: Arc<TaskDone>,
 }
 
 impl AsyncThreadPort {
-    /// Binds an async port to (variant, thread) and spawns its gateway
-    /// worker.  `depth` is the ring capacity in descriptors (rounded up to
-    /// a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices or if a live port (sync or async)
-    /// already owns this (variant, thread).
-    pub(crate) fn new(
-        monitor: Arc<Monitor>,
-        agent: Arc<dyn SyncAgent>,
-        variant: usize,
-        thread: usize,
-        depth: usize,
-    ) -> Self {
-        // Acquire the inner port *here*, not in the worker, so the
-        // one-live-port panic surfaces on the caller's stack.
-        let inner = ThreadPort::new(Arc::clone(&monitor), Arc::clone(&agent), variant, thread);
-        let submissions = Arc::new(DescRing::new(depth));
-        let completions = Arc::new(DescRing::new(depth));
-        let worker = {
-            let submissions = Arc::clone(&submissions);
-            let completions = Arc::clone(&completions);
-            std::thread::Builder::new()
-                .name(format!("mvee-gw-v{variant}t{thread}"))
-                .spawn(move || serve_port(inner, &submissions, &completions))
-                .expect("spawning a gateway worker thread failed")
-        };
-        AsyncThreadPort {
-            ctx: SyncContext::new(VariantRole::from_variant_index(variant), thread),
-            waiter: monitor.config().ring_waiter(),
-            agent,
-            variant,
-            thread,
-            submissions,
-            completions,
-            next_ticket: Cell::new(0),
-            outstanding: Cell::new(0),
-            reaped: RefCell::new(HashMap::new()),
-            gateway: Gateway::Dedicated(Some(worker)),
-            monitor,
-        }
-    }
-
-    /// Binds an async port to (variant, thread) served by a shared
-    /// [`PollerPool`] instead of a dedicated worker thread.
+    /// Binds an async port to (variant, thread), served by the MVEE's shared
+    /// [`PollerPool`].  `depth` is the ring capacity in descriptors (rounded
+    /// up to a power of two).
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices or if a live port (sync or async)
     /// already owns this (variant, thread) — the pool acquires the binding
     /// on this caller's stack.
-    pub(crate) fn new_pooled(
+    pub(crate) fn new(
         monitor: Arc<Monitor>,
         agent: Arc<dyn SyncAgent>,
         variant: usize,
@@ -258,19 +196,11 @@ impl AsyncThreadPort {
             next_ticket: Cell::new(0),
             outstanding: Cell::new(0),
             reaped: RefCell::new(HashMap::new()),
-            gateway: Gateway::Pooled {
-                _pool: Arc::clone(pool),
-                waker: registration.waker,
-                done: registration.done,
-            },
+            _pool: Arc::clone(pool),
+            waker: registration.waker,
+            done: registration.done,
             monitor,
         }
-    }
-
-    /// Whether this port is served by its own gateway worker thread
-    /// (`Pollers::PerPort`) rather than a shared polling shard.
-    pub fn has_dedicated_worker(&self) -> bool {
-        matches!(self.gateway, Gateway::Dedicated(_))
     }
 
     /// Zero-based variant index (0 is the master).
@@ -333,7 +263,7 @@ impl AsyncThreadPort {
     /// Blocks until `ticket`'s verdict is available and returns it.
     ///
     /// Every submitted ticket is eventually answered — divergence included
-    /// (the worker posts the error) — so a parked reaper always wakes.
+    /// (the poller posts the error) — so a parked reaper always wakes.
     ///
     /// # Panics
     ///
@@ -348,11 +278,11 @@ impl AsyncThreadPort {
             return result;
         }
         loop {
-            // Completions are posted in ticket order (the gateway — worker
-            // or poller — answers submissions FIFO), so the common in-order
-            // reap pops its verdict straight off the ring; only verdicts
-            // the caller skipped past are parked in the reap buffer.  Ring
-            // space is released to the gateway once per burst.
+            // Completions are posted in ticket order (the poller answers
+            // submissions FIFO), so the common in-order reap pops its
+            // verdict straight off the ring; only verdicts the caller
+            // skipped past are parked in the reap buffer.  Ring space is
+            // released to the poller once per burst.
             let mut found = None;
             let mut drained = false;
             while let Some(completion) = self.completions.try_pop_quiet() {
@@ -390,8 +320,9 @@ impl AsyncThreadPort {
     }
 
     /// Issues a system call and blocks for its verdict: submit + reap.
-    /// Observably equivalent to [`ThreadPort::syscall`] for this (variant,
-    /// thread) — the gateway worker runs the identical pipeline.
+    /// Observably equivalent to
+    /// [`ThreadPort::syscall`](crate::port::ThreadPort::syscall) for this
+    /// (variant, thread) — the poller runs the same pipeline.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
         match self.submit(req) {
             SubmitOutcome::Completed(result) => result,
@@ -438,36 +369,27 @@ impl AsyncThreadPort {
     }
 
     /// Deposits one submission, draining completions while the ring is
-    /// full so a stalled worker (blocked pushing a completion) can always
+    /// full so a stalled poller (unable to post a completion) can always
     /// make progress — the backpressure half of the deadlock-freedom
     /// argument in the module docs.
     fn push_submission(&self, submission: Submission) {
         let mut pending = submission;
         loop {
             let was_empty = self.submissions.is_empty();
-            let pushed = match &self.gateway {
-                // A dedicated worker parks on the submission ring's own
-                // ready events, so the push must carry the notification.
-                Gateway::Dedicated(_) => self.submissions.try_push(pending),
-                // A shared poller parks on its aggregated waker instead;
-                // the quiet push skips the ring notify fence and the raise
-                // is elided while the ring already holds work: the poller
-                // cannot commit to a park without re-observing the
-                // non-empty ring, and the one racy interleaving (it drains
-                // the backlog between our emptiness check and the push
-                // landing) is bounded by the waiter's 1 ms park backstop.
-                Gateway::Pooled { waker, .. } => match self.submissions.try_push_quiet(pending) {
-                    Ok(()) => {
-                        if was_empty {
-                            waker.raise();
-                        }
-                        Ok(())
+            // The poller parks on its aggregated waker, not on the ring's
+            // ready events: the quiet push skips the ring notify fence and
+            // the raise is elided while the ring already holds work — the
+            // poller cannot commit to a park without re-observing the
+            // non-empty ring, and the one racy interleaving (it drains the
+            // backlog between our emptiness check and the push landing) is
+            // bounded by the waiter's 1 ms park backstop.
+            match self.submissions.try_push_quiet(pending) {
+                Ok(()) => {
+                    if was_empty {
+                        self.waker.raise();
                     }
-                    Err(back) => Err(back),
-                },
-            };
-            match pushed {
-                Ok(()) => return,
+                    return;
+                }
                 Err(back) => {
                     pending = back;
                     self.drain_completions();
@@ -481,7 +403,7 @@ impl AsyncThreadPort {
     }
 
     /// Moves every posted verdict from the completion ring into the local
-    /// reap buffer, releasing ring space to the gateway once per burst.
+    /// reap buffer, releasing ring space to the poller once per burst.
     fn drain_completions(&self) {
         let mut drained = false;
         while let Some(completion) = self.completions.try_pop_quiet() {
@@ -498,27 +420,16 @@ impl AsyncThreadPort {
 
 impl Drop for AsyncThreadPort {
     fn drop(&mut self) {
-        // Closing the gateway answers every in-flight ticket first (the
-        // worker drains the ring in order), so nothing is lost silently:
+        // Every in-flight ticket is answered before the `Close` (the
+        // poller drains the ring in order), so nothing is lost silently:
         // un-reaped verdicts are simply abandoned by the caller.  The
-        // worker's inner `ThreadPort` drop then flushes any still-deferred
-        // comparisons and hands the (variant, thread) binding back.
+        // poller flushes trailing comparisons and releases the binding when
+        // it reaches the `Close`; wait for that signal so a re-acquired
+        // port never races the release.
         self.push_submission(Submission::Close);
-        match &mut self.gateway {
-            Gateway::Dedicated(worker) => {
-                if let Some(worker) = worker.take() {
-                    let _ = worker.join();
-                }
-            }
-            Gateway::Pooled { waker, done, .. } => {
-                // The poller flushes trailing comparisons and releases the
-                // binding when it reaches the `Close`; wait for that signal
-                // so a re-acquired port never races the release.
-                waker.raise();
-                self.waiter
-                    .wait_until_event(done.events(), || done.is_finished());
-            }
-        }
+        self.waker.raise();
+        self.waiter
+            .wait_until_event(self.done.events(), || self.done.is_finished());
     }
 }
 
@@ -534,44 +445,6 @@ impl std::fmt::Debug for AsyncThreadPort {
     }
 }
 
-/// The gateway worker: drains one port's submission ring through the
-/// monitor pipeline and posts verdicts to its completion ring.
-///
-/// The worker owns the port's inner [`ThreadPort`], so every descriptor
-/// takes exactly the path a synchronous call would — keys, batching,
-/// statistics and verdicts included.  It keeps serving after divergence
-/// (the pipeline answers `ShutDown` immediately) so no ticket is ever left
-/// unanswered, and exits on [`Submission::Close`].
-fn serve_port(
-    port: ThreadPort,
-    submissions: &DescRing<Submission>,
-    completions: &DescRing<Completion>,
-) {
-    let waiter = port.monitor().config().ring_waiter();
-    loop {
-        let Some(submission) = submissions.try_pop() else {
-            waiter.wait_until_event(submissions.ready_events(), || !submissions.is_empty());
-            continue;
-        };
-        let (ticket, result) = match submission {
-            Submission::Call { ticket, req } => (ticket, port.syscall(&req)),
-            Submission::Flush { ticket } => (ticket, port.flush().map(|()| SyscallOutcome::ok(0))),
-            Submission::Close => return,
-        };
-        let mut completion = Completion { ticket, result };
-        loop {
-            match completions.try_push(completion) {
-                Ok(()) => break,
-                Err(back) => {
-                    completion = back;
-                    waiter.wait_until_event(completions.space_events(), || !completions.is_full());
-                }
-            }
-        }
-    }
-    // `port` drops here: deferred comparisons flush, the binding releases.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,7 +458,7 @@ mod tests {
             .batch(batch)
             .transport(Transport::AsyncRings {
                 depth: 8,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Pool(1),
             })
             .manual_clock(true)
             .build()
@@ -661,7 +534,7 @@ mod tests {
             port.reap(t).unwrap();
         }
         assert_eq!(mvee.monitor_stats().total_syscalls, 100);
-        assert_eq!(mvee.monitor().live_deferred(), 0);
+        assert_eq!(mvee.monitor().live_slots(), 0);
     }
 
     #[test]
@@ -671,7 +544,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _second = mvee.thread_port(0, 0);
         }));
-        assert!(result.is_err(), "the inner port enforces one live owner");
+        assert!(result.is_err(), "the monitor enforces one live owner");
     }
 
     #[test]

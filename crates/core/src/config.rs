@@ -17,7 +17,6 @@ use std::time::Duration;
 
 use mvee_sync_agent::agents::AgentKind;
 use mvee_sync_agent::context::AgentConfig;
-use mvee_sync_agent::guards::WaitStrategy;
 
 use crate::journal::JournalMode;
 use crate::lockstep::DEFAULT_SHARDS;
@@ -115,42 +114,42 @@ impl Placement {
 /// plus pipelined run-ahead, small enough to stay cache-resident.
 pub const DEFAULT_RING_DEPTH: usize = 64;
 
-/// Who drains the [`Transport::AsyncRings`] submission rings on the monitor
-/// side.
+/// How many polling shards ([`crate::poller`]) drain the
+/// [`Transport::AsyncRings`] submission rings on the monitor side.
 ///
-/// * [`Pollers::PerPort`] — the historical shape: every
-///   [`AsyncThreadPort`](crate::async_port::AsyncThreadPort) spawns a
-///   dedicated gateway worker that *blocks* inside the monitor pipeline.
-///   Monitor-side threads scale as `variants × threads`; on a box with no
-///   spare cores the context switches eat the decoupling win.  Kept as the
-///   ablation baseline.
-/// * [`Pollers::Pool(n)`](Pollers::Pool) — a fixed pool of `n` polling
-///   shards ([`crate::poller`]): each shard owns many ports' rings and
-///   round-robins drain → non-blocking rendezvous (try/poll) → complete,
-///   parking only when every served ring is empty and every in-flight
-///   arrival is pending.  Monitor-side threads are exactly `n` regardless
-///   of `variants × threads`.
+/// Each shard owns many ports' rings and round-robins drain →
+/// non-blocking rendezvous (try/poll) → complete, parking only when every
+/// served ring is empty and every in-flight arrival is pending.
+/// Monitor-side threads are exactly the pool size, regardless of
+/// `variants × threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pollers {
-    /// One dedicated blocking gateway worker per (variant, thread) port.
-    #[default]
-    PerPort,
     /// A fixed pool of `n` polling shards serving all ports.
     Pool(usize),
     /// A fixed polling pool auto-sized from the machine:
     /// [`Pollers::auto_pool_size`] applied to
     /// `std::thread::available_parallelism()` at build time.
+    #[default]
     Auto,
 }
 
 impl Pollers {
-    /// Short name used in benchmark tables and reports: `per-port`,
-    /// `pool{n}` or `auto`.
+    /// Short name used in benchmark tables and reports: `pool{n}` or
+    /// `auto`.
     pub fn label(&self) -> String {
         match self {
-            Pollers::PerPort => "per-port".to_string(),
             Pollers::Pool(n) => format!("pool{n}"),
             Pollers::Auto => "auto".to_string(),
+        }
+    }
+
+    /// The number of polling shards this shape asks for on this machine.
+    pub fn pool_size(&self) -> usize {
+        match self {
+            Pollers::Pool(n) => *n,
+            Pollers::Auto => {
+                Pollers::auto_pool_size(std::thread::available_parallelism().map_or(1, |n| n.get()))
+            }
         }
     }
 
@@ -193,17 +192,17 @@ impl RemoteChannel {
 
 /// How variant threads hand their system calls to the monitor.
 ///
-/// * [`Transport::Sync`] — the historical shape: the variant thread walks
-///   the monitor pipeline itself inside
+/// * [`Transport::Sync`] — the variant thread walks the monitor pipeline
+///   itself inside
 ///   [`ThreadPort::syscall`](crate::port::ThreadPort::syscall) and blocks
 ///   in every rendezvous.
 /// * [`Transport::AsyncRings`] — the asynchronous gateway: each
 ///   (variant, thread) port owns a paired submission/completion ring
 ///   (virtio split-queue style); the variant thread deposits descriptors
-///   and runs ahead into already-resolved work while the monitor side —
-///   a per-port gateway worker or a shared polling shard, per
-///   [`Pollers`] — drains the submission ring through the same pipeline
-///   and posts verdicts to the completion ring.  Calls the policy marks
+///   and runs ahead into already-resolved work while the monitor side — a
+///   shared pool of polling shards sized by [`Pollers`] — drains the
+///   submission ring through the same pipeline and posts verdicts to the
+///   completion ring.  Calls the policy marks
 ///   synchronous (replicated, ordered, process-lifecycle) still block at
 ///   the reap point, so verdicts are identical to the sync transport; see
 ///   [`crate::async_port`] and [`crate::poller`].
@@ -225,8 +224,7 @@ pub enum Transport {
         /// Ring capacity in descriptors (rounded up to a power of two):
         /// how far a variant thread may run ahead of the monitor.
         depth: usize,
-        /// Who drains the submission rings: a blocking worker per port or
-        /// a fixed polling pool.
+        /// How many polling shards drain the submission rings.
         pollers: Pollers,
     },
     /// Leader/follower split over a framed replication channel.
@@ -237,15 +235,6 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// An [`AsyncRings`](Transport::AsyncRings) transport with the default
-    /// ring depth and per-port gateway workers.
-    pub fn async_default() -> Self {
-        Transport::AsyncRings {
-            depth: DEFAULT_RING_DEPTH,
-            pollers: Pollers::PerPort,
-        }
-    }
-
     /// An [`AsyncRings`](Transport::AsyncRings) transport with the default
     /// ring depth drained by a fixed pool of `n` polling shards.
     pub fn async_pool(n: usize) -> Self {
@@ -289,7 +278,7 @@ impl Transport {
         }
     }
 
-    /// The configured monitor-side drain shape, if asynchronous.
+    /// The configured polling-pool shape, if asynchronous.
     pub fn pollers(&self) -> Option<Pollers> {
         match self {
             Transport::Sync | Transport::Remote { .. } => None,
@@ -298,7 +287,7 @@ impl Transport {
     }
 
     /// Short name used in benchmark tables and reports.  Stable across
-    /// poller shapes; use [`Transport::label`] to distinguish them.
+    /// pool sizes; use [`Transport::label`] to distinguish them.
     pub fn name(&self) -> &'static str {
         match self {
             Transport::Sync => "sync",
@@ -307,24 +296,13 @@ impl Transport {
         }
     }
 
-    /// Cell label for benchmark tables: distinguishes the poller shape
-    /// (`sync`, `async-rings` for per-port, `async-pool{n}`) and the
-    /// remote channel (`remote-inproc`, `remote-unix`, `remote-tcp`).
+    /// Cell label for benchmark tables: distinguishes the pool size
+    /// (`sync`, `async-pool{n}`, `async-auto`) and the remote channel
+    /// (`remote-inproc`, `remote-unix`, `remote-tcp`).
     pub fn label(&self) -> String {
         match self {
             Transport::Sync => "sync".to_string(),
-            Transport::AsyncRings {
-                pollers: Pollers::PerPort,
-                ..
-            } => "async-rings".to_string(),
-            Transport::AsyncRings {
-                pollers: Pollers::Pool(n),
-                ..
-            } => format!("async-pool{n}"),
-            Transport::AsyncRings {
-                pollers: Pollers::Auto,
-                ..
-            } => "async-auto".to_string(),
+            Transport::AsyncRings { pollers, .. } => format!("async-{}", pollers.label()),
             Transport::Remote { channel } => format!("remote-{}", channel.name()),
         }
     }
@@ -463,15 +441,6 @@ impl MveeConfig {
         self
     }
 
-    /// Sets how blocked agent threads wait (builder style): the adaptive
-    /// spin → yield → park escalation (default) or the legacy
-    /// [`WaitStrategy::SpinYield`] loop for ablation.  Shorthand for
-    /// editing the embedded [`AgentConfig`].
-    pub fn with_wait_strategy(mut self, wait: WaitStrategy) -> Self {
-        self.agent_config = self.agent_config.with_wait_strategy(wait);
-        self
-    }
-
     /// Sets the monitor shard count (builder style).
     ///
     /// # Panics
@@ -520,8 +489,7 @@ impl MveeConfig {
                 assert!(
                     n > 0,
                     "a polling pool needs at least one worker (Pollers::Pool(0) \
-                     would never drain any submission ring); use Pollers::PerPort, \
-                     Pool(1+) or Auto"
+                     would never drain any submission ring); use Pool(1+) or Auto"
                 );
             }
         }
@@ -665,20 +633,13 @@ mod tests {
             .with_shards(3)
             .with_batch(16)
             .with_placement(Placement::Grouped)
-            .with_wait_strategy(WaitStrategy::SpinYield)
             .with_lockstep_timeout(Duration::from_millis(250));
         assert_eq!(c.policy, MonitoringPolicy::NoComparison);
         assert_eq!(c.agent, AgentKind::TotalOrder);
         assert_eq!(c.shards, 3);
         assert_eq!(c.batch, 16);
         assert_eq!(c.placement, Placement::Grouped);
-        assert_eq!(c.agent_config.wait, WaitStrategy::SpinYield);
         assert_eq!(c.lockstep_timeout, Duration::from_millis(250));
-        // The default is the adaptive waiter.
-        assert_eq!(
-            MveeConfig::default().agent_config.wait,
-            WaitStrategy::Adaptive
-        );
     }
 
     #[test]
@@ -689,16 +650,16 @@ mod tests {
         assert_eq!(c.transport.depth(), None);
         assert_eq!(c.transport.name(), "sync");
 
-        let c = c.with_transport(Transport::async_default());
+        let c = c.with_transport(Transport::async_pool(1));
         assert!(c.transport.is_async());
         assert_eq!(c.transport.depth(), Some(DEFAULT_RING_DEPTH));
-        assert_eq!(c.transport.pollers(), Some(Pollers::PerPort));
+        assert_eq!(c.transport.pollers(), Some(Pollers::Pool(1)));
         assert_eq!(c.transport.name(), "async-rings");
-        assert_eq!(c.transport.label(), "async-rings");
+        assert_eq!(c.transport.label(), "async-pool1");
         assert_eq!(
             c.with_transport(Transport::AsyncRings {
                 depth: 16,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Pool(1),
             })
             .transport
             .depth(),
@@ -714,7 +675,6 @@ mod tests {
         // bench cells apart.
         assert_eq!(c.transport.name(), "async-rings");
         assert_eq!(c.transport.label(), "async-pool2");
-        assert_eq!(Pollers::PerPort.label(), "per-port");
         assert_eq!(Pollers::Pool(4).label(), "pool4");
         assert_eq!(Transport::Sync.pollers(), None);
     }
@@ -750,6 +710,17 @@ mod tests {
         assert_eq!(Pollers::auto_pool_size(16), 8);
         assert_eq!(Pollers::auto_pool_size(32), 8);
         assert_eq!(Pollers::auto_pool_size(0), 1, "degenerate probe floors");
+    }
+
+    #[test]
+    fn pollers_default_to_auto_and_resolve_through_the_sizing_rule() {
+        assert_eq!(Pollers::default(), Pollers::Auto);
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            Pollers::Auto.pool_size(),
+            Pollers::auto_pool_size(parallelism)
+        );
+        assert_eq!(Pollers::Pool(3).pool_size(), 3);
     }
 
     #[test]
@@ -811,7 +782,7 @@ mod tests {
     fn zero_ring_depth_panics() {
         let _ = MveeConfig::default().with_transport(Transport::AsyncRings {
             depth: 0,
-            pollers: Pollers::PerPort,
+            pollers: Pollers::Pool(1),
         });
     }
 

@@ -36,7 +36,7 @@
 //!
 //! [`JournalRecorder`] is the sink the monitor writes through (installed
 //! via `MveeConfig::journal`); it is transport-agnostic — the synchronous
-//! ports, the per-port gateway workers and the polling pools all funnel
+//! ports and the polling pools funnel
 //! through the same [`crate::monitor::Monitor`]/[`crate::lockstep`] choke
 //! points, so every transport emits an identical stream for the same
 //! schedule.  [`replay`] consumes the bytes, re-derives the monitor

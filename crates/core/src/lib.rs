@@ -46,12 +46,11 @@
 //!   monitor compares in the background.  Selected via
 //!   [`config::Transport`]; calls the policy marks synchronous still block
 //!   at the reap point.
-//! * [`poller::PollerPool`] — polling monitor shards: with
-//!   `Pollers::Pool(n)` a fixed set of `n` poller threads drains every
-//!   port's rings through the lockstep table's non-blocking try/poll
-//!   rendezvous, capping monitor-side threads at `n` instead of
-//!   variants×threads (`Pollers::PerPort` keeps a dedicated gateway worker
-//!   per port as the ablation baseline).
+//! * [`poller::PollerPool`] — polling monitor shards: a fixed set of
+//!   poller threads ([`config::Pollers`]: `Pool(n)`, or `Auto` sized from
+//!   the machine) drains every async port's rings through the lockstep
+//!   table's non-blocking try/poll rendezvous, so monitor-side threads
+//!   number `n`, not variants×threads.
 //! * [`config::MveeConfig`] — the one shared tuning block (policy, agent,
 //!   transport, shards, batch, placement, timeout) every front end embeds.
 //! * [`journal`] — the divergence journal: record a run's rendezvous

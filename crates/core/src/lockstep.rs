@@ -92,7 +92,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard};
 
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
-use mvee_sync_agent::guards::{EventCount, WaitStrategy, Waiter};
+use mvee_sync_agent::guards::{EventCount, Waiter};
 
 use crate::divergence::first_mismatch;
 
@@ -116,10 +116,10 @@ pub const MAX_BATCH: usize = 1024;
 
 /// How a blocking call waits for its token to resolve: no busy-spin phase
 /// (the peer is microseconds of gateway code away, not a few instructions),
-/// the adaptive waiter's fixed yield budget — a peer that is already running
+/// the waiter's fixed yield budget — a peer that is already running
 /// gets here within a few yields, and a yield costs a fifth of a park/wake
 /// round trip — and only then a park on the shard's event count.
-const YIELD_THEN_PARK: Waiter = Waiter::with_strategy(0, WaitStrategy::Adaptive);
+const YIELD_THEN_PARK: Waiter = Waiter::new(0);
 
 /// One pending comparison of a batched rendezvous: the slot it belongs to
 /// and the key the depositing variant presents there.
@@ -311,8 +311,8 @@ pub struct LockstepTable {
     poisoned: AtomicBool,
     /// Registered polling-shard wakers, raised on every deposit, outcome
     /// publication and poison.  Empty (and bypassed via `observed`) unless
-    /// a poller pool is wired up, so the sync and per-port transports pay
-    /// one relaxed load, nothing more.
+    /// a poller pool is wired up, so the sync transport pays one relaxed
+    /// load, nothing more.
     observers: Mutex<Vec<Arc<PollWaker>>>,
     observed: AtomicBool,
     /// Divergence-journal sink: every deposit and outcome publication is
@@ -570,8 +570,8 @@ impl LockstepTable {
         self.observed.store(true, Ordering::Release);
     }
 
-    /// Raises every registered waker.  The no-observer fast path (sync and
-    /// per-port transports) is a single relaxed-ish load.
+    /// Raises every registered waker.  The no-observer fast path (sync
+    /// transport) is a single relaxed-ish load.
     fn notify_observers(&self) {
         if !self.observed.load(Ordering::Acquire) {
             return;

@@ -12,15 +12,12 @@ use std::time::Duration;
 
 use mvee_kernel::kernel::Kernel;
 use mvee_kernel::process::Pid;
-use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::agents::{build_agent, AgentKind};
-use mvee_sync_agent::context::{AgentConfig, SyncContext, VariantRole};
+use mvee_sync_agent::context::AgentConfig;
 use mvee_sync_agent::{AgentStats, SyncAgent};
 
 use crate::async_port::AsyncThreadPort;
-use crate::config::{
-    MveeConfig, Placement, Pollers, RecoveryPolicy, Transport, DEFAULT_RING_DEPTH,
-};
+use crate::config::{MveeConfig, Placement, RecoveryPolicy, Transport};
 use crate::divergence::DivergenceReport;
 use crate::journal::{Journal, JournalError, ReplayError};
 use crate::monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
@@ -113,14 +110,6 @@ impl MveeBuilder {
         self
     }
 
-    /// Sets how blocked agent threads wait (adaptive spin → yield → park by
-    /// default; `WaitStrategy::SpinYield` restores the legacy fixed loop
-    /// for ablation runs).
-    pub fn wait_strategy(mut self, wait: mvee_sync_agent::guards::WaitStrategy) -> Self {
-        self.config = self.config.with_wait_strategy(wait);
-        self
-    }
-
     /// Sets the rendezvous / replication timeout.
     pub fn lockstep_timeout(mut self, timeout: Duration) -> Self {
         self.config.lockstep_timeout = timeout;
@@ -208,8 +197,8 @@ impl MveeBuilder {
 
     /// Selects the variant↔monitor transport: [`Transport::Sync`] (the
     /// default — calls block inline in the monitor pipeline) or
-    /// [`Transport::AsyncRings`] (per-port submission/completion rings with
-    /// a monitor-side gateway worker; see
+    /// [`Transport::AsyncRings`] (per-port submission/completion rings
+    /// drained by a pool of polling shards; see
     /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort)).
     ///
     /// # Panics
@@ -266,7 +255,6 @@ impl MveeBuilder {
             batch: self.config.batch,
             placement: self.config.placement.clone(),
             transport: self.config.transport,
-            wait: self.config.agent_config.wait,
             spin_before_yield: self.config.agent_config.spin_before_yield,
             journal: self.config.journal.recorder().cloned(),
             recovery: self.config.recovery,
@@ -276,28 +264,14 @@ impl MveeBuilder {
             Arc::clone(&kernel),
             pids.clone(),
         ));
-        // A pooled async transport shares one fixed set of polling monitor
-        // shards across every port the MVEE hands out.
-        let pollers = match self.config.transport {
-            Transport::AsyncRings {
-                pollers: Pollers::Pool(n),
-                ..
-            } => Some(Arc::new(PollerPool::new(&monitor, n))),
-            Transport::AsyncRings {
-                pollers: Pollers::Auto,
-                ..
-            } => {
-                // Sized once at build time from the machine the MVEE
-                // actually runs on; half the cores, bounded, so the poller
-                // pool never crowds out the variants it serves.
-                let parallelism = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let n = Pollers::auto_pool_size(parallelism);
-                Some(Arc::new(PollerPool::new(&monitor, n)))
-            }
-            _ => None,
-        };
+        // The async transport shares one fixed set of polling monitor
+        // shards across every port the MVEE hands out, sized once at build
+        // time (`Auto`: from the machine the MVEE actually runs on).
+        let pollers = self
+            .config
+            .transport
+            .pollers()
+            .map(|pollers| Arc::new(PollerPool::new(&monitor, pollers.pool_size())));
         let agent_config = self
             .config
             .agent_config
@@ -324,66 +298,53 @@ impl MveeBuilder {
                 }
             }
         });
-        // With batched comparisons on, the agent's replication points become
-        // flush points: a sync op must not record or replay while the
-        // calling thread still has unresolved comparisons queued, and a
-        // poisoned agent abandons whatever is left.  The hook holds the
-        // monitor weakly — the monitor already holds the agent through the
-        // poison hook, and a strong reference back would leak the pair.
+        // A recorded or snapshotted run observes the agent's replication
+        // points: the journal logs each sync op, and snapshots are taken
+        // there because the replication point is the one choke point every
+        // transport — blocking ports, poller pools, the remote leader —
+        // funnels through (each port flushes its deferred comparisons just
+        // before it enters the agent), so the capture boundary is identical
+        // no matter how the variant's calls reach the monitor.  The hook
+        // holds the monitor weakly — the monitor already holds the agent
+        // through the poison hook, and a strong reference back would leak
+        // the pair.
         let journal_recorder = self.config.journal.recorder().cloned();
-        // Snapshots are taken from inside the same hook, right after the
-        // flush: the replication point is the one choke point every
-        // transport — blocking ports, gateway workers, poller pools, the
-        // remote leader — funnels through, so the capture boundary is
-        // identical no matter how the variant's calls reach the monitor.
         let snapshots = self
             .config
             .snapshot_every
             .map(|every| Arc::new(SnapshotStore::new(self.variants, every)));
-        if self.config.batch > 1 || journal_recorder.is_some() || snapshots.is_some() {
+        if journal_recorder.is_some() || snapshots.is_some() {
             let weak_monitor = Arc::downgrade(&monitor);
             let hook_kernel = Arc::clone(&kernel);
             let hook_snapshots = snapshots.clone();
             let hook_pids = pids.clone();
-            agent.set_replication_hook(Arc::new(move |event| {
+            agent.set_replication_hook(Arc::new(move |ctx| {
                 let Some(monitor) = weak_monitor.upgrade() else {
                     return;
                 };
-                match event {
-                    mvee_sync_agent::ReplicationEvent::SyncOp(ctx) => {
-                        let variant = ctx.role.variant_index();
-                        if let Some(recorder) = &journal_recorder {
-                            recorder.record_sync_op(variant, ctx.thread);
-                        }
-                        // A flush failure has already recorded the
-                        // divergence and poisoned table + agent; the thread
-                        // learns about it at its next monitored call.
-                        let _ = monitor.flush_deferred(variant, ctx.thread);
-                        let Some(store) = &hook_snapshots else {
-                            return;
-                        };
-                        let Some(sync_ops) = store.tick(variant) else {
-                            return;
-                        };
-                        // A dead lane's state is exactly what a respawn
-                        // must NOT roll forward to; keep its last good
-                        // snapshot instead.
-                        if monitor.is_quarantined(variant) || monitor.has_diverged() {
-                            return;
-                        }
-                        if let Some(image) = hook_kernel.capture_process(hook_pids[variant]) {
-                            store.install(SnapshotRecord {
-                                variant,
-                                sync_ops,
-                                journal_records: journal_recorder
-                                    .as_ref()
-                                    .map_or(0, |rec| rec.records()),
-                                clock_ns: hook_kernel.clock().now_nanos(),
-                                image,
-                            });
-                        }
-                    }
-                    mvee_sync_agent::ReplicationEvent::Poisoned => monitor.abandon_deferred(),
+                let variant = ctx.role.variant_index();
+                if let Some(recorder) = &journal_recorder {
+                    recorder.record_sync_op(variant, ctx.thread);
+                }
+                let Some(store) = &hook_snapshots else {
+                    return;
+                };
+                let Some(sync_ops) = store.tick(variant) else {
+                    return;
+                };
+                // A dead lane's state is exactly what a respawn must NOT
+                // roll forward to; keep its last good snapshot instead.
+                if monitor.is_quarantined(variant) || monitor.has_diverged() {
+                    return;
+                }
+                if let Some(image) = hook_kernel.capture_process(hook_pids[variant]) {
+                    store.install(SnapshotRecord {
+                        variant,
+                        sync_ops,
+                        journal_records: journal_recorder.as_ref().map_or(0, |rec| rec.records()),
+                        clock_ns: hook_kernel.clock().now_nanos(),
+                        image,
+                    });
                 }
             }));
         }
@@ -451,7 +412,7 @@ pub struct Mvee {
     pids: Vec<Pid>,
     variants: usize,
     threads: usize,
-    /// The shared polling shards (`Pollers::Pool(n)` transports only).
+    /// The shared polling shards (`Transport::AsyncRings` only).
     pollers: Option<Arc<PollerPool>>,
     /// The journal mode the MVEE was built with (see [`crate::journal`]).
     journal: crate::journal::JournalMode,
@@ -559,9 +520,9 @@ impl Mvee {
         }
     }
 
-    /// Number of monitor-side poller threads: `n` under
-    /// `Pollers::Pool(n)` — independent of variants×threads — and `0` for
-    /// the sync and per-port transports (which spawn no shared pollers).
+    /// Number of monitor-side poller threads: the pool size under
+    /// `Transport::AsyncRings` — independent of variants×threads — and `0`
+    /// for the sync and remote transports (which spawn no pollers).
     pub fn poller_threads(&self) -> usize {
         self.pollers.as_ref().map_or(0, |p| p.worker_count())
     }
@@ -580,14 +541,14 @@ impl Mvee {
 
     /// Acquires the [`AsyncThreadPort`] for logical thread `thread` of
     /// variant `variant`: the ring-based transport, with the depth taken
-    /// from the configured [`Transport`] (or the default depth when the
-    /// MVEE was built with the synchronous transport).  Shorthand for
+    /// from the configured [`Transport`].  Shorthand for
     /// `mvee.gateway(variant).async_thread(thread)`.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices or if a live port already owns this
-    /// (variant, thread).
+    /// Panics when the MVEE was not built with `Transport::AsyncRings`, on
+    /// out-of-range indices or if a live port already owns this (variant,
+    /// thread).
     pub fn async_thread_port(&self, variant: usize, thread: usize) -> AsyncThreadPort {
         self.gateway(variant).async_thread(thread)
     }
@@ -774,7 +735,8 @@ impl std::fmt::Display for RespawnError {
 
 impl std::error::Error for RespawnError {}
 
-/// A per-variant handle: the system-call gateway plus the sync-agent hooks.
+/// A per-variant handle: the factory a variant's OS threads draw their
+/// per-thread ports from.
 #[derive(Clone)]
 pub struct VariantGateway {
     variant: usize,
@@ -792,16 +754,6 @@ impl VariantGateway {
     /// Zero-based variant index (0 is the master).
     pub fn variant_index(&self) -> usize {
         self.variant
-    }
-
-    /// The variant's replication role.
-    pub fn role(&self) -> VariantRole {
-        VariantRole::from_variant_index(self.variant)
-    }
-
-    /// Whether this gateway belongs to the master variant.
-    pub fn is_master(&self) -> bool {
-        self.variant == 0
     }
 
     /// Acquires the [`ThreadPort`] for logical thread `thread`: the
@@ -834,44 +786,30 @@ impl VariantGateway {
 
     /// Acquires the [`AsyncThreadPort`] for logical thread `thread`: the
     /// asynchronous ring transport (see the [`async_port`](crate::async_port)
-    /// module docs).  The ring depth comes from the monitor's configured
-    /// [`Transport`]; an MVEE built with [`Transport::Sync`] still hands out
-    /// async ports on request, at the default depth, which is how the
-    /// equivalence harness runs both transports against one configuration.
+    /// module docs), at the ring depth of the monitor's configured
+    /// [`Transport`].
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range thread index or if a live port already
-    /// owns this (variant, thread).
+    /// Panics when the MVEE was not built with [`Transport::AsyncRings`]
+    /// (there is no poller pool to serve the port), on an out-of-range
+    /// thread index or if a live port already owns this (variant, thread).
     pub fn async_thread(&self, thread: usize) -> AsyncThreadPort {
-        assert!(
-            !(self.remote.is_some() && self.variant == 0),
-            "variant 0 of a distributed MVEE is the remote leader: use \
-             leader_thread / Mvee::leader_port instead of an in-proc port"
-        );
-        let depth = self
-            .monitor
-            .config()
-            .transport
-            .depth()
-            .unwrap_or(DEFAULT_RING_DEPTH);
-        match &self.pollers {
-            Some(pool) => AsyncThreadPort::new_pooled(
-                Arc::clone(&self.monitor),
-                Arc::clone(&self.agent),
-                self.variant,
-                thread,
-                depth,
-                pool,
-            ),
-            None => AsyncThreadPort::new(
-                Arc::clone(&self.monitor),
-                Arc::clone(&self.agent),
-                self.variant,
-                thread,
-                depth,
-            ),
-        }
+        let (Some(pool), Some(depth)) = (&self.pollers, self.transport().depth()) else {
+            panic!(
+                "async ports need the poller pool of an MVEE built with \
+                 Transport::AsyncRings; this one was built with {:?}",
+                self.transport()
+            );
+        };
+        AsyncThreadPort::new(
+            Arc::clone(&self.monitor),
+            Arc::clone(&self.agent),
+            self.variant,
+            thread,
+            depth,
+            pool,
+        )
     }
 
     /// Acquires the [`LeaderPort`](crate::remote::LeaderPort) for logical
@@ -895,59 +833,20 @@ impl VariantGateway {
         leader.port(thread)
     }
 
-    /// Builds the sync context for logical thread `thread`.
-    pub fn sync_context(&self, thread: usize) -> SyncContext {
-        SyncContext::new(self.role(), thread)
-    }
-
-    /// Issues a system call on behalf of `thread` through the legacy
-    /// index-addressed path.
-    ///
-    /// Prefer acquiring a [`ThreadPort`] with [`thread`](Self::thread) and
-    /// calling [`ThreadPort::syscall`](crate::port::ThreadPort::syscall):
-    /// this method pays the per-call re-resolution cost the port design
-    /// removes.  It remains public for the port/index equivalence harness
-    /// and ablation benchmarks; do not mix it with a live port for the same
-    /// (variant, thread).
-    pub fn syscall(
-        &self,
-        thread: usize,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        self.monitor.syscall(self.variant, thread, req)
-    }
-
-    /// Brackets a sync op: `before_sync_op`, the closure, `after_sync_op`.
-    pub fn sync_op<T>(&self, thread: usize, addr: u64, op: impl FnOnce() -> T) -> T {
-        let ctx = self.sync_context(thread);
-        self.agent.before_sync_op(&ctx, addr);
-        let result = op();
-        self.agent.after_sync_op(&ctx, addr);
-        result
-    }
-
-    /// Direct access to the injected agent.
-    pub fn agent(&self) -> &Arc<dyn SyncAgent> {
-        &self.agent
-    }
-
     /// The transport the MVEE was configured with — what
     /// [`thread_port`](crate::mvee::Mvee::thread_port)-style factories use
     /// to decide between sync and async ports.
     pub fn transport(&self) -> Transport {
         self.monitor.config().transport
     }
-
-    /// Whether the MVEE has shut down due to divergence.
-    pub fn is_shut_down(&self) -> bool {
-        self.monitor.has_diverged()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvee_kernel::syscall::Sysno;
+    use crate::config::Pollers;
+    use mvee_kernel::syscall::{SyscallRequest, Sysno};
+    use mvee_sync_agent::context::VariantRole;
 
     #[test]
     fn builder_wires_variants_and_agent() {
@@ -997,9 +896,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_op_flushes_deferred_comparisons() {
+    fn sync_op_flushes_deferred_comparisons_without_a_replication_hook() {
         // Each variant defers two brk comparisons (batch 8, never full);
-        // reaching the agent's replication point must flush them.
+        // the port must flush them before it enters the agent's replication
+        // point — by itself: a batched MVEE that records no journal and
+        // takes no snapshots installs no replication hook at all.
         let mvee = Mvee::builder()
             .variants(2)
             .batch(8)
@@ -1007,13 +908,16 @@ mod tests {
             .build();
         let mut handles = Vec::new();
         for v in 0..2 {
-            let gw = mvee.gateway(v);
+            let port = mvee.thread_port(v, 0);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..2 {
-                    gw.syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
+                    port.syscall(&SyscallRequest::new(Sysno::Brk).with_int(0))
                         .unwrap();
                 }
-                gw.sync_op(0, 0x1000, || ());
+                assert_eq!(port.pending_comparisons(), 2);
+                port.before_sync_op(0x1000);
+                assert_eq!(port.pending_comparisons(), 0, "flushed before the agent");
+                port.after_sync_op(0x1000);
             }));
         }
         for h in handles {
@@ -1025,51 +929,36 @@ mod tests {
             stats.batch_flushes, 2,
             "one flush per variant at the sync op"
         );
-        assert_eq!(mvee.monitor().live_deferred(), 0);
+        assert_eq!(mvee.monitor().live_slots(), 0);
         assert!(!mvee.monitor().has_diverged());
+        let agent = mvee.agent_stats();
+        assert_eq!(agent.ops_recorded, 1, "the sync ops did reach the agent");
+        assert_eq!(agent.replication_points, 0, "no hook, nothing to count");
     }
 
     #[test]
-    fn agent_poison_abandons_deferred_comparisons() {
-        let mvee = Mvee::builder()
-            .variants(2)
-            .batch(8)
-            .manual_clock(true)
-            .build();
-        mvee.gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
-            .unwrap();
-        assert_eq!(mvee.monitor().live_deferred(), 1);
-        mvee.agent().poison();
-        assert_eq!(
-            mvee.monitor().live_deferred(),
-            0,
-            "poisoning the agent must drop pending batches"
-        );
-    }
-
-    #[test]
-    fn gateways_report_roles() {
+    fn gateway_ports_report_roles() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
-        assert!(mvee.gateway(0).is_master());
-        assert!(!mvee.gateway(1).is_master());
-        assert_eq!(mvee.gateway(1).role(), VariantRole::Slave { index: 0 });
+        assert!(mvee.gateway(0).thread(0).is_master());
+        let slave = mvee.gateway(1).thread(0);
+        assert!(!slave.is_master());
+        assert_eq!(slave.role(), VariantRole::Slave { index: 0 });
     }
 
     #[test]
-    fn gateway_syscall_reaches_the_monitor() {
+    fn gateway_port_syscall_reaches_the_monitor() {
         let mvee = Mvee::builder().variants(1).manual_clock(true).build();
-        let gw = mvee.gateway(0);
-        let out = gw.syscall(0, &SyscallRequest::new(Sysno::Getpid)).unwrap();
+        let port = mvee.gateway(0).thread(0);
+        let out = port.syscall(&SyscallRequest::new(Sysno::Getpid)).unwrap();
         assert!(out.is_ok());
         assert_eq!(mvee.monitor_stats().total_syscalls, 1);
     }
 
     #[test]
-    fn gateway_sync_op_records_in_master() {
+    fn gateway_port_sync_op_records_in_master() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
-        let gw = mvee.gateway(0);
-        let v = gw.sync_op(0, 0x1000, || 7);
+        let port = mvee.gateway(0).thread(0);
+        let v = port.sync_op(0x1000, || 7);
         assert_eq!(v, 7);
         assert_eq!(mvee.agent_stats().ops_recorded, 1);
     }
@@ -1085,8 +974,8 @@ mod tests {
         // Only variant 0 arrives at a locksteped call: rendezvous timeout,
         // divergence, and the poison hook must reach the agent.
         let r = mvee
-            .gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Write).with_payload(b"x"));
+            .thread_port(0, 0)
+            .syscall(&SyscallRequest::new(Sysno::Write).with_payload(b"x"));
         assert!(r.is_err());
         assert!(mvee.divergence().is_some());
         assert!(mvee.agent().is_poisoned());
@@ -1111,12 +1000,12 @@ mod tests {
             .manual_clock(true)
             .build();
         let b0 = mvee
-            .gateway(0)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
+            .thread_port(0, 0)
+            .syscall(&SyscallRequest::new(Sysno::Brk).with_int(0))
             .unwrap();
         let b1 = mvee
-            .gateway(1)
-            .syscall(0, &SyscallRequest::new(Sysno::Brk).with_int(0))
+            .thread_port(1, 0)
+            .syscall(&SyscallRequest::new(Sysno::Brk).with_int(0))
             .unwrap();
         assert_ne!(b0.result, b1.result);
     }
@@ -1138,7 +1027,7 @@ mod tests {
             .batch(8)
             .transport(Transport::AsyncRings {
                 depth: 4,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Pool(1),
             })
             .manual_clock(true)
             .build();
@@ -1156,38 +1045,44 @@ mod tests {
     #[test]
     fn pool_transport_spawns_exactly_n_pollers_and_no_port_workers() {
         let mvee = Mvee::builder()
-            .variants(4)
+            .variants(2)
             .threads(4)
-            .transport(Transport::AsyncRings {
-                depth: 8,
-                pollers: Pollers::Pool(2),
-            })
+            .transport(Transport::async_pool(1))
             .manual_clock(true)
             .build();
-        assert_eq!(mvee.poller_threads(), 2);
+        assert_eq!(mvee.poller_threads(), 1);
         let mut ports = Vec::new();
-        for v in 0..4 {
+        for v in 0..2 {
             for t in 0..4 {
                 ports.push(mvee.async_thread_port(v, t));
             }
         }
-        assert!(
-            ports.iter().all(|p| !p.has_dedicated_worker()),
-            "pooled ports must not spawn gateway workers"
-        );
         assert_eq!(
             mvee.poller_threads(),
-            2,
-            "16 live ports, still exactly 2 monitor-side threads"
+            1,
+            "8 live ports, still exactly 1 monitor-side thread"
         );
-        drop(ports);
-        // Per-port mode keeps the old shape: a worker per port, no pollers.
-        let per_port = Mvee::builder()
-            .variants(2)
-            .transport(Transport::async_default())
-            .manual_clock(true)
-            .build();
-        assert_eq!(per_port.poller_threads(), 0);
-        assert!(per_port.async_thread_port(0, 0).has_dedicated_worker());
+        #[cfg(target_os = "linux")]
+        {
+            let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .expect("listing this process's threads")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .collect();
+            assert!(
+                names.iter().any(|name| name.starts_with("mvee-poll-")),
+                "the poller must show up in the thread list: {names:?}"
+            );
+            assert!(
+                !names.iter().any(|name| name.starts_with("mvee-gw-")),
+                "live async ports must not spawn per-port threads: {names:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Transport::AsyncRings")]
+    fn async_port_on_a_sync_mvee_panics_instead_of_spawning_a_worker() {
+        let mvee = Mvee::builder().variants(1).manual_clock(true).build();
+        let _ = mvee.async_thread_port(0, 0);
     }
 }

@@ -1,16 +1,17 @@
 //! Polling monitor shards: a fixed pool of poller threads drains many
 //! ports' submission rings through non-blocking rendezvous.
 //!
-//! The per-port gateway worker ([`crate::async_port`]) spends its life
-//! *blocked* — inside a rendezvous, an outcome wait or an ordering turn —
-//! so the monitor side costs variants×threads OS threads, and on a small
-//! CPU budget their context switches eat the latency win the rings bought
-//! (see BASELINES.md).  A shared drain thread could not fix that as long
-//! as rendezvous blocked: cross-thread submission order legitimately
-//! differs between variants (the paper's premise), so a worker stuck in
-//! thread A's rendezvous for variant 0 may be the only thing that could
-//! deposit thread B's arrival, which variant 1 is blocked waiting for —
-//! a circular wait across variants.
+//! A monitor-side thread that serves a port ([`crate::async_port`]) by
+//! *blocking* — inside a rendezvous, an outcome wait or an ordering turn —
+//! can serve only that port, so the monitor side would cost
+//! variants×threads OS threads, and on a small CPU budget their context
+//! switches eat the latency win the rings bought (BASELINES.md, *Retired
+//! designs*).  Nor can one blocking thread drain several ports:
+//! cross-thread submission order legitimately differs between variants
+//! (the paper's premise), so a drain stuck in thread A's rendezvous for
+//! variant 0 may be the only thing that could deposit thread B's arrival,
+//! which variant 1 is blocked waiting for — a circular wait across
+//! variants.
 //!
 //! The poll-mode rendezvous primitives ([`LockstepTable::try_arrive`],
 //! [`LockstepTable::try_arrive_batch`], [`LockstepTable::try_wait_outcome`]
@@ -18,9 +19,10 @@
 //! [`SyscallOrderingClock::try_turn`](crate::ordering::SyscallOrderingClock::try_turn))
 //! remove the blocking, and this module builds the event loop on top:
 //!
-//! * [`PollerPool`] owns `n` poller threads (`Pollers::Pool(n)`), created
-//!   with the MVEE and shared by every [`AsyncThreadPort`] the build hands
-//!   out — monitor-side threads are exactly `n`, independent of
+//! * [`PollerPool`] owns `n` poller threads
+//!   ([`Pollers`](crate::config::Pollers)), created with the MVEE and
+//!   shared by every [`AsyncThreadPort`] the build hands out —
+//!   monitor-side threads are exactly `n`, independent of
 //!   variants×threads.
 //! * Each poller round-robins its assigned ports: drain the submission
 //!   ring → advance the port's state machine one non-blocking step at a
@@ -32,7 +34,7 @@
 //!   shared verdict settlers (`settle_sync_arrival` /
 //!   `settle_batch_results`, including their quarantine-retry protocol) and
 //!   the same timeout attribution with deadlines fixed at deposit — so
-//!   verdicts are byte-identical to the blocking transports by
+//!   verdicts are byte-identical to the blocking ports' by
 //!   construction (`tests/polling_equivalence.rs` proves it by property).
 //! * A poller parks on its [`PollWaker`]'s event count only when every
 //!   ring it serves is empty and every in-flight arrival is pending.  Ring
@@ -69,7 +71,7 @@ use crate::lockstep::{
 use crate::monitor::{ArrivalSettle, BatchSettle, Monitor, MonitorError, DEFERRED_SEQ_BIT};
 use crate::policy::CallDisposition;
 
-/// The completion signal a pooled port's `Drop` waits on: raised once by
+/// The completion signal an async port's `Drop` waits on: raised once by
 /// the poller after the port's `Close` has flushed trailing comparisons
 /// and released the (variant, thread) binding.
 #[derive(Debug, Default)]
@@ -95,7 +97,7 @@ impl TaskDone {
     }
 }
 
-/// What [`PollerPool::register`] hands back to a pooled
+/// What [`PollerPool::register`] hands back to an
 /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort): the ring pair
 /// the port talks through, the waker of the poller serving it, and the
 /// close signal its `Drop` waits on.
@@ -109,10 +111,10 @@ pub(crate) struct PortRegistration {
 /// A fixed pool of polling monitor shards (see the [module docs](self)).
 ///
 /// Built by [`Mvee`](crate::mvee::Mvee) when the transport is
-/// `Transport::AsyncRings { pollers: Pollers::Pool(n), .. }`; every pooled
-/// async port registers here and is assigned to one of the `n` pollers
-/// round-robin.  The pool shuts its pollers down when the last reference —
-/// the `Mvee` plus every live pooled port holds one — is dropped.
+/// `Transport::AsyncRings`; every async port registers here and is
+/// assigned to one of the `n` pollers round-robin.  The pool shuts its
+/// pollers down when the last reference — the `Mvee` plus every live async
+/// port holds one — is dropped.
 pub struct PollerPool {
     shards: Vec<ShardHandle>,
     next: AtomicUsize,
@@ -170,8 +172,8 @@ impl PollerPool {
         }
     }
 
-    /// Number of poller threads — the monitor-side thread count under
-    /// `Pollers::Pool(n)`, independent of variants×threads.
+    /// Number of poller threads — the monitor-side thread count,
+    /// independent of variants×threads.
     pub fn worker_count(&self) -> usize {
         self.shards.len()
     }
@@ -379,7 +381,8 @@ enum AfterFlush {
 }
 
 /// Where a port task stands in its current submission — the polling mirror
-/// of the positions a blocking gateway worker sleeps at.
+/// of the positions a blocking [`ThreadPort`](crate::port::ThreadPort) call
+/// sleeps at.
 enum TaskState {
     /// Between submissions.
     Idle,
@@ -404,9 +407,9 @@ enum TaskState {
     },
 }
 
-/// One port served by a poller: the monitor-side half of a pooled
+/// One port served by a poller: the monitor-side half of an
 /// [`AsyncThreadPort`](crate::async_port::AsyncThreadPort), carrying the
-/// same per-thread state a blocking gateway worker keeps on its stack.
+/// same per-thread state a [`ThreadPort`](crate::port::ThreadPort) keeps.
 struct PortTask {
     variant: usize,
     thread: usize,
@@ -604,7 +607,7 @@ impl PortTask {
                     key: (self.thread, call.seq | DEFERRED_SEQ_BIT),
                     cmp: call.req.comparison_key(),
                 });
-                // Mirror the blocking transports' divergence race check: a
+                // Mirror the blocking port's divergence race check: a
                 // divergence recorded between the entry gate and this push
                 // means the deferred comparison will never be resolved, so
                 // the call must not complete `Ok`.

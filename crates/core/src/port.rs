@@ -1,26 +1,23 @@
-//! Per-thread syscall handles: the redesigned gateway hot path.
+//! Per-thread syscall handles: the gateway hot path.
 //!
-//! The original gateway addressed every call by a raw `(variant, thread)`
-//! pair — `Monitor::syscall(variant, thread, req)` re-asserted bounds,
-//! re-indexed the per-thread state, bumped a shared atomic sequence counter
-//! and locked a mutex-guarded deferred-comparison queue on **every** call.
 //! GHUMVEE/ReMon-style monitors bind monitor state to the variant thread
-//! once, at attach time; [`ThreadPort`] is that binding.
+//! once, at attach time; [`ThreadPort`] is that binding, and the only
+//! blocking entry into the monitor.
 //!
 //! A port is acquired once per (variant, thread) —
 //! [`VariantGateway::thread`](crate::mvee::VariantGateway::thread) or
-//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) — and caches
-//! everything the per-call path used to re-derive:
+//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) — and holds
+//! everything a call needs besides the request:
 //!
 //! * the **shard binding**, resolved through the configured
 //!   [`Placement`](crate::config::Placement) policy at acquisition time;
-//! * the **sequence counter**, now a plain [`Cell`] instead of a shared
-//!   atomic (no cross-thread `fetch_add` traffic);
+//! * the **sequence counter**, a plain [`Cell`] (no cross-thread
+//!   `fetch_add` traffic);
 //! * the agent [`SyncContext`], built once instead of per sync op;
 //! * the monitor **stat lane** of its shard;
-//! * the **deferred-comparison batch queue**, now a port-local [`RefCell`]
-//!   instead of a monitor-side mutex — the queue was always logically
-//!   thread-local, and the port makes that ownership a type-level fact.
+//! * the **deferred-comparison batch queue**, a port-local [`RefCell`] —
+//!   the queue is logically thread-local, and the port makes that
+//!   ownership a type-level fact.
 //!
 //! That last point is why `ThreadPort` is deliberately `Send + !Sync`: the
 //! handle may move to the OS thread that runs the logical thread, but two
@@ -28,8 +25,8 @@
 //! synchronization at all.  The monitor enforces the other half of the
 //! contract at acquisition time: at most one live port per (variant,
 //! thread) (a second acquisition panics), and the sequence counter is
-//! handed back on drop so a later port — or the legacy index path — resumes
-//! the same rendezvous key stream.
+//! handed back on drop so a later port resumes the same rendezvous key
+//! stream.
 //!
 //! ```compile_fail
 //! // ThreadPort is !Sync by design: the deferred batch queue is owned by
@@ -155,13 +152,9 @@ impl ThreadPort {
         self.pending.borrow().len()
     }
 
-    /// Issues a system call on behalf of this port's logical thread.
-    ///
-    /// Semantically identical to the legacy
-    /// [`Monitor::syscall`](crate::monitor::Monitor::syscall) for this
-    /// (variant, thread) — same rendezvous keys, same verdicts, same stats —
-    /// but the per-call index math, the shared sequence counter and the
-    /// deferred-queue mutex are gone.
+    /// Issues a system call on behalf of this port's logical thread:
+    /// returns the outcome the variant observes, or an error instructing
+    /// the variant to terminate.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
         let monitor = &*self.monitor;
         match monitor.gate_and_count(self.variant, self.thread, self.shard, req) {
@@ -183,9 +176,9 @@ impl ThreadPort {
         let defer = self.batch > 1 && disposition.defer_compare;
 
         // Synchronous interaction points resolve the deferred comparisons
-        // first, exactly as on the legacy path: comparisons stay in
-        // per-thread program order, and no replicated result is handed out
-        // while an earlier comparison is still pending.
+        // first: comparisons stay in per-thread program order, and no
+        // replicated result is handed out while an earlier comparison is
+        // still pending.
         if !defer && (disposition.lockstep || disposition.replicate || disposition.ordered) {
             self.flush()?;
         }
@@ -202,12 +195,10 @@ impl ThreadPort {
                     });
                     pending.len() >= self.batch
                 };
-                // Mirror the legacy divergence race check: a divergence
-                // recorded elsewhere between the entry gate and this push
-                // means the deferred comparison will never be resolved, so
-                // the call must not return `Ok`.  The queue is local, so
-                // unlike the legacy path there is nothing to leak — just
-                // drop it and shut down.
+                // A divergence recorded elsewhere between the entry gate and
+                // this push means the deferred comparison will never be
+                // resolved, so the call must not return `Ok`: drop the
+                // queue and shut down.
                 if monitor.has_diverged() {
                     self.pending.borrow_mut().clear();
                     return Err(MonitorError::ShutDown);
@@ -251,15 +242,11 @@ impl ThreadPort {
     /// Brackets the *start* of a sync op: flushes this port's deferred
     /// comparisons (a replication point must never overtake a pending
     /// comparison), then enters the agent.
-    ///
-    /// On the legacy path the flush happened through the replication hook
-    /// the front end installs on the agent; the port performs it inline —
-    /// same position in the call stream, no hook indirection.
     pub fn before_sync_op(&self, addr: u64) {
         if !self.pending.borrow().is_empty() {
             // A flush failure has already recorded the divergence and
             // poisoned table + agent; the thread learns about it at its next
-            // monitored call, exactly like the hook-based path.
+            // monitored call.
             let _ = self.flush();
         }
         self.agent.before_sync_op(&self.ctx, addr);
@@ -300,8 +287,8 @@ impl Drop for ThreadPort {
         } else {
             let _ = self.flush();
         }
-        // Hand the sequence counter back so a later port (or the legacy
-        // path) continues the key stream.
+        // Hand the sequence counter back so a later port continues the key
+        // stream.
         self.monitor
             .release_port(self.variant, self.thread, self.seq.get());
     }
@@ -378,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn port_batches_and_flushes_like_the_legacy_path() {
+    fn port_batches_and_flushes_at_the_replication_point() {
         let mvee = Mvee::builder()
             .variants(2)
             .batch(8)
@@ -433,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn port_detects_divergence_like_the_index_path() {
+    fn port_detects_divergence_and_rejects_later_calls() {
         let mvee = Mvee::builder()
             .variants(2)
             .manual_clock(true)
@@ -542,7 +529,7 @@ mod tests {
         assert!(!mvee.monitor().has_diverged());
         assert_eq!(stats.batched_comparisons, 6);
         assert_eq!(stats.batch_flushes, 4, "one flush per variant per phase");
-        assert_eq!(mvee.monitor().live_deferred(), 0);
+        assert_eq!(mvee.monitor().live_slots(), 0);
     }
 
     #[test]

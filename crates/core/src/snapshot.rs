@@ -28,13 +28,12 @@
 //!
 //! # Where snapshots are taken
 //!
-//! Capture happens in the agent replication hook, immediately after a sync
-//! op's deferred comparisons flush (`ReplicationEvent::SyncOp` in
-//! `mvee.rs`).  Every transport funnels through that hook — blocking sync
-//! ports, async gateway workers, poller pools and the remote leader alike —
-//! so the capture point is transport-invariant: the same workload snapshots
-//! at the same sync-op boundaries no matter how its calls reach the
-//! monitor.
+//! Capture happens in the agent replication hook (installed in `mvee.rs`),
+//! immediately after the port has flushed the sync op's deferred
+//! comparisons.  Every transport funnels through that hook — blocking sync
+//! ports, poller pools and the remote leader alike — so the capture point
+//! is transport-invariant: the same workload snapshots at the same sync-op
+//! boundaries no matter how its calls reach the monitor.
 //!
 //! # Wire format
 //!

@@ -61,9 +61,8 @@ impl AgentKind {
 /// Installed once by the MVEE front end, fired lock-free afterwards (an
 /// uninstalled cell is a single atomic load on the sync-op hot path).  Every
 /// agent embeds one and fires it at the top of `before_sync_op` — before any
-/// guard is taken, so a blocking hook (a comparison flush is a rendezvous)
-/// can never deadlock against the agent's own ordering guards — and from
-/// `poison`.
+/// guard is taken, so a hook that blocks (a snapshot capture takes kernel
+/// locks) can never deadlock against the agent's own ordering guards.
 pub(crate) struct HookCell(std::sync::OnceLock<crate::ReplicationHook>);
 
 impl HookCell {
@@ -76,10 +75,10 @@ impl HookCell {
         let _ = self.0.set(hook);
     }
 
-    /// Fires the replication-point event for `ctx`'s thread and counts it
-    /// in `stats` ([`AgentStats::replication_points`]) — an uninstalled cell
-    /// counts nothing, so the counter reads zero unless a front end actually
-    /// consumes replication points (deferred flushes, journal recording).
+    /// Fires the hook for `ctx`'s thread and counts it in `stats`
+    /// ([`AgentStats::replication_points`]) — an uninstalled cell counts
+    /// nothing, so the counter reads zero unless a front end actually
+    /// consumes replication points (journal recording, snapshots).
     ///
     /// [`AgentStats::replication_points`]: crate::stats::AgentStats::replication_points
     #[inline]
@@ -90,14 +89,7 @@ impl HookCell {
     ) {
         if let Some(hook) = self.0.get() {
             stats.count_replication_point(ctx.thread);
-            hook(crate::ReplicationEvent::SyncOp(ctx));
-        }
-    }
-
-    /// Fires the poison event.
-    pub(crate) fn poisoned(&self) {
-        if let Some(hook) = self.0.get() {
-            hook(crate::ReplicationEvent::Poisoned);
+            hook(ctx);
         }
     }
 }
@@ -132,10 +124,9 @@ impl std::fmt::Debug for HookCell {
 /// ends up holding the guard, so the paired `after_sync_op` release stays
 /// balanced.
 ///
-/// The full-buffer wait parks on the ring's event count (under the adaptive
-/// strategy): every slave cursor advance posts it, and the agents post it
-/// from `poison`, so a parked master can never sleep through the wake-up it
-/// is waiting for.
+/// The full-buffer wait parks on the ring's event count: every slave cursor
+/// advance posts it, and the agents post it from `poison`, so a parked
+/// master can never sleep through the wake-up it is waiting for.
 pub(crate) fn push_record_guarded(
     guards: &crate::guards::GuardTable,
     guard_idx: usize,

@@ -30,8 +30,8 @@ impl SyncAgent for NullAgent {
     }
 
     fn before_sync_op(&self, ctx: &SyncContext, _addr: u64) {
-        // Even the no-op agent marks its replication points, so deferred
-        // comparisons flush at the same program positions under every agent.
+        // Even the no-op agent marks its replication points, so journals
+        // and snapshots see the same program positions under every agent.
         self.hook.sync_op(ctx, &self.stats);
         if ctx.role.is_master() {
             self.stats.count_record(ctx.thread);
@@ -44,12 +44,6 @@ impl SyncAgent for NullAgent {
 
     fn stats(&self) -> AgentStats {
         self.stats.snapshot()
-    }
-
-    fn poison(&self) {
-        // The null agent has no waits to release; poisoning only abandons
-        // any deferred work batched behind the replication points.
-        self.hook.poisoned();
     }
 
     fn set_replication_hook(&self, hook: crate::ReplicationHook) {

@@ -333,7 +333,6 @@ impl SyncAgent for PartialOrderAgent {
         // Unpark masters waiting on buffer space and slaves parked in the
         // look-ahead wait.
         self.ring.events().notify_all();
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

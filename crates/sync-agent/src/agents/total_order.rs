@@ -149,7 +149,6 @@ impl SyncAgent for TotalOrderAgent {
         // Unpark masters waiting on buffer space and slaves waiting for
         // their turn at the head.
         self.ring.events().notify_all();
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

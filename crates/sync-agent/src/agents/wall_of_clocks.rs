@@ -215,7 +215,7 @@ impl SyncAgent for WallOfClocksAgent {
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        // Unpark every adaptively parked waiter (masters on full rings,
+        // Unpark every parked waiter (masters on full rings,
         // slaves on publication or clock waits) so the bail-out conditions
         // are re-checked promptly.
         for ring in &self.rings {
@@ -224,7 +224,6 @@ impl SyncAgent for WallOfClocksAgent {
         for wall in &self.slave_walls {
             wall.events().notify_all();
         }
-        self.hook.poisoned();
     }
 
     fn is_poisoned(&self) -> bool {

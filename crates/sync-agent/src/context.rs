@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::guards::{WaitStrategy, Waiter};
+use crate::guards::Waiter;
 
 /// Maximum number of logical threads an agent supports.
 ///
@@ -109,11 +109,9 @@ pub struct AgentConfig {
     /// Size of the look-ahead window the partial-order agent scans.
     pub lookahead_window: usize,
     /// How many spin iterations a waiting thread performs before yielding to
-    /// the OS scheduler.
+    /// the OS scheduler (and, if the wait outlasts the yield budget too,
+    /// parking; see [`Waiter`]).
     pub spin_before_yield: u32,
-    /// How blocked agent threads wait: the legacy fixed spin/yield loop or
-    /// the adaptive spin → yield → park escalation (the default).
-    pub wait: WaitStrategy,
 }
 
 impl Default for AgentConfig {
@@ -126,7 +124,6 @@ impl Default for AgentConfig {
             guard_buckets: 512,
             lookahead_window: 256,
             spin_before_yield: 64,
-            wait: WaitStrategy::Adaptive,
         }
     }
 }
@@ -176,17 +173,9 @@ impl AgentConfig {
         self
     }
 
-    /// Sets the wait strategy blocked threads use (builder style).
-    /// [`WaitStrategy::SpinYield`] restores the pre-adaptive behaviour for
-    /// ablation runs.
-    pub fn with_wait_strategy(mut self, wait: WaitStrategy) -> Self {
-        self.wait = wait;
-        self
-    }
-
     /// The waiter this configuration prescribes.
     pub fn waiter(&self) -> Waiter {
-        Waiter::with_strategy(self.spin_before_yield, self.wait)
+        Waiter::new(self.spin_before_yield)
     }
 
     /// Number of slave variants.
@@ -242,25 +231,13 @@ mod tests {
             .with_threads(8)
             .with_buffer_capacity(1024)
             .with_clock_count(64)
-            .with_lookahead_window(32)
-            .with_wait_strategy(WaitStrategy::SpinYield);
+            .with_lookahead_window(32);
         assert_eq!(c.variants, 4);
         assert_eq!(c.slave_count(), 3);
         assert_eq!(c.threads, 8);
         assert_eq!(c.buffer_capacity, 1024);
         assert_eq!(c.clock_count, 64);
         assert_eq!(c.lookahead_window, 32);
-        assert_eq!(c.wait, WaitStrategy::SpinYield);
-        assert_eq!(c.waiter().strategy(), WaitStrategy::SpinYield);
-    }
-
-    #[test]
-    fn default_wait_strategy_is_adaptive() {
-        assert_eq!(AgentConfig::default().wait, WaitStrategy::Adaptive);
-        assert_eq!(
-            AgentConfig::default().waiter().strategy(),
-            WaitStrategy::Adaptive
-        );
     }
 
     #[test]

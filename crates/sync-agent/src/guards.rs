@@ -8,48 +8,12 @@
 //! instruction), so waiting starts as a bounded spin — but a fixed
 //! spin/yield loop collapses under oversubscription (more runnable threads
 //! than cores): every spinning slave burns the time slice the thread it is
-//! waiting for needs.  The adaptive [`Waiter`] therefore escalates
-//! spin → exponential-backoff yield → park on an [`EventCount`] condvar,
-//! while [`WaitStrategy::SpinYield`] preserves the original fixed loop for
-//! ablation.
+//! waiting for needs.  The [`Waiter`] therefore escalates
+//! spin → exponential-backoff yield → park on an [`EventCount`] condvar.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-use serde::{Deserialize, Serialize};
-
-/// How a blocked agent thread waits for its wake-up condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum WaitStrategy {
-    /// The original wait discipline: spin `spin_before_yield` iterations,
-    /// then `yield_now`, forever — never parks.  Cheap when the wait is
-    /// short and the waited-on thread runs on another core; pathological
-    /// when threads > cores.  (The surrounding event-count *notifications*
-    /// are posted either way, so this is the old waiting behaviour on the
-    /// new ring, not a bit-for-bit revert of the hot path.)
-    SpinYield,
-    /// Three phases: bounded spin, exponential-backoff yield, then park on
-    /// the wait target's [`EventCount`] until a cursor advance (or poison)
-    /// notifies it.  The default.
-    #[default]
-    Adaptive,
-}
-
-impl WaitStrategy {
-    /// Short name used in benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            WaitStrategy::SpinYield => "spin-yield",
-            WaitStrategy::Adaptive => "adaptive",
-        }
-    }
-
-    /// Both strategies, in ablation order (legacy first).
-    pub fn all() -> [WaitStrategy; 2] {
-        [WaitStrategy::SpinYield, WaitStrategy::Adaptive]
-    }
-}
 
 /// Yields performed (with exponential backoff) before the first park.
 ///
@@ -67,14 +31,12 @@ const YIELDS_BEFORE_PARK: u32 = 64;
 /// 1 ms poll instead of a deadlock.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// A condvar-backed event count: the parking target of the adaptive waiter.
+/// A condvar-backed event count: the parking target of the [`Waiter`].
 ///
 /// The fast path costs the *notifier* one seq-cst fence plus one load when
 /// nobody is parked (the same unlock-side cost `parking_lot`'s word lock
 /// pays) — cheap enough to call on every ring-cursor advance and clock
-/// tick, and paid identically under both wait strategies, so the
-/// `ablation_agent` comparison isolates the wait *discipline*, not the
-/// notification accounting.  Waiters register (`waiters`), re-check their
+/// tick.  Waiters register (`waiters`), re-check their
 /// condition, and only then block, the classic futex-style handshake:
 /// either the notifier observes the registration and wakes, or the
 /// waiter's re-check observes the notifier's state change.  Both sides are
@@ -178,11 +140,11 @@ impl WaitTally {
     /// Total wait iterations of any kind.
     ///
     /// The components are **not** time-commensurable — one park lasts up to
-    /// 1 ms while one spin is nanoseconds — so this figure must not be
-    /// compared across wait strategies.  Use it only as an episode count
-    /// ("did we wait, and how many polls did it take"); strategy
-    /// comparisons should read the three components separately, as
-    /// [`AgentStats`](crate::stats::AgentStats) does.
+    /// 1 ms while one spin is nanoseconds — so use this figure only as an
+    /// episode count ("did we wait, and how many polls did it take");
+    /// anything that weighs waits against each other should read the three
+    /// components separately, as [`AgentStats`](crate::stats::AgentStats)
+    /// does.
     pub fn total(&self) -> u64 {
         self.spins + self.yields + self.parks
     }
@@ -201,55 +163,35 @@ impl WaitTally {
     }
 }
 
-/// A bounded waiter: spin, yield, and (adaptively) park.
+/// A bounded waiter — its spin budget: spin, yield, then park.
 ///
 /// Returns iteration tallies so callers can feed the agent statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Waiter {
     spin_before_yield: u32,
-    strategy: WaitStrategy,
 }
 
 impl Default for Waiter {
-    /// The default spin budget (64 iterations per yield) with the legacy
-    /// spin/yield discipline: for deadline-bounded waits on state nobody
-    /// posts an event count for — the monitor's ordering-clock turn waits.
-    /// Everything that *can* park does: the agents on their rings' event
-    /// counts, the monitor's rendezvous waits on their shard's.
+    /// The default spin budget (64 iterations per yield), used by the
+    /// deadline-bounded waits on state nobody posts an event count for —
+    /// the monitor's ordering-clock turn waits.  Everything that *can* park
+    /// does: the agents on their rings' event counts, the monitor's
+    /// rendezvous waits on their shard's.
     fn default() -> Self {
         Waiter::new(64)
     }
 }
 
 impl Waiter {
-    /// Creates a legacy spin/yield waiter with the given spin budget per
-    /// yield.  Existing callers (the ordering-clock turn waits, guard-free
-    /// waits) keep the pre-adaptive behaviour.
-    pub fn new(spin_before_yield: u32) -> Self {
-        Waiter {
-            spin_before_yield,
-            strategy: WaitStrategy::SpinYield,
-        }
-    }
-
-    /// Creates a waiter with an explicit strategy; agents build theirs from
-    /// [`AgentConfig`](crate::context::AgentConfig) this way.
-    pub const fn with_strategy(spin_before_yield: u32, strategy: WaitStrategy) -> Self {
-        Waiter {
-            spin_before_yield,
-            strategy,
-        }
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> WaitStrategy {
-        self.strategy
+    /// Creates a waiter with the given spin budget; agents build theirs
+    /// from [`AgentConfig`](crate::context::AgentConfig) this way.
+    pub const fn new(spin_before_yield: u32) -> Self {
+        Waiter { spin_before_yield }
     }
 
     /// Spins until `cond` returns `true`; returns the number of wait
     /// iterations (0 means the condition held immediately).  Pure
-    /// spin/yield regardless of strategy — for waits with no event count to
-    /// park on.
+    /// spin/yield — for waits with no event count to park on.
     pub fn wait_until(&self, mut cond: impl FnMut() -> bool) -> u64 {
         let mut iterations = 0u64;
         let mut since_yield = 0u32;
@@ -266,19 +208,15 @@ impl Waiter {
         iterations
     }
 
-    /// Waits until `cond` returns `true`, escalating through the
-    /// strategy's phases; wake-ups arrive through `events`.
+    /// Waits until `cond` returns `true`, escalating through three phases;
+    /// wake-ups arrive through `events`.
     ///
-    /// * [`WaitStrategy::SpinYield`]: identical to [`wait_until`] (all
-    ///   iterations are reported as spins or yields) — the `batch = 1`-style
-    ///   ablation baseline.
-    /// * [`WaitStrategy::Adaptive`]: spins `spin_before_yield` iterations,
-    ///   yields with exponential backoff (1, 2, 4, … consecutive yields up
-    ///   to [`YIELDS_BEFORE_PARK`] total), then parks on `events` until a
-    ///   notification (every ring-cursor advance, clock tick and poison
-    ///   notifies) re-checks the condition.
-    ///
-    /// [`wait_until`]: Self::wait_until
+    /// Spins `spin_before_yield` iterations, yields with exponential
+    /// backoff (1, 2, 4, … consecutive yields up to [`YIELDS_BEFORE_PARK`]
+    /// total), then parks on `events` until a notification re-checks the
+    /// condition.  Parking is safe on every target because every
+    /// ring-cursor advance, clock tick, guard release and poison notifies
+    /// unconditionally.
     pub fn wait_until_event(
         &self,
         events: &EventCount,
@@ -288,57 +226,36 @@ impl Waiter {
         if cond() {
             return tally;
         }
-        match self.strategy {
-            WaitStrategy::SpinYield => {
-                let mut since_yield = 0u32;
-                loop {
-                    since_yield += 1;
-                    if since_yield >= self.spin_before_yield.max(1) {
-                        std::thread::yield_now();
-                        tally.yields += 1;
-                        since_yield = 0;
-                    } else {
-                        std::hint::spin_loop();
-                        tally.spins += 1;
-                    }
-                    if cond() {
-                        return tally;
-                    }
+        // Phase 1: bounded spin.
+        for _ in 0..self.spin_before_yield {
+            std::hint::spin_loop();
+            tally.spins += 1;
+            if cond() {
+                return tally;
+            }
+        }
+        // Phase 2: exponential-backoff yield (1, 2, 4, … consecutive
+        // yields per round, the final round truncated to the budget).
+        let mut burst = 1u32;
+        while tally.yields < u64::from(YIELDS_BEFORE_PARK) {
+            let remaining = u64::from(YIELDS_BEFORE_PARK) - tally.yields;
+            for _ in 0..u64::from(burst).min(remaining) {
+                std::thread::yield_now();
+                tally.yields += 1;
+                if cond() {
+                    return tally;
                 }
             }
-            WaitStrategy::Adaptive => {
-                // Phase 1: bounded spin.
-                for _ in 0..self.spin_before_yield {
-                    std::hint::spin_loop();
-                    tally.spins += 1;
-                    if cond() {
-                        return tally;
-                    }
-                }
-                // Phase 2: exponential-backoff yield (1, 2, 4, … consecutive
-                // yields per round, the final round truncated to the budget).
-                let mut burst = 1u32;
-                while tally.yields < u64::from(YIELDS_BEFORE_PARK) {
-                    let remaining = u64::from(YIELDS_BEFORE_PARK) - tally.yields;
-                    for _ in 0..u64::from(burst).min(remaining) {
-                        std::thread::yield_now();
-                        tally.yields += 1;
-                        if cond() {
-                            return tally;
-                        }
-                    }
-                    burst = burst.saturating_mul(2);
-                }
-                // Phase 3: park until notified (or the backstop timeout).
-                loop {
-                    if events.park(&mut cond) {
-                        return tally;
-                    }
-                    tally.parks += 1;
-                    if cond() {
-                        return tally;
-                    }
-                }
+            burst = burst.saturating_mul(2);
+        }
+        // Phase 3: park until notified (or the backstop timeout).
+        loop {
+            if events.park(&mut cond) {
+                return tally;
+            }
+            tally.parks += 1;
+            if cond() {
+                return tally;
             }
         }
     }
@@ -387,8 +304,8 @@ impl Waiter {
 /// Acquisition is test-and-test-and-set: contended waiters poll with a
 /// relaxed load and only attempt the compare-exchange once the guard looks
 /// free, so a contended bucket's cache line stays shared instead of
-/// ping-ponging between writers.  Under the adaptive strategy a waiter that
-/// spins out parks on the table's [`EventCount`]; `release` posts it.
+/// ping-ponging between writers.  A waiter that spins and yields out parks
+/// on the table's [`EventCount`]; `release` posts it.
 #[derive(Debug)]
 pub struct GuardTable {
     guards: Vec<AtomicBool>,
@@ -397,8 +314,8 @@ pub struct GuardTable {
 }
 
 impl GuardTable {
-    /// Creates a table with `buckets` guards and the legacy spin/yield
-    /// waiter.
+    /// Creates a table with `buckets` guards and a waiter of the given spin
+    /// budget.
     ///
     /// # Panics
     ///
@@ -548,7 +465,7 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let (e2, f2) = (Arc::clone(&events), Arc::clone(&flag));
         let handle = std::thread::spawn(move || {
-            let w = Waiter::with_strategy(4, WaitStrategy::Adaptive);
+            let w = Waiter::new(4);
             w.wait_until_event(&e2, || f2.load(Ordering::SeqCst))
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -565,23 +482,10 @@ mod tests {
     #[test]
     fn adaptive_wait_returns_immediately_on_a_true_condition() {
         let events = EventCount::new();
-        let w = Waiter::with_strategy(8, WaitStrategy::Adaptive);
+        let w = Waiter::new(8);
         let tally = w.wait_until_event(&events, || true);
         assert_eq!(tally, WaitTally::default());
         assert!(!tally.stalled());
-    }
-
-    #[test]
-    fn spin_yield_strategy_never_parks() {
-        let events = EventCount::new();
-        let w = Waiter::with_strategy(2, WaitStrategy::SpinYield);
-        let mut calls = 0;
-        let tally = w.wait_until_event(&events, || {
-            calls += 1;
-            calls > 50
-        });
-        assert_eq!(tally.parks, 0);
-        assert!(tally.spins + tally.yields >= 49);
     }
 
     #[test]
@@ -600,7 +504,7 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let (e2, f2) = (Arc::clone(&events), Arc::clone(&flag));
         let handle = std::thread::spawn(move || {
-            let w = Waiter::with_strategy(1, WaitStrategy::Adaptive);
+            let w = Waiter::new(1);
             w.wait_until_event(&e2, || f2.load(Ordering::SeqCst))
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -618,13 +522,6 @@ mod tests {
         };
         assert_eq!(t.total(), 6);
         assert!(t.stalled());
-    }
-
-    #[test]
-    fn strategy_names_are_stable() {
-        assert_eq!(WaitStrategy::SpinYield.name(), "spin-yield");
-        assert_eq!(WaitStrategy::Adaptive.name(), "adaptive");
-        assert_eq!(WaitStrategy::default(), WaitStrategy::Adaptive);
     }
 
     #[test]
@@ -663,33 +560,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 4000);
-    }
-
-    #[test]
-    fn adaptive_guard_acquire_is_exclusive_under_contention() {
-        let t = Arc::new(GuardTable::with_waiter(
-            4,
-            Waiter::with_strategy(4, WaitStrategy::Adaptive),
-        ));
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let t = Arc::clone(&t);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let b = t.bucket_for(0x2000);
-                    t.acquire(b);
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
-                    t.release(b);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 2000);
     }
 
     #[test]

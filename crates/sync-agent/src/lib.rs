@@ -73,28 +73,14 @@ pub use agents::{AgentKind, NullAgent, PartialOrderAgent, TotalOrderAgent, WallO
 pub use context::{AgentConfig, SyncContext, VariantRole};
 pub use stats::AgentStats;
 
-/// An event the agents report to the embedding monitor through a
-/// [`ReplicationHook`].
-#[derive(Clone, Copy)]
-pub enum ReplicationEvent<'a> {
-    /// A replication point: the calling thread is entering
-    /// [`SyncAgent::before_sync_op`] and is about to record or replay a sync
-    /// op.  The monitor uses this to flush that thread's deferred
-    /// comparisons, so a batched comparison can never stay pending across a
-    /// replicated synchronization action.
-    SyncOp(&'a context::SyncContext),
-    /// The agent is being poisoned: replication is over, and any deferred
-    /// work batched behind it should be abandoned rather than flushed.
-    Poisoned,
-}
-
 /// Callback the MVEE front end installs on an agent with
-/// [`SyncAgent::set_replication_hook`].
+/// [`SyncAgent::set_replication_hook`], called at every replication point:
+/// the thread described by the context is entering
+/// [`SyncAgent::before_sync_op`] and is about to record or replay a sync op.
 ///
 /// Invoked inline on the calling variant thread; implementations may block
-/// (a comparison flush is itself a rendezvous) but must never call back into
-/// the same agent's sync-op hooks.
-pub type ReplicationHook = std::sync::Arc<dyn Fn(ReplicationEvent<'_>) + Send + Sync>;
+/// but must never call back into the same agent's sync-op hooks.
+pub type ReplicationHook = std::sync::Arc<dyn Fn(&context::SyncContext) + Send + Sync>;
 
 /// The interface every synchronization agent implements.
 ///
@@ -175,13 +161,11 @@ pub trait SyncAgent: Send + Sync {
     fn readmit_lane(&self, _variant: usize) {}
 
     /// Installs the [`ReplicationHook`] fired at every replication point
-    /// (the start of [`before_sync_op`](Self::before_sync_op)) and on
-    /// [`poison`](Self::poison).
+    /// (the start of [`before_sync_op`](Self::before_sync_op)).
     ///
-    /// The MVEE front end uses this to tie the monitor's deferred-comparison
-    /// batches to the agent's replication points: pending comparisons are
-    /// flushed before a sync op replicates and abandoned when replication is
-    /// poisoned.  At most one hook can be installed; later installs are
+    /// The MVEE front end uses this to log sync ops into the divergence
+    /// journal and to take state snapshots at a transport-invariant
+    /// boundary.  At most one hook can be installed; later installs are
     /// ignored.  The default implementation discards the hook (for agents
     /// outside this crate that predate it).
     fn set_replication_hook(&self, _hook: ReplicationHook) {}

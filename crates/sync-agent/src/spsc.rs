@@ -31,7 +31,7 @@
 //! The claim protocol uses a compare-exchange on the cursor, so the ring
 //! degrades gracefully if a caller violates the single-producer /
 //! single-consumer contract — but the intended topology (one variant
-//! thread, one gateway worker per port) is strictly SPSC.
+//! thread, one serving poller per port) is strictly SPSC.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -235,7 +235,7 @@ impl<T> DescRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guards::{WaitStrategy, Waiter};
+    use crate::guards::Waiter;
     use std::sync::Arc;
 
     #[test]
@@ -284,7 +284,7 @@ mod tests {
         let consumer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
-                let waiter = Waiter::with_strategy(64, WaitStrategy::Adaptive);
+                let waiter = Waiter::new(64);
                 let mut expected = 0u64;
                 while expected < N {
                     match ring.try_pop() {
@@ -299,7 +299,7 @@ mod tests {
                 }
             })
         };
-        let waiter = Waiter::with_strategy(64, WaitStrategy::Adaptive);
+        let waiter = Waiter::new(64);
         for i in 0..N {
             let mut value = i;
             while let Err(back) = ring.try_push(value) {

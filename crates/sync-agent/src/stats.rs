@@ -35,14 +35,11 @@ pub struct AgentStats {
     pub master_stalls: u64,
     /// Total spin-wait iterations executed by slaves while stalled.
     pub slave_spin_iterations: u64,
-    /// `yield_now` calls executed by slaves while stalled (the adaptive
-    /// waiter's second phase; the legacy strategy also reports its yields
-    /// here).
+    /// `yield_now` calls executed by slaves while stalled (the waiter's
+    /// second phase).
     pub slave_yields: u64,
-    /// Parking episodes (condvar blocks) of stalled slaves — the adaptive
-    /// waiter's third phase.  Zero under [`WaitStrategy::SpinYield`].
-    ///
-    /// [`WaitStrategy::SpinYield`]: crate::guards::WaitStrategy::SpinYield
+    /// Parking episodes (condvar blocks) of stalled slaves — the waiter's
+    /// third phase.
     pub slave_parks: u64,
     /// Spin-wait iterations of master threads stalled on a full sync buffer.
     #[serde(default)]

@@ -209,11 +209,12 @@ fn null_agent_counts_ops_and_never_blocks() {
     assert_eq!(stats.slave_stalls, 0, "the null agent never stalls a slave");
 }
 
-/// Batched (batch ≥ 2) configurations of the post-divergence deadlock
-/// scenario: the full monitor + agent pair, with deferred comparisons in
-/// flight when the MVEE dies.  Divergence must poison the rendezvous table
-/// *and* the agent, so that threads blocked in a batch flush and threads
-/// blocked in a replay wait both return within the watchdog window.
+/// The post-divergence deadlock scenarios on the full monitor + agent pair:
+/// batched (batch ≥ 2) configurations with deferred comparisons in flight
+/// when the MVEE dies, and a slave parked in a replay wait.  Divergence must
+/// poison the rendezvous table *and* the agent, so that threads blocked in a
+/// batch flush and threads blocked in a replay wait both return within the
+/// watchdog window.
 mod batched_shutdown {
     use super::*;
     use mvee_core::mvee::Mvee;
@@ -270,29 +271,27 @@ mod batched_shutdown {
                 // mid-batch and must shut the whole MVEE down promptly —
                 // neither side may sit out its (here: 10 s) lockstep
                 // timeout, let alone the watchdog.
+                let stream = move |port: mvee_core::port::ThreadPort, lens: [i64; 3]| {
+                    let result = (|| {
+                        for len in lens {
+                            port.syscall(&mprotect(len))?;
+                        }
+                        port.syscall(
+                            &SyscallRequest::new(Sysno::Write)
+                                .with_fd(1)
+                                .with_payload(b"x"),
+                        )
+                    })();
+                    assert_eq!(
+                        port.pending_comparisons(),
+                        0,
+                        "batch={batch}: pending comparisons must be abandoned"
+                    );
+                    result
+                };
                 let mm = Arc::clone(&m);
-                let slave = thread::spawn(move || {
-                    let port = mm.thread_port(1, 0);
-                    for len in [4096i64, 666, 4096] {
-                        port.syscall(&mprotect(len))?;
-                    }
-                    port.syscall(
-                        &SyscallRequest::new(Sysno::Write)
-                            .with_fd(1)
-                            .with_payload(b"x"),
-                    )
-                });
-                let port = m.thread_port(0, 0);
-                let master = (|| {
-                    for _ in 0..3 {
-                        port.syscall(&mprotect(4096))?;
-                    }
-                    port.syscall(
-                        &SyscallRequest::new(Sysno::Write)
-                            .with_fd(1)
-                            .with_payload(b"x"),
-                    )
-                })();
+                let slave = thread::spawn(move || stream(mm.thread_port(1, 0), [4096, 666, 4096]));
+                let master = stream(m.thread_port(0, 0), [4096; 3]);
                 (master, slave.join().unwrap())
             });
             assert!(
@@ -303,11 +302,6 @@ mod batched_shutdown {
             assert!(
                 mvee.agent().is_poisoned(),
                 "batch={batch}: divergence must poison the agent"
-            );
-            assert_eq!(
-                mvee.monitor().live_deferred(),
-                0,
-                "batch={batch}: pending comparisons must be abandoned"
             );
             let report = mvee.divergence().expect("divergence report");
             assert_eq!(
@@ -360,6 +354,7 @@ mod batched_shutdown {
                             .with_payload(b"x"),
                     )
                 })();
+                assert_eq!(port.pending_comparisons(), 0, "batch={batch}");
                 slave.join().expect("slave thread panicked");
                 result
             });
@@ -371,7 +366,65 @@ mod batched_shutdown {
                 .recv_timeout(BATCH_WATCHDOG)
                 .unwrap_or_else(|_| panic!("batch={batch}: poisoned replay stayed blocked"));
             replay.join().expect("replay thread panicked");
-            assert_eq!(mvee.monitor().live_deferred(), 0, "batch={batch}");
+        }
+    }
+
+    /// Clean shutdown from a parked state: a slave thread is parked deep in
+    /// a replay wait (its master counterpart never records), divergence
+    /// strikes on an unrelated thread, and the poison → unpark chain must
+    /// release the parked slave within the watchdog, for every replication
+    /// agent.
+    #[test]
+    fn divergence_unparks_waiting_slaves_for_clean_shutdown() {
+        for kind in AgentKind::replication_agents() {
+            let mvee = Arc::new(
+                Mvee::builder()
+                    .variants(2)
+                    .threads(2)
+                    .agent(kind)
+                    .agent_config(AgentConfig::default().with_buffer_capacity(256))
+                    .lockstep_timeout(Duration::from_secs(15))
+                    .manual_clock(true)
+                    .build(),
+            );
+            let (done_tx, done_rx) = mpsc::channel();
+            // Thread 1 of the slave variant: replays an op thread 1 of the
+            // master never records — it can only return via poison.
+            let parked = {
+                let mvee = Arc::clone(&mvee);
+                thread::spawn(move || {
+                    let port = mvee.thread_port(1, 1);
+                    port.sync_op(0xBEEF, || ());
+                    let _ = done_tx.send(());
+                })
+            };
+            // Let the slave reach its parked state.
+            thread::sleep(Duration::from_millis(50));
+            // Thread 0: both variants arrive at a compared write, but the
+            // slave's payload diverges — divergence, then poison.
+            let write = |payload: &[u8]| {
+                SyscallRequest::new(Sysno::Write)
+                    .with_fd(1)
+                    .with_payload(payload)
+            };
+            let slave_w = {
+                let mvee = Arc::clone(&mvee);
+                thread::spawn(move || mvee.thread_port(1, 0).syscall(&write(b"BAD")))
+            };
+            let master_r = mvee.thread_port(0, 0).syscall(&write(b"GOOD"));
+            let slave_r = slave_w.join().unwrap();
+            assert!(master_r.is_err() || slave_r.is_err(), "{kind:?}");
+            match done_rx.recv_timeout(WATCHDOG) {
+                Ok(()) => parked.join().expect("parked slave panicked"),
+                Err(_) => panic!(
+                    "{kind:?}: parked slave missed the poison wake-up \
+                     ({WATCHDOG:?} watchdog); stats: {:?}",
+                    mvee.agent_stats()
+                ),
+            }
+            assert!(mvee.agent().is_poisoned(), "{kind:?}");
+            let report = mvee.divergence().expect("divergence report");
+            assert_eq!((report.thread, report.variant), (0, 1), "{kind:?}");
         }
     }
 }

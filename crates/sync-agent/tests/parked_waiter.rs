@@ -1,4 +1,4 @@
-//! Regression tests for the adaptive waiter's park/wake protocol.
+//! Regression tests for the waiter's park/wake protocol.
 //!
 //! The failure mode these tests pin down is a *lost wake-up*: a slave (or
 //! master) escalates through spin and yield, parks on a ring or clock-wall
@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 
 use mvee_sync_agent::agents::{build_agent, AgentKind};
 use mvee_sync_agent::context::{AgentConfig, SyncContext, VariantRole};
-use mvee_sync_agent::guards::WaitStrategy;
 use mvee_sync_agent::SyncAgent;
 
 /// Generous watchdog: a healthy wake costs microseconds (or at worst one
@@ -33,7 +32,6 @@ fn parky_config(variants: usize) -> AgentConfig {
         .with_variants(variants)
         .with_threads(2)
         .with_buffer_capacity(8)
-        .with_wait_strategy(WaitStrategy::Adaptive)
 }
 
 /// Runs `blocked` on its own thread and `wake` on this one (after

@@ -2,8 +2,7 @@
 //!
 //! The executor is agnostic about whether it runs under the MVEE or
 //! natively: it only needs something that accepts system calls and sync-op
-//! brackets.  Since the thread-port gateway redesign that abstraction is
-//! split in two, mirroring the core API:
+//! brackets.  That abstraction is split in two, mirroring the core API:
 //!
 //! * [`SyscallPort`] — the per-*variant* factory (`Send + Sync`, shared by
 //!   all of a variant's OS threads).  Implemented by
@@ -355,7 +354,7 @@ mod tests {
             .variants(1)
             .transport(mvee_core::config::Transport::AsyncRings {
                 depth: 8,
-                pollers: mvee_core::config::Pollers::PerPort,
+                pollers: mvee_core::config::Pollers::Pool(1),
             })
             .manual_clock(true)
             .build();

@@ -111,14 +111,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets how blocked agent threads wait (builder style):
-    /// `WaitStrategy::SpinYield` restores the legacy fixed spin/yield loop,
-    /// the ablation baseline of the adaptive default.
-    pub fn with_wait_strategy(mut self, wait: mvee_sync_agent::guards::WaitStrategy) -> Self {
-        self.mvee = self.mvee.with_wait_strategy(wait);
-        self
-    }
-
     /// Sets the divergence recovery policy (builder style):
     /// [`RecoveryPolicy::Quarantine`] keeps a run serving on a degraded
     /// quorum when one variant diverges, instead of tearing everything

@@ -63,7 +63,7 @@ pub enum Topology {
     /// Lock-heavy contention: every thread hammers a *small shared* set of
     /// locks with almost no compute between acquisitions, so nearly all
     /// run time is spent inside the agents' record/replay waits.  Not a
-    /// paper topology; added so the `ablation_agent` wait-strategy sweep
+    /// paper topology; added so the `ablation_agents` lockheavy sweep
     /// measures the agent hot path instead of the workload around it.
     LockHeavy,
 }
@@ -323,9 +323,9 @@ pub const CHURN_CATALOG: &[BenchmarkSpec] = &[
 /// `lockheavy` spends essentially all of its time in sync ops on a handful
 /// of *shared* locks: every acquisition is a record (master) or an ordered
 /// replay wait (slave), which makes it the workload where the agents' wait
-/// discipline — spin/yield vs the adaptive spin → yield → park escalation —
-/// dominates end-to-end time.  The `ablation_agent` benchmark sweeps it
-/// across wait strategies, agent kinds and thread counts; like the churn
+/// discipline (spin → yield → park) dominates end-to-end time.  The
+/// `ablation_agents` benchmark sweeps it across agent kinds and thread
+/// counts; like the churn
 /// catalog it stays out of [`CATALOG`] so the paper-shaped aggregates
 /// remain comparable.
 pub const CONTENTION_CATALOG: &[BenchmarkSpec] = &[BenchmarkSpec {

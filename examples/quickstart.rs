@@ -100,7 +100,7 @@ fn main() {
 
     // The same gateway, by hand: each variant thread acquires its ThreadPort
     // once (`gateway.thread(t)` / `mvee.thread_port(v, t)`) and issues every
-    // monitored call through it — no per-call (variant, thread) indices.
+    // monitored call and sync op through it — the one entry into the monitor.
     let mvee = Mvee::builder().variants(2).manual_clock(true).build();
     let mut handles = Vec::new();
     for v in 0..2 {

@@ -3,13 +3,13 @@
 //!
 //! For randomized per-thread call plans, batch sizes ∈ {1, 8} and variant
 //! counts ∈ {2, 8}, a run that drives every (variant, thread) through an
-//! [`AsyncThreadPort`] — submission/completion rings plus a monitor-side
-//! gateway worker — must produce exactly the same observable behaviour as a
-//! run that issues the same calls through a synchronous `ThreadPort`: the
-//! same per-call outcomes, the same clean/diverged verdict, the same
+//! [`AsyncThreadPort`] — submission/completion rings drained by a
+//! monitor-side poller — must produce exactly the same observable behaviour
+//! as a run that issues the same calls through a synchronous `ThreadPort`:
+//! the same per-call outcomes, the same clean/diverged verdict, the same
 //! first-mismatch slot and blamed variant, and the same monitor statistics.
-//! The gateway worker runs the identical monitor pipeline, so any
-//! discrepancy is a transport bug by construction.
+//! The poller runs the same monitor pipeline, so any discrepancy is a
+//! transport bug by construction.
 //!
 //! The deterministic companions pin the divergence-report equivalence for an
 //! injected mid-batch mismatch, and pin that a reaper parked on the
@@ -34,7 +34,7 @@ use mvee::sync_agent::agents::AgentKind;
 enum Path {
     /// Synchronous: every call blocks inline in the monitor pipeline.
     Sync,
-    /// Asynchronous: submission/completion rings + gateway worker.
+    /// Asynchronous: submission/completion rings + one poller.
     Async,
 }
 
@@ -62,7 +62,7 @@ fn build_mvee(path: Path, variants: usize, threads: usize, batch: usize) -> Mvee
         // while waiting for space).
         Path::Async => Transport::AsyncRings {
             depth: 8,
-            pollers: Pollers::PerPort,
+            pollers: Pollers::Pool(1),
         },
     };
     Mvee::builder()
@@ -229,10 +229,10 @@ fn transports_report_identical_mismatch_verdicts() {
     }
 }
 
-/// A reaper parked on the completion ring while its gateway worker is
-/// blocked in a rendezvous that diverges must wake with the error — and the
-/// port must then drop cleanly (worker joined) with un-reaped tickets
-/// outstanding, not hang.
+/// A reaper parked on the completion ring while its call is pending in a
+/// rendezvous that diverges must wake with the error — and the port must
+/// then drop cleanly (binding released) with un-reaped tickets outstanding,
+/// not hang.
 #[test]
 fn parked_reaper_shuts_down_cleanly_on_divergence() {
     let mvee = Arc::new(
@@ -243,7 +243,7 @@ fn parked_reaper_shuts_down_cleanly_on_divergence() {
             .batch(8)
             .transport(Transport::AsyncRings {
                 depth: 8,
-                pollers: Pollers::PerPort,
+                pollers: Pollers::Pool(1),
             })
             .lockstep_timeout(std::time::Duration::from_secs(5))
             .manual_clock(true)
@@ -261,7 +261,7 @@ fn parked_reaper_shuts_down_cleanly_on_divergence() {
                 SubmitOutcome::Completed(_) => panic!("brk must pipeline"),
             };
             // A synchronous lockstep call with divergent payloads: the
-            // worker blocks in the rendezvous, the caller parks in reap,
+            // arrival pends in the rendezvous, the caller parks in reap,
             // and the mismatch must wake it with the error.
             let payload: &[u8] = if variant == 0 { b"good" } else { b"evil" };
             let r = port.syscall(
@@ -272,7 +272,7 @@ fn parked_reaper_shuts_down_cleanly_on_divergence() {
             assert!(r.is_err(), "the parked reaper must wake with the error");
             assert!(port.is_shut_down());
             let _ = pending; // dropped un-reaped on purpose
-            drop(port); // must join the worker promptly, not hang
+            drop(port); // must release the binding promptly, not hang
         }));
     }
     for h in handles {
@@ -280,7 +280,10 @@ fn parked_reaper_shuts_down_cleanly_on_divergence() {
             .expect("variant thread hung or panicked at shutdown");
     }
     assert!(mvee.divergence().is_some());
-    assert_eq!(mvee.monitor().live_deferred(), 0);
+    // Both closes were served: the bindings are free to re-acquire.
+    for variant in 0..2 {
+        drop(mvee.thread_port(variant, 0));
+    }
 }
 
 /// The `Send` half of the async port's threading contract, checked from

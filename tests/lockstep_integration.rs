@@ -120,11 +120,10 @@ fn a_compromised_variant_is_detected_as_divergence() {
         .manual_clock(true)
         .build();
 
-    let master = mvee.gateway(0);
-    let slave = mvee.gateway(1);
+    let master = mvee.thread_port(0, 0);
+    let slave = mvee.thread_port(1, 0);
     let slave_thread = std::thread::spawn(move || {
         slave.syscall(
-            0,
             &SyscallRequest::new(Sysno::Mprotect)
                 .with_arg(SyscallArg::Pointer(0x4000))
                 .with_int(4096)
@@ -132,7 +131,6 @@ fn a_compromised_variant_is_detected_as_divergence() {
         )
     });
     let master_result = master.syscall(
-        0,
         &SyscallRequest::new(Sysno::Write)
             .with_fd(1)
             .with_payload(b"normal output"),

@@ -1,16 +1,14 @@
 //! Property tests: the fixed polling-pool transport is observably
-//! equivalent to the per-port gateway workers and to the synchronous
-//! ports.
+//! equivalent to the synchronous ports, at every pool size.
 //!
-//! `Pollers::Pool(n)` replaces the dedicated gateway worker behind every
-//! `AsyncThreadPort` with `n` poller threads that drain all ports' rings
-//! through the lockstep table's non-blocking try/poll rendezvous.  For
-//! randomized call plans across batch sizes ∈ {1, 8}, variant counts
-//! ∈ {2, 8} and pool sizes ∈ {1, 2}, a pooled run must produce exactly the
-//! same observable behaviour as a per-port run and a synchronous run: the
-//! same per-call outcomes, the same clean/diverged verdict, the same
-//! first-mismatch slot and blamed variant, and the same monitor
-//! statistics.
+//! `Pollers::Pool(n)` serves every `AsyncThreadPort` from `n` poller
+//! threads that drain all ports' rings through the lockstep table's
+//! non-blocking try/poll rendezvous.  For randomized call plans across
+//! batch sizes ∈ {1, 8}, variant counts ∈ {2, 8} and pool sizes ∈ {1, 2}, a
+//! pooled run must produce exactly the same observable behaviour as a
+//! synchronous run: the same per-call outcomes, the same clean/diverged
+//! verdict, the same first-mismatch slot and blamed variant, and the same
+//! monitor statistics.
 //!
 //! The deterministic companions pin the two hazards polling exists to
 //! avoid or must not change:
@@ -38,20 +36,18 @@ use mvee::core::DivergenceReport;
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
-/// The three transports under comparison.
+/// The transports under comparison.
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
     /// Synchronous: every call blocks inline in the monitor pipeline.
     Sync,
-    /// Async rings with a dedicated gateway worker per port.
-    PerPort,
     /// Async rings drained by a fixed pool of `n` pollers.
     Pool(usize),
 }
 
-/// The call an op tag stands for — the same benign mix as the per-port
-/// equivalence suite, so the three transports cover the deferrable,
-/// replicated and unmonitored paths.
+/// The call an op tag stands for — the same benign mix as the async
+/// equivalence suite, so the transports cover the deferrable, replicated
+/// and unmonitored paths.
 fn req_for(tag: u8) -> SyscallRequest {
     match tag % 5 {
         0 => SyscallRequest::new(Sysno::Brk).with_int(0),
@@ -65,10 +61,6 @@ fn req_for(tag: u8) -> SyscallRequest {
 fn transport_for(path: Path) -> Transport {
     match path {
         Path::Sync => Transport::Sync,
-        Path::PerPort => Transport::AsyncRings {
-            depth: 8,
-            pollers: Pollers::PerPort,
-        },
         Path::Pool(n) => Transport::AsyncRings {
             depth: 8,
             pollers: Pollers::Pool(n),
@@ -116,7 +108,7 @@ fn run_plan(
                             }
                         }
                     }
-                    Path::PerPort | Path::Pool(_) => {
+                    Path::Pool(_) => {
                         let port = mvee.async_thread_port(variant, thread);
                         let mut tickets = Vec::new();
                         for &tag in &plan[thread] {
@@ -150,41 +142,36 @@ fn run_plan(
 }
 
 proptest! {
-    /// Clean plans: all three transports succeed on every call and agree
-    /// on every monitor counter, with the batch size (∈ {1, 8}), the
-    /// variant count (∈ {2, 8}) and the pool size (∈ {1, 2}) part of the
-    /// generated case.
+    /// Clean plans: Sync ≡ Pool(1) ≡ Pool(2) — every transport succeeds on
+    /// every call and agrees on every monitor counter, with the batch size
+    /// (∈ {1, 8}) and the variant count (∈ {2, 8}) part of the generated
+    /// case.  (The name predates the retirement of the per-port workers; it
+    /// is kept so the suite's test ids stay stable.)
     #[test]
     fn pool_matches_per_port_and_sync_on_clean_plans(
         plan in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..10), 1..3),
         variants_sel in 0usize..2,
         batch_sel in 0usize..2,
-        pool_sel in 0usize..2,
     ) {
         let variants = [2usize, 8][variants_sel];
         let batch = [1usize, 8][batch_sel];
-        let pool = [1usize, 2][pool_sel];
         let (sync_ok, sync_stats, sync_div) = run_plan(Path::Sync, variants, batch, &plan);
-        let (pp_ok, pp_stats, pp_div) = run_plan(Path::PerPort, variants, batch, &plan);
-        let (pool_ok, pool_stats, pool_div) =
-            run_plan(Path::Pool(pool), variants, batch, &plan);
         prop_assert!(sync_div.is_none(), "sync transport diverged: {sync_div:?}");
-        prop_assert!(pp_div.is_none(), "per-port transport diverged: {pp_div:?}");
-        prop_assert!(pool_div.is_none(), "pooled transport diverged: {pool_div:?}");
-        prop_assert_eq!(&sync_ok, &pp_ok,
-            "sync vs per-port outcomes differ (variants={}, batch={})", variants, batch);
-        prop_assert_eq!(&sync_ok, &pool_ok,
-            "sync vs pool({}) outcomes differ (variants={}, batch={})", pool, variants, batch);
-        prop_assert_eq!(&sync_stats, &pp_stats,
-            "sync vs per-port stats differ (variants={}, batch={})", variants, batch);
-        prop_assert_eq!(&sync_stats, &pool_stats,
-            "sync vs pool({}) stats differ (variants={}, batch={})", pool, variants, batch);
+        for pool in [1usize, 2] {
+            let (pool_ok, pool_stats, pool_div) =
+                run_plan(Path::Pool(pool), variants, batch, &plan);
+            prop_assert!(pool_div.is_none(), "pool({}) diverged: {:?}", pool, pool_div);
+            prop_assert_eq!(&sync_ok, &pool_ok,
+                "sync vs pool({}) outcomes differ (variants={}, batch={})", pool, variants, batch);
+            prop_assert_eq!(&sync_stats, &pool_stats,
+                "sync vs pool({}) stats differ (variants={}, batch={})", pool, variants, batch);
+        }
     }
 }
 
-/// The injected-mismatch scenario across all three transports: one thread,
-/// two variants, a mid-batch divergent mprotect followed by a synchronous
-/// write that forces the flush.  All three must blame exactly the same
+/// The injected-mismatch scenario across all transports: one thread, two
+/// variants, a mid-batch divergent mprotect followed by a synchronous
+/// write that forces the flush.  All must blame exactly the same
 /// (thread, sequence, variant) — the pooled state machine must not smear
 /// the first-mismatch slot.
 #[test]
@@ -197,7 +184,7 @@ fn all_transports_report_identical_mismatch_verdicts() {
     };
     for batch in [1usize, 8] {
         let mut reports = Vec::new();
-        for path in [Path::Sync, Path::PerPort, Path::Pool(1), Path::Pool(2)] {
+        for path in [Path::Sync, Path::Pool(1), Path::Pool(2)] {
             let mvee = Arc::new(build_mvee(path, 2, 1, batch));
             let mut handles = Vec::new();
             for variant in 0..2 {
@@ -216,7 +203,7 @@ fn all_transports_report_identical_mismatch_verdicts() {
                             }
                             port.syscall(&write()).map(|_| ())
                         }
-                        Path::PerPort | Path::Pool(_) => {
+                        Path::Pool(_) => {
                             let port = mvee.async_thread_port(variant, 0);
                             for len in lens {
                                 port.syscall(&mprotect(len))?;
@@ -262,7 +249,7 @@ fn all_transports_report_identical_mismatch_verdicts() {
 #[test]
 fn replication_timeout_verdicts_are_field_identical() {
     let mut reports = Vec::new();
-    for path in [Path::Sync, Path::PerPort, Path::Pool(1)] {
+    for path in [Path::Sync, Path::Pool(1)] {
         let mvee = Arc::new(
             Mvee::builder()
                 .variants(2)
@@ -278,7 +265,7 @@ fn replication_timeout_verdicts_are_field_identical() {
             Path::Sync => mvee
                 .thread_port(1, 0)
                 .syscall(&SyscallRequest::new(Sysno::Gettimeofday)),
-            Path::PerPort | Path::Pool(_) => mvee
+            Path::Pool(_) => mvee
                 .async_thread_port(1, 0)
                 .syscall(&SyscallRequest::new(Sysno::Gettimeofday)),
         };

@@ -1,17 +1,22 @@
-//! Property tests: the [`ThreadPort`] gateway path is observably equivalent
-//! to the legacy index-addressed `VariantGateway::syscall` path.
+//! Property tests: the [`ThreadPort`] gateway behaves the same under every
+//! [`Placement`] policy.
 //!
-//! For randomized per-thread call plans, batch sizes ∈ {1, 8} and all three
-//! [`Placement`] policies, a run that drives every (variant, thread) through
-//! its own `ThreadPort` must produce exactly the same observable behaviour
-//! as a run that issues the same calls through the legacy
-//! `gateway.syscall(thread, req)` convention: the same per-call outcomes,
-//! the same clean/diverged verdict, the same first-mismatch slot and blamed
-//! variant, and the same monitor statistics — even though real OS threads
-//! race through the monitor in both runs.
+//! A port resolves its shard binding once, at acquisition; which shard a
+//! thread's rendezvous slots, ordering clock and stat lane live in must not
+//! change anything a variant or an operator can observe.  For randomized
+//! per-thread call plans and batch sizes ∈ {1, 8}, the round-robin run is the
+//! reference; a `Grouped` and a `Pinned` run of the same plan must produce
+//! exactly the same per-call outcomes, the same clean/diverged verdict, the
+//! same first-mismatch slot and blamed variant, and the same monitor
+//! statistics — even though real OS threads race through the monitor in
+//! every run.
 //!
 //! The deterministic companions pin the divergence-report equivalence for an
 //! injected mid-batch mismatch and for a rendezvous timeout.
+//!
+//! (The test names predate the retirement of the index-addressed monitor
+//! entry, which used to be this suite's reference path; they are kept so the
+//! suite's test ids stay stable.)
 
 use std::sync::Arc;
 
@@ -24,13 +29,14 @@ use mvee::core::DivergenceReport;
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
-/// The two gateway paths under comparison.
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    /// Legacy: `gateway.syscall(thread, req)` on every call.
-    Index,
-    /// Redesigned: one `ThreadPort` per (variant, thread).
-    Port,
+/// The round-robin reference first, then the placements compared against
+/// it; `cores` is the core map the pinned one uses.
+fn placements(cores: Vec<usize>) -> [Placement; 3] {
+    [
+        Placement::RoundRobin,
+        Placement::Grouped,
+        Placement::pinned(cores),
+    ]
 }
 
 /// The call an op tag stands for.  All tags are benign (identical across
@@ -62,11 +68,10 @@ fn build_mvee(variants: usize, threads: usize, batch: usize, placement: &Placeme
 }
 
 /// Runs `plan` (one op-tag vector per logical thread, identical in every
-/// variant) through a fresh MVEE on real OS threads, via the chosen path.
-/// Returns the per-(variant, thread) success counts, the monitor stats and
-/// the divergence report, if any.
+/// variant) through a fresh MVEE on real OS threads, every (variant, thread)
+/// through its own `ThreadPort`.  Returns the per-(variant, thread) success
+/// counts, the monitor stats and the divergence report, if any.
 fn run_plan(
-    path: Path,
     variants: usize,
     batch: usize,
     placement: &Placement,
@@ -80,29 +85,11 @@ fn run_plan(
             let mvee = Arc::clone(&mvee);
             let plan = Arc::clone(&plan);
             handles.push(std::thread::spawn(move || {
-                let mut ok = 0u64;
-                match path {
-                    Path::Index => {
-                        let gateway = mvee.gateway(variant);
-                        for &tag in &plan[thread] {
-                            if gateway.syscall(thread, &req_for(tag)).is_ok() {
-                                ok += 1;
-                            }
-                        }
-                        // The port path flushes trailing deferred
-                        // comparisons when the port drops; mirror that
-                        // end-of-plan flush so the stats stay comparable.
-                        let _ = mvee.monitor().flush_deferred(variant, thread);
-                    }
-                    Path::Port => {
-                        let port = mvee.thread_port(variant, thread);
-                        for &tag in &plan[thread] {
-                            if port.syscall(&req_for(tag)).is_ok() {
-                                ok += 1;
-                            }
-                        }
-                    }
-                }
+                let port = mvee.thread_port(variant, thread);
+                let ok = plan[thread]
+                    .iter()
+                    .filter(|&&tag| port.syscall(&req_for(tag)).is_ok())
+                    .count() as u64;
                 ((variant, thread), ok)
             }));
         }
@@ -117,38 +104,33 @@ fn run_plan(
 }
 
 proptest! {
-    /// Clean plans: both paths succeed on every call and agree on every
-    /// monitor counter, with the batch size (∈ {1, 8}) and placement policy
-    /// part of the generated case.
+    /// Clean plans: every placement succeeds on every call and agrees with
+    /// the round-robin run on every monitor counter, with the batch size
+    /// (∈ {1, 8}) part of the generated case.
     #[test]
     fn port_path_matches_index_path_on_clean_plans(
         plan in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..10), 1..3),
         variants in 2usize..4,
         batch_sel in 0usize..2,
-        placement_sel in 0usize..3,
     ) {
         let batch = [1usize, 8][batch_sel];
-        let placement = [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![0, 2, 1]),
-        ][placement_sel].clone();
-        let (index_ok, index_stats, index_div) =
-            run_plan(Path::Index, variants, batch, &placement, &plan);
-        let (port_ok, port_stats, port_div) =
-            run_plan(Path::Port, variants, batch, &placement, &plan);
-        prop_assert!(index_div.is_none(), "index path diverged: {index_div:?}");
-        prop_assert!(port_div.is_none(), "port path diverged: {port_div:?}");
-        prop_assert_eq!(&index_ok, &port_ok,
-            "per-thread outcomes differ (batch={}, {})", batch, placement.name());
-        prop_assert_eq!(index_stats, port_stats,
-            "monitor stats differ (batch={}, {})", batch, placement.name());
+        let [reference, others @ ..] = placements(vec![0, 2, 1]);
+        let (ref_ok, ref_stats, ref_div) = run_plan(variants, batch, &reference, &plan);
+        prop_assert!(ref_div.is_none(), "round-robin run diverged: {ref_div:?}");
+        for placement in others {
+            let (ok, stats, div) = run_plan(variants, batch, &placement, &plan);
+            prop_assert!(div.is_none(), "{} run diverged: {:?}", placement.name(), div);
+            prop_assert_eq!(&ref_ok, &ok,
+                "per-thread outcomes differ (batch={}, {})", batch, placement.name());
+            prop_assert_eq!(ref_stats, stats,
+                "monitor stats differ (batch={}, {})", batch, placement.name());
+        }
     }
 }
 
 /// The injected-mismatch scenario: one thread, two variants, a mid-batch
 /// divergent mprotect followed by a synchronous write that forces the flush.
-/// Both paths must blame exactly the same (thread, sequence, variant).
+/// Every placement must blame exactly the same (thread, sequence, variant).
 #[test]
 fn port_and_index_paths_report_identical_mismatch_verdicts() {
     let mprotect = |len: i64| SyscallRequest::new(Sysno::Mprotect).with_int(len);
@@ -158,106 +140,76 @@ fn port_and_index_paths_report_identical_mismatch_verdicts() {
             .with_payload(b"flush")
     };
     for batch in [1usize, 8] {
-        for placement in [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![1]),
-        ] {
-            let mut reports = Vec::new();
-            for path in [Path::Index, Path::Port] {
-                let mvee = Arc::new(build_mvee(2, 1, batch, &placement));
-                let m = Arc::clone(&mvee);
-                let slave = std::thread::spawn(move || match path {
-                    Path::Index => {
-                        let gw = m.gateway(1);
-                        for len in [4096i64, 666, 4096] {
-                            gw.syscall(0, &mprotect(len))?;
-                        }
-                        gw.syscall(0, &write())
-                    }
-                    Path::Port => {
-                        let port = m.thread_port(1, 0);
-                        for len in [4096i64, 666, 4096] {
-                            port.syscall(&mprotect(len))?;
-                        }
-                        port.syscall(&write())
-                    }
-                });
-                let master = {
-                    let run = |issue: &dyn Fn(
-                        &SyscallRequest,
-                    )
-                        -> Result<(), mvee::core::MonitorError>| {
-                        for _ in 0..3 {
-                            issue(&mprotect(4096))?;
-                        }
-                        issue(&write())
-                    };
-                    match path {
-                        Path::Index => {
-                            let gw = mvee.gateway(0);
-                            run(&|req| gw.syscall(0, req).map(|_| ()))
-                        }
-                        Path::Port => {
-                            let port = mvee.thread_port(0, 0);
-                            run(&|req| port.syscall(req).map(|_| ()))
-                        }
-                    }
-                };
-                let slave = slave.join().unwrap();
-                assert!(master.is_err() || slave.is_err());
-                let report = mvee.divergence().expect("divergence report");
-                reports.push(report);
-            }
-            let (index, port) = (&reports[0], &reports[1]);
+        let mut reports = Vec::new();
+        for placement in placements(vec![1]) {
+            let mvee = Arc::new(build_mvee(2, 1, batch, &placement));
+            let m = Arc::clone(&mvee);
+            let slave = std::thread::spawn(move || {
+                let port = m.thread_port(1, 0);
+                for len in [4096i64, 666, 4096] {
+                    port.syscall(&mprotect(len))?;
+                }
+                port.syscall(&write())
+            });
+            let master = (|| {
+                let port = mvee.thread_port(0, 0);
+                for _ in 0..3 {
+                    port.syscall(&mprotect(4096))?;
+                }
+                port.syscall(&write())
+            })();
+            let slave = slave.join().unwrap();
+            assert!(master.is_err() || slave.is_err());
+            let report = mvee.divergence().expect("divergence report");
+            reports.push((placement, report));
+        }
+        let (_, reference) = &reports[0];
+        assert_eq!(reference.sequence, 1, "must blame the exact mid-batch slot");
+        assert_eq!(reference.variant, 1);
+        for (placement, report) in &reports[1..] {
             assert_eq!(
-                index.sequence,
-                port.sequence,
+                reference.sequence,
+                report.sequence,
                 "batch={batch} {}: first-mismatch slot differs",
                 placement.name()
             );
-            assert_eq!(index.thread, port.thread);
-            assert_eq!(index.variant, port.variant, "blamed variant differs");
+            assert_eq!(reference.thread, report.thread);
+            assert_eq!(reference.variant, report.variant, "blamed variant differs");
             assert_eq!(
-                std::mem::discriminant(&index.kind),
-                std::mem::discriminant(&port.kind),
+                std::mem::discriminant(&reference.kind),
+                std::mem::discriminant(&report.kind),
                 "divergence kind differs"
             );
-            assert_eq!(index.sequence, 1, "must blame the exact mid-batch slot");
-            assert_eq!(index.variant, 1);
         }
     }
 }
 
 /// The rendezvous-timeout scenario: only the master arrives at a compared
-/// call.  Both paths must report the same timeout verdict.
+/// call.  Every placement must report the same timeout verdict, at batch 1
+/// and 8.
 #[test]
 fn port_and_index_paths_report_identical_timeout_verdicts() {
     let open = SyscallRequest::new(Sysno::Open).with_path("/missing");
-    let mut reports = Vec::new();
-    for path in [Path::Index, Path::Port] {
-        let mvee = Mvee::builder()
-            .variants(2)
-            .threads(1)
-            .agent(AgentKind::Null)
-            .lockstep_timeout(std::time::Duration::from_millis(150))
-            .manual_clock(true)
-            .build();
-        let result = match path {
-            Path::Index => mvee.gateway(0).syscall(0, &open),
-            Path::Port => mvee.thread_port(0, 0).syscall(&open),
-        };
-        assert!(result.is_err());
-        reports.push(mvee.divergence().expect("divergence report"));
+    for batch in [1usize, 8] {
+        let mut reports = Vec::new();
+        for placement in placements(vec![1]) {
+            let mvee = Mvee::builder()
+                .variants(2)
+                .threads(1)
+                .agent(AgentKind::Null)
+                .batch(batch)
+                .placement(placement)
+                .lockstep_timeout(std::time::Duration::from_millis(150))
+                .manual_clock(true)
+                .build();
+            let result = mvee.thread_port(0, 0).syscall(&open);
+            assert!(result.is_err());
+            reports.push(mvee.divergence().expect("divergence report"));
+        }
+        for report in &reports[1..] {
+            assert_eq!(&reports[0], report, "batch={batch}");
+        }
     }
-    let (index, port) = (&reports[0], &reports[1]);
-    assert_eq!(index.sequence, port.sequence);
-    assert_eq!(index.thread, port.thread);
-    assert_eq!(index.variant, port.variant);
-    assert_eq!(
-        std::mem::discriminant(&index.kind),
-        std::mem::discriminant(&port.kind)
-    );
 }
 
 /// The `Send` half of the port's threading contract, checked at compile

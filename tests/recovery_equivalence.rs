@@ -36,8 +36,7 @@ use mvee::kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
 /// The two transports under comparison: blocking ports and async rings
-/// drained by a fixed poller pool (the two ends of the transport spectrum;
-/// `PerPort` sits between them and shares the pool's rendezvous plumbing).
+/// drained by a fixed poller pool.
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
     Sync,

@@ -57,7 +57,7 @@ fn build_recording_mvee(
         Path::Sync => Transport::Sync,
         Path::Async => Transport::AsyncRings {
             depth: 8,
-            pollers: Pollers::PerPort,
+            pollers: Pollers::Pool(1),
         },
     };
     let mvee = Mvee::builder()
