@@ -2,8 +2,8 @@
 //!
 //! The synchronous transport blocks a variant thread inside every
 //! rendezvous: [`ThreadPort::syscall`](crate::port::ThreadPort::syscall)
-//! walks the monitor pipeline — gate, lockstep arrival,
-//! replication/ordering — on the caller's own stack.
+//! steps the call protocol — gate, lockstep arrival,
+//! replication/ordering — on the caller's own stack and sleeps in its waits.
 //! dMVX-style deployments decouple variant progress from comparison
 //! instead: the variant deposits a descriptor of the call and runs ahead
 //! into work that does not depend on the verdict, while the monitor
@@ -28,11 +28,10 @@
 //! No thread is spawned per port: the MVEE's shared [`PollerPool`] serves
 //! all ports from a fixed number of polling monitor shards
 //! ([`Pollers`](crate::config::Pollers)) that run every descriptor through
-//! the **same** monitor pipeline a synchronous `ThreadPort` call walks
-//! (`gate_and_count`, the rendezvous, `dispatch_resolved`'s replicate /
-//! order / execute tail) — same rendezvous keys, same batching, same
-//! statistics lanes, same verdicts.  The shards advance each port through
-//! *non-blocking* rendezvous (`try_arrive`/`poll_*`; see
+//! the **same** call machine (`crate::call`) a synchronous `ThreadPort`
+//! steps on the variant's own stack — same rendezvous keys, same batching,
+//! same statistics lanes, same verdicts.  The machine never blocks, and the
+//! shards never sleep between its steps (see
 //! [`crate::poller`]): a drain thread that *blocked* inside one logical
 //! thread's rendezvous while multiplexing several would deadlock, because
 //! cross-thread submission order legitimately differs between variants
@@ -213,9 +212,11 @@ impl AsyncThreadPort {
         self.thread
     }
 
-    /// Whether this port belongs to the master variant.
+    /// Whether this port's variant is the replication master right now:
+    /// variant 0 until a quarantine fails mastership over to the lowest
+    /// live variant.
     pub fn is_master(&self) -> bool {
-        self.variant == 0
+        self.monitor.master_variant() == self.variant
     }
 
     /// The monitor this port issues calls against.
@@ -481,6 +482,38 @@ mod tests {
             assert_eq!(out.result, Ok(v as i64));
         }
         assert_eq!(mvee.monitor_stats().self_aware_queries, 3);
+    }
+
+    #[test]
+    fn is_master_follows_a_failed_over_mastership() {
+        use crate::config::RecoveryPolicy;
+        use crate::divergence::{DivergenceKind, DivergenceReport};
+
+        let mvee = Mvee::builder()
+            .variants(3)
+            .recovery(RecoveryPolicy::Quarantine { min_quorum: 2 })
+            .transport(Transport::AsyncRings {
+                depth: 8,
+                pollers: Pollers::Pool(1),
+            })
+            .manual_clock(true)
+            .build();
+        let ports: Vec<_> = (0..3).map(|v| mvee.async_thread_port(v, 0)).collect();
+        let masters = |ports: &[AsyncThreadPort]| -> Vec<bool> {
+            ports.iter().map(AsyncThreadPort::is_master).collect()
+        };
+        assert_eq!(masters(&ports), [true, false, false]);
+        let indictment = DivergenceReport {
+            kind: DivergenceKind::RendezvousTimeout {
+                arrived: vec![1, 2],
+            },
+            thread: 0,
+            sequence: 0,
+            variant: 0,
+        };
+        let _ = mvee.monitor().fault(1, 0, indictment);
+        assert_eq!(mvee.monitor().quarantined_variants(), vec![0]);
+        assert_eq!(masters(&ports), [false, true, false]);
     }
 
     #[test]

@@ -35,22 +35,27 @@
 //! * [`mvee::Mvee`] — the front end that wires a simulated kernel, a
 //!   synchronization agent and a monitor together and hands out per-variant
 //!   gateways.
+//! * `call` (crate-private) — the per-call protocol (gate, compare in lockstep, then
+//!   replicate the master's result or replay its order), written once as a
+//!   non-blocking state machine that owns the thread's shard binding
+//!   (resolved through the [`config::Placement`] policy), sequence counter
+//!   and deferred-comparison queue.  It has two drivers:
 //! * [`port::ThreadPort`] — the per-(variant, thread) syscall handle:
-//!   acquired once, it caches the thread's shard binding (resolved through
-//!   the [`config::Placement`] policy), sequence counter, agent context and
-//!   deferred-comparison queue, turning thread identity into a type instead
-//!   of a per-call `(variant, thread)` convention.
+//!   acquired once, it holds the agent context and the thread's call
+//!   machine, which it steps on the variant thread's own stack, sleeping
+//!   between steps — thread identity is a type instead of a per-call
+//!   `(variant, thread)` convention.
 //! * [`async_port::AsyncThreadPort`] — the asynchronous transport: paired
 //!   per-port submission/completion rings (virtio split-queue style), so a
 //!   variant thread deposits a call descriptor and runs ahead while the
 //!   monitor compares in the background.  Selected via
 //!   [`config::Transport`]; calls the policy marks synchronous still block
 //!   at the reap point.
-//! * [`poller::PollerPool`] — polling monitor shards: a fixed set of
-//!   poller threads ([`config::Pollers`]: `Pool(n)`, or `Auto` sized from
-//!   the machine) drains every async port's rings through the lockstep
-//!   table's non-blocking try/poll rendezvous, so monitor-side threads
-//!   number `n`, not variants×threads.
+//! * [`poller::PollerPool`] — polling monitor shards, the other driver: a
+//!   fixed set of poller threads ([`config::Pollers`]: `Pool(n)`, or `Auto`
+//!   sized from the machine) drains every async port's rings and steps
+//!   each port's call machine in turn, so monitor-side threads number `n`,
+//!   not variants×threads.
 //! * [`config::MveeConfig`] — the one shared tuning block (policy, agent,
 //!   transport, shards, batch, placement, timeout) every front end embeds.
 //! * [`journal`] — the divergence journal: record a run's rendezvous
@@ -71,6 +76,7 @@
 #![warn(missing_docs)]
 
 pub mod async_port;
+mod call;
 pub mod config;
 pub mod divergence;
 pub mod frame;

@@ -33,18 +33,22 @@
 //! deposits under the shard lock and returns `Ready` or a `Pending` token
 //! whose deadline is fixed at deposit time; `poll_*` re-examines a token
 //! without sleeping and is the only place a verdict (`Consistent`,
-//! `Mismatch`, `Timeout(arrived)`, `Poisoned`) is computed.  A polling
-//! monitor shard ([`crate::poller`]) drives that face directly.  The
-//! blocking calls ([`LockstepTable::arrive`],
-//! [`LockstepTable::arrive_batch`], [`LockstepTable::wait_outcome_until`]
-//! and their `re*` twins) are `try_*` plus one shared wait: a bounded run of
-//! `yield_now` + `poll_*` rounds — the peer needs microseconds of gateway
-//! code to get here, and a peer that is already running makes a futex sleep
-//! unnecessary — and only then a park on the shard's event count, with a
-//! `poll_*` on every wake.  Every state change (deposit, publication,
-//! poison, quarantine, re-admission) posts the event count, whose
-//! no-sleeper path is a fence and a load: a run in which nobody has fallen
-//! asleep makes no futex syscall on the hand-off path at all.
+//! `Mismatch`, `Timeout(arrived)`, `Poisoned`) is computed.  The per-call
+//! protocol (`crate::call`) is written against that face only, and both
+//! of its drivers — the blocking port and the polling monitor shards
+//! ([`crate::poller`]) — go through it.  The table has one blocking wait,
+//! `wait_on`: a bounded run of `yield_now` + condition
+//! rounds — the peer needs microseconds of gateway code to get here, and a
+//! peer that is already running makes a futex sleep unnecessary — and only
+//! then a park on the shard's event count, with the condition re-evaluated
+//! on every wake.  The blocking port waits there with its call machine's
+//! next step as the condition; [`LockstepTable::arrive`],
+//! [`LockstepTable::arrive_batch`] and [`LockstepTable::wait_outcome`] are
+//! thin conveniences (`try_*`, then `wait_on` over the matching `poll_*`)
+//! for table-level tests and ablations.  Every state change (deposit,
+//! publication, poison, quarantine, re-admission) posts the event count,
+//! whose no-sleeper path is a fence and a load: a run in which nobody has
+//! fallen asleep makes no futex syscall on the hand-off path at all.
 //!
 //! # Poisoning
 //!
@@ -487,11 +491,6 @@ impl LockstepTable {
         }
     }
 
-    /// The live variants, in index order.
-    pub fn active_variants(&self) -> Vec<usize> {
-        (0..self.variants).filter(|&v| self.is_active(v)).collect()
-    }
-
     /// Drops `victim` from the table's expected-arrival set: the
     /// degraded-quorum mode behind
     /// [`RecoveryPolicy::Quarantine`](crate::config::RecoveryPolicy).
@@ -624,54 +623,30 @@ impl LockstepTable {
         Slot::new(self.variants, self.active_mask.load(Ordering::SeqCst))
     }
 
-    /// Registers variant `variant`'s arrival at `key` with comparison key
-    /// `cmp` and waits until every expected variant has arrived (lockstep):
-    /// [`try_arrive`](Self::try_arrive), then the shared wait over
-    /// [`poll_arrival`](Self::poll_arrival).
-    pub fn arrive(
+    /// The one blocking wait of the table: returns once `moved` returns
+    /// `true`.  It spends a fixed yield budget on rounds of `yield_now` and
+    /// `moved`, then parks on the event count of `thread`'s shard with a
+    /// `moved` on every wake.  The condition owns every deadline (a
+    /// token's is fixed at deposit time), so a timeout is attributed
+    /// exactly as it is to a caller that polls.  The blocking port driver
+    /// waits here with its call machine's next step as the condition; the
+    /// three conveniences below wait with a `poll_*`.
+    pub(crate) fn wait_on(&self, thread: usize, moved: impl FnMut() -> bool) {
+        let shard = &self.shards[self.shard_of(thread)];
+        YIELD_THEN_PARK.wait_until_event(&shard.changed, moved);
+    }
+
+    /// [`wait_on`](Self::wait_on) over a token: re-polls `pending` until it
+    /// resolves.
+    fn wait_resolved<P, T>(
         &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-    ) -> ArrivalResult {
-        self.await_arrival(self.try_arrive(key, variant, cmp, timeout))
-    }
-
-    /// Re-registers an arrival whose first verdict was superseded by a
-    /// quarantine: identical to [`arrive`](Self::arrive) — the deposit is
-    /// idempotent, so a key already present is simply re-presented — except
-    /// that the deadline restarts and nothing is journaled (the original
-    /// arrival already was; the journal keeps the pre-quarantine schedule).
-    pub fn rearrive(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-    ) -> ArrivalResult {
-        self.await_arrival(self.try_rearrive(key, variant, cmp, timeout))
-    }
-
-    fn await_arrival(&self, deposit: TryArrive) -> ArrivalResult {
-        match deposit {
-            TryArrive::Ready(result) => result,
-            TryArrive::Pending(token) => {
-                self.wait_on(self.shard(token.key), token, |t| self.poll_arrival(t))
-            }
-        }
-    }
-
-    /// The one blocking wait of the table: re-polls `pending` until it
-    /// resolves.  [`YIELD_THEN_PARK`] spends its yield budget on rounds of
-    /// `yield_now` and `poll`, then parks on `shard`'s event count with a
-    /// `poll` on every wake.  `poll` owns the deadline (fixed in the token at
-    /// deposit time), so timeouts are attributed exactly as on the polling
-    /// face.
-    fn wait_on<P, T>(&self, shard: &Shard, pending: P, poll: impl Fn(P) -> Result<T, P>) -> T {
+        thread: usize,
+        pending: P,
+        poll: impl Fn(P) -> Result<T, P>,
+    ) -> T {
         let mut pending = Some(pending);
         let mut resolved = None;
-        YIELD_THEN_PARK.wait_until_event(&shard.changed, || {
+        self.wait_on(thread, || {
             let token = pending.take().expect("the wait ends at the first Ok poll");
             match poll(token) {
                 Ok(value) => resolved = Some(value),
@@ -680,6 +655,23 @@ impl LockstepTable {
             resolved.is_some()
         });
         resolved.expect("the wait returns only once a poll resolved")
+    }
+
+    /// Registers variant `variant`'s arrival at `key` with comparison key
+    /// `cmp` and waits until every expected variant has arrived (lockstep):
+    /// [`try_arrive`](Self::try_arrive), then the shard wait
+    /// over [`poll_arrival`](Self::poll_arrival).
+    pub fn arrive(
+        &self,
+        key: SlotKey,
+        variant: usize,
+        cmp: ComparisonKey,
+        timeout: Duration,
+    ) -> ArrivalResult {
+        match self.try_arrive(key, variant, cmp, timeout) {
+            TryArrive::Ready(result) => result,
+            TryArrive::Pending(token) => self.wait_resolved(key.0, token, |t| self.poll_arrival(t)),
+        }
     }
 
     /// Deposits a whole block of pending comparisons under a **single**
@@ -711,25 +703,10 @@ impl LockstepTable {
         batch: &[BatchArrival],
         timeout: Duration,
     ) -> Vec<ArrivalResult> {
-        self.await_batch(self.try_arrive_batch(variant, batch, timeout))
-    }
-
-    /// The batched twin of [`rearrive`](Self::rearrive): re-deposits the
-    /// given keys with a fresh shared deadline, journaling nothing.
-    pub fn rearrive_batch(
-        &self,
-        variant: usize,
-        batch: &[BatchArrival],
-        timeout: Duration,
-    ) -> Vec<ArrivalResult> {
-        self.await_batch(self.try_rearrive_batch(variant, batch, timeout))
-    }
-
-    fn await_batch(&self, deposit: TryBatch) -> Vec<ArrivalResult> {
-        match deposit {
+        match self.try_arrive_batch(variant, batch, timeout) {
             TryBatch::Ready(results) => results,
             TryBatch::Pending(token) => {
-                self.wait_on(&self.shards[token.shard_idx], token, |t| self.poll_batch(t))
+                self.wait_resolved(batch[0].key.0, token, |t| self.poll_batch(t))
             }
         }
     }
@@ -757,28 +734,11 @@ impl LockstepTable {
         key: SlotKey,
         timeout: Duration,
     ) -> Option<(SyscallOutcome, Option<u64>)> {
-        self.wait_outcome_until(key, timeout, || false)
-    }
-
-    /// [`wait_outcome`](Self::wait_outcome) with an early-abort predicate,
-    /// checked after every poll that finds nothing published.  A quarantine
-    /// wakes every shard, so a slave parked on a dead publisher's slot
-    /// passes through `abort` immediately — the monitor uses this to fail
-    /// replication over to the new master without spending the whole
-    /// rendezvous deadline.  Returns `None` when `abort` fired and no outcome
-    /// had been published.
-    pub fn wait_outcome_until(
-        &self,
-        key: SlotKey,
-        timeout: Duration,
-        abort: impl Fn() -> bool,
-    ) -> Option<(SyscallOutcome, Option<u64>)> {
         match self.try_wait_outcome(key, timeout) {
             TryOutcome::Ready(outcome) => outcome,
-            TryOutcome::Pending(token) => self.wait_on(self.shard(key), token, |t| {
-                self.poll_outcome(t)
-                    .or_else(|t| if abort() { Ok(None) } else { Err(t) })
-            }),
+            TryOutcome::Pending(token) => {
+                self.wait_resolved(key.0, token, |t| self.poll_outcome(t))
+            }
         }
     }
 
@@ -827,8 +787,12 @@ impl LockstepTable {
         self.try_arrive_inner(key, variant, cmp, timeout, true)
     }
 
-    /// The poll-mode twin of [`rearrive`](Self::rearrive): re-deposits the
-    /// key with a fresh deadline, journaling nothing.
+    /// Re-registers an arrival whose first verdict was superseded by a
+    /// quarantine: identical to [`try_arrive`](Self::try_arrive) — the
+    /// deposit is idempotent, so a key already present is simply
+    /// re-presented — except that the deadline restarts and nothing is
+    /// journaled (the original arrival already was; the journal keeps the
+    /// pre-quarantine schedule).
     pub fn try_rearrive(
         &self,
         key: SlotKey,
@@ -923,8 +887,8 @@ impl LockstepTable {
     }
 
     /// Deposits a whole block of pending comparisons without blocking: the
-    /// poll-mode mirror of [`arrive_batch`](Self::arrive_batch), with the
-    /// same single-lock deposit, the same per-key verdicts and the same
+    /// deposit half of [`arrive_batch`](Self::arrive_batch), which
+    /// documents the single-lock deposit, the per-key verdicts and the
     /// shared batch deadline.
     ///
     /// # Panics
@@ -940,8 +904,8 @@ impl LockstepTable {
         self.try_arrive_batch_inner(variant, batch, timeout, true)
     }
 
-    /// The poll-mode twin of [`rearrive_batch`](Self::rearrive_batch):
-    /// re-deposits the keys with a fresh shared deadline, journaling
+    /// The batched twin of [`try_rearrive`](Self::try_rearrive):
+    /// re-deposits the given keys with a fresh shared deadline, journaling
     /// nothing.
     pub fn try_rearrive_batch(
         &self,
@@ -1137,8 +1101,8 @@ pub enum TryArrive {
 
 /// A pending single-slot arrival: holds the slot's waiter registration
 /// until a [`LockstepTable::poll_arrival`] call resolves it.  The deadline
-/// was fixed when the arrival was deposited, so timeout verdicts match the
-/// blocking path's.
+/// was fixed when the arrival was deposited, so a timeout verdict does not
+/// depend on who polls, or how often.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ArrivalToken {
     key: SlotKey,
@@ -1846,27 +1810,11 @@ mod tests {
         });
         assert_eq!(result, Some((SyscallOutcome::ok(7), None)), "publish");
 
-        // Re-admission changes no slot; a waiter sees it through `abort`.
+        // Re-admission changes no slot; a waiter sees it through its condition.
         let table = fresh();
         table.quarantine(1);
-        let waiter = parked(&table, key, move |t| {
-            t.wait_outcome_until(key, LONG, || t.is_active(1))
-        });
-        assert_eq!(woken(waiter, || table.readmit(1)), None, "readmit");
-    }
-
-    #[test]
-    fn outcome_wait_aborts_on_master_failover_without_spending_the_deadline() {
-        let table = Arc::new(LockstepTable::new(3));
-        let waiter = parked(&table, (0, 0), |t| {
-            t.wait_outcome_until((0, 0), Duration::from_secs(10), || {
-                t.active_variants()[0] != 0
-            })
-        });
-        let result = woken(waiter, || {
-            table.quarantine(0);
-        });
-        assert_eq!(result, None, "nothing was published: the caller fails over");
+        let waiter = parked(&table, key, move |t| t.wait_on(key.0, || t.is_active(1)));
+        woken(waiter, || table.readmit(1));
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! whether to compare, replicate, order or simply forward the call, and
 //! only then lets the variant proceed.
 //!
+//! The *sequence* of those decisions — the per-call protocol — is written
+//! once, as the non-blocking state machine in `crate::call`, which the
+//! blocking port and the poller pool both drive.  This module is what that
+//! machine runs against: the shared state (rendezvous table, ordering
+//! clocks, stat lanes, the divergence and quarantine records), the gateway
+//! prologue, and the settlers that turn a rendezvous verdict into the
+//! divergence it proves under the configured
+//! [`RecoveryPolicy`].
+//!
 //! # Batched comparisons
 //!
 //! With [`MonitorConfig::batch`] above 1, the comparisons of *compare-only*
@@ -17,8 +26,8 @@
 //! deferred into a per-(variant, thread) queue, owned by that thread's
 //! port, instead of rendezvousing on every call.  The queue is flushed —
 //! deposited into the rendezvous table as one
-//! [`LockstepTable::arrive_batch`] block — when it reaches `batch` entries,
-//! before any synchronous monitored call (so comparisons never reorder
+//! [`LockstepTable::try_arrive_batch`] block — when it reaches `batch`
+//! entries, before any synchronous monitored call (so comparisons never reorder
 //! against a replication point), at the agents' replication points (the
 //! port flushes before it enters the agent), and dropped outright on
 //! divergence (the batched waiters are woken by the poison broadcast).
@@ -56,11 +65,9 @@ use mvee_sync_agent::guards::Waiter;
 use crate::config::{Placement, RecoveryPolicy, Transport};
 use crate::divergence::{DivergenceKind, DivergenceReport};
 use crate::journal::{ClassKind, JournalHeader, JournalRecorder, JOURNAL_VERSION};
-use crate::lockstep::{
-    ArrivalResult, BatchArrival, LockstepTable, SlotKey, DEFAULT_SHARDS, MAX_BATCH,
-};
+use crate::lockstep::{ArrivalResult, BatchArrival, LockstepTable, DEFAULT_SHARDS, MAX_BATCH};
 use crate::ordering::ShardedOrderingClock;
-use crate::policy::{CallDisposition, MonitoringPolicy};
+use crate::policy::MonitoringPolicy;
 
 /// Set on the sequence number of a deferred comparison's slot key.
 ///
@@ -180,9 +187,7 @@ impl std::error::Error for MonitorError {}
 /// policy.  `Retry` only occurs under
 /// [`RecoveryPolicy::Quarantine`](crate::config::RecoveryPolicy): the
 /// verdict was superseded by a quarantine and the caller must re-present
-/// its arrival (blocking callers loop on
-/// [`LockstepTable::rearrive`](crate::lockstep::LockstepTable::rearrive);
-/// polling callers re-enter their pending state via `try_rearrive`).
+/// its arrival with `try_rearrive`.
 #[derive(Debug)]
 pub(crate) enum ArrivalSettle {
     /// The rendezvous is consistent; proceed.
@@ -689,14 +694,14 @@ impl Monitor {
         state.port_live.store(false, Ordering::Release);
     }
 
-    /// The rendezvous table; the polling shards drive its try/poll mirror
+    /// The rendezvous table; the call machine drives its try/poll face
     /// directly.
     pub(crate) fn lockstep(&self) -> &LockstepTable {
         &self.lockstep
     }
 
-    /// Variant `variant`'s ordering clock for `shard`; the polling shards
-    /// claim, check (`try_turn`) and advance it directly.
+    /// Variant `variant`'s ordering clock for `shard`; the call machine
+    /// claims, checks (`try_turn`) and advances it directly.
     pub(crate) fn ordering_clock(
         &self,
         variant: usize,
@@ -745,43 +750,7 @@ impl Monitor {
         MonitorError::Diverged(report)
     }
 
-    /// Deposits a port's drained batch of deferred comparisons as one
-    /// [`LockstepTable::arrive_batch`] block, consumes the batch slots, and
-    /// turns the first non-consistent per-key result into the divergence it
-    /// proves.
-    pub(crate) fn resolve_batch(
-        &self,
-        variant: usize,
-        thread: usize,
-        lane: usize,
-        batch: &[BatchArrival],
-    ) -> Result<(), MonitorError> {
-        self.count_batch_flush(lane);
-        let mut results = self
-            .lockstep
-            .arrive_batch(variant, batch, self.config.lockstep_timeout);
-        // Only the rare quarantine retry owns a copy of (part of) the batch.
-        let mut batch = batch;
-        let mut unsettled: Vec<BatchArrival>;
-        loop {
-            match self.settle_batch_results(variant, thread, batch, results) {
-                BatchSettle::Done(outcome) => return outcome,
-                BatchSettle::Retry(indices) => {
-                    // Re-present only the unsettled keys: the settled ones
-                    // were consumed, and re-depositing them could resurrect
-                    // reclaimed slots the peers will never revisit.
-                    unsettled = indices.into_iter().map(|i| batch[i].clone()).collect();
-                    batch = &unsettled;
-                    results =
-                        self.lockstep
-                            .rearrive_batch(variant, batch, self.config.lockstep_timeout);
-                }
-            }
-        }
-    }
-
-    /// Counts a batch flush in `lane`'s stripe; the polling shards call this
-    /// where [`resolve_batch`](Self::resolve_batch) would.
+    /// Counts (and journals) a batch flush in `lane`'s stripe.
     pub(crate) fn count_batch_flush(&self, lane: usize) {
         self.lane(lane)
             .batch_flushes
@@ -796,9 +765,8 @@ impl Monitor {
     /// consumed on the way (even past a mismatch, so surviving slots are
     /// reclaimed); keys whose verdicts a quarantine superseded are *not*
     /// consumed and come back as [`BatchSettle::Retry`] indices for the
-    /// caller to re-present.  Shared by the blocking
-    /// [`resolve_batch`](Self::resolve_batch) and the polling shards, whose
-    /// verdicts must map identically.
+    /// caller to re-present ([`settle_batch`](crate::call::settle_batch)
+    /// does).
     pub(crate) fn settle_batch_results(
         &self,
         caller: usize,
@@ -1005,41 +973,11 @@ impl Monitor {
         }
     }
 
-    /// The synchronous (unbatched) lockstep rendezvous for one call.
-    pub(crate) fn arrive_sync(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        thread: usize,
-        seq: u64,
-        req: &SyscallRequest,
-    ) -> Result<(), MonitorError> {
-        let timeout = self.config.lockstep_timeout;
-        let mut result = self
-            .lockstep
-            .arrive(key, variant, req.comparison_key(), timeout);
-        loop {
-            match self.settle_sync_arrival(result, variant, thread, seq) {
-                ArrivalSettle::Done => return Ok(()),
-                ArrivalSettle::Fail(error) => return Err(error),
-                // The first deposit took the key; the rare quarantine retry
-                // rebuilds it from the request.
-                ArrivalSettle::Retry => {
-                    result = self
-                        .lockstep
-                        .rearrive(key, variant, req.comparison_key(), timeout);
-                }
-            }
-        }
-    }
-
     /// Turns a synchronous (unbatched) rendezvous verdict into the
-    /// divergence it proves, routed through the recovery policy.  Shared by
-    /// [`arrive_sync`](Self::arrive_sync) and the polling shards so both
-    /// transports report byte-identical divergence verdicts; a
+    /// divergence it proves, routed through the recovery policy; a
     /// [`ArrivalSettle::Retry`] tells the caller a quarantine superseded
     /// the verdict and the arrival must be re-presented
-    /// (`rearrive`/`try_rearrive`).
+    /// ([`settle_arrival`](crate::call::settle_arrival) does).
     pub(crate) fn settle_sync_arrival(
         &self,
         result: ArrivalResult,
@@ -1064,212 +1002,6 @@ impl Monitor {
             ),
             ArrivalResult::Timeout(arrived) => self.timeout_fault(caller, thread, seq, arrived),
             ArrivalResult::Poisoned => ArrivalSettle::Fail(MonitorError::ShutDown),
-        }
-    }
-
-    /// The gateway tail after any lockstep comparison has been resolved:
-    /// replicate, order, or execute directly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dispatch_resolved(
-        &self,
-        variant: usize,
-        thread: usize,
-        seq: u64,
-        shard: usize,
-        key: SlotKey,
-        disposition: CallDisposition,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        if self.is_quarantined(variant) {
-            // The comparison may have settled Consistent *because* a
-            // quarantine swept this variant's key out of the slot; its
-            // in-flight call must stop here rather than chase outcome
-            // publications the survivors no longer hold for it.
-            return Err(MonitorError::ShutDown);
-        }
-        if disposition.replicate {
-            self.count_replicated(shard);
-            return self.run_replicated(variant, thread, seq, key, req);
-        }
-        if disposition.ordered {
-            self.count_ordered(shard);
-            return self.run_ordered(variant, thread, seq, shard, key, req);
-        }
-        // Neither replicated nor ordered: the variant executes against its
-        // own kernel process directly (sched_yield, gettid-style queries that
-        // happen to differ, exit of a single thread, ...).
-        self.lockstep.consume(key, variant);
-        Ok(self.kernel.execute(self.pids[variant], thread as u64, req))
-    }
-
-    fn run_replicated(
-        &self,
-        variant: usize,
-        thread: usize,
-        seq: u64,
-        key: SlotKey,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        loop {
-            // The master role follows the quorum: the lowest live variant
-            // (variant 0 until a quarantine fails it over) executes once
-            // and publishes.
-            let master = self.master_variant();
-            if variant == master {
-                let outcome = self.kernel.execute(self.pids[variant], thread as u64, req);
-                self.lockstep.publish_outcome(key, outcome.clone(), None);
-                self.lockstep.consume(key, variant);
-                return Ok(outcome);
-            }
-            match self
-                .lockstep
-                .wait_outcome_until(key, self.config.lockstep_timeout, || {
-                    self.master_variant() != master || self.is_quarantined(variant)
-                }) {
-                Some((outcome, _)) => {
-                    self.lockstep.consume(key, variant);
-                    return Ok(outcome);
-                }
-                None => {
-                    if self.has_diverged() {
-                        return Err(MonitorError::ShutDown);
-                    }
-                    // The slave reached this call but the master never
-                    // published an outcome for it.  Under `PoisonAll`,
-                    // blame the *waiting* variant — it is the one whose
-                    // call stream reached a point the publisher's never did
-                    // — name the missing publisher, and report the slot's
-                    // real arrival set (not a fabricated `vec![variant]`,
-                    // which used to masquerade the timed-out slave as the
-                    // only arrival while blaming the master).  Under
-                    // `Quarantine`, the dead publisher is the one that gets
-                    // dropped; this waiter retries, and may itself become
-                    // the new master on the next pass.
-                    let report = DivergenceReport {
-                        kind: DivergenceKind::ReplicationTimeout {
-                            publisher: master,
-                            arrived: self.lockstep.arrivals(key),
-                        },
-                        thread,
-                        sequence: seq,
-                        variant,
-                    };
-                    match self.fault(variant, master, report) {
-                        ArrivalSettle::Done => unreachable!("fault never settles Done"),
-                        ArrivalSettle::Fail(error) => return Err(error),
-                        ArrivalSettle::Retry => continue,
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_ordered(
-        &self,
-        variant: usize,
-        thread: usize,
-        seq: u64,
-        shard: usize,
-        key: SlotKey,
-        req: &SyscallRequest,
-    ) -> Result<SyscallOutcome, MonitorError> {
-        let master = self.master_variant();
-        if variant == master {
-            // Master: claim a timestamp on this thread group's shard clock,
-            // execute, publish the timestamp so the slaves can replay the
-            // cross-thread order within the shard.
-            let ts = self.ordering_clocks[variant].clock(shard).claim_timestamp();
-            let outcome = self.kernel.execute(self.pids[variant], thread as u64, req);
-            self.lockstep
-                .publish_outcome(key, outcome.clone(), Some(ts));
-            self.lockstep.consume(key, variant);
-            Ok(outcome)
-        } else {
-            let (_, ts) = loop {
-                // Re-read mastership each pass, like `run_replicated`: a
-                // quarantine may have failed the publisher over mid-wait,
-                // and this waiter may itself have become the new master —
-                // then it claims a timestamp and publishes in the dead
-                // publisher's stead.
-                let master = self.master_variant();
-                if variant == master {
-                    let clock = self.ordering_clocks[variant].clock(shard);
-                    let ts = clock.claim_timestamp();
-                    let outcome = self.kernel.execute(self.pids[variant], thread as u64, req);
-                    self.lockstep
-                        .publish_outcome(key, outcome.clone(), Some(ts));
-                    self.lockstep.consume(key, variant);
-                    return Ok(outcome);
-                }
-                match self
-                    .lockstep
-                    .wait_outcome_until(key, self.config.lockstep_timeout, || {
-                        self.master_variant() != master || self.is_quarantined(variant)
-                    }) {
-                    Some(v) => break v,
-                    None => {
-                        if self.has_diverged() {
-                            return Err(MonitorError::ShutDown);
-                        }
-                        if self.master_variant() != master {
-                            // The wait broke because mastership moved, not
-                            // because anyone is provably silent: retry
-                            // against the new master without blaming it.
-                            continue;
-                        }
-                        // Same attribution as `run_replicated`: the waiting
-                        // slave diverged relative to the master's (absent)
-                        // timestamp publication, and the report names the
-                        // missing publisher plus the slot's real arrival
-                        // set.  Under `Quarantine` the publisher is
-                        // dropped; this waiter retries, and may itself
-                        // become the new master on the next pass.
-                        let report = DivergenceReport {
-                            kind: DivergenceKind::ReplicationTimeout {
-                                publisher: master,
-                                arrived: self.lockstep.arrivals(key),
-                            },
-                            thread,
-                            sequence: seq,
-                            variant,
-                        };
-                        match self.fault(variant, master, report) {
-                            ArrivalSettle::Done => unreachable!("fault never settles Done"),
-                            ArrivalSettle::Fail(error) => return Err(error),
-                            ArrivalSettle::Retry => continue,
-                        }
-                    }
-                }
-            };
-            let ts = ts.unwrap_or(0);
-            let clock = self.ordering_clocks[variant].clock(shard);
-            // The wait also breaks on divergence: a poisoned MVEE must not
-            // keep slave threads spinning out their full lockstep timeout on
-            // a turn that will never come.
-            let turn_reached = Waiter::default()
-                .wait_until_deadline(self.config.lockstep_timeout, || {
-                    self.has_diverged() || self.is_quarantined(variant) || clock.now() >= ts
-                });
-            if self.has_diverged() || self.is_quarantined(variant) {
-                // Poisoned run or quarantined lane: either way this thread
-                // must stop instead of spinning out a turn that will never
-                // come (a quarantined lane's clock never advances again).
-                return Err(MonitorError::ShutDown);
-            }
-            if !turn_reached {
-                return Err(self.record_divergence(DivergenceReport {
-                    kind: DivergenceKind::RendezvousTimeout {
-                        arrived: vec![variant],
-                    },
-                    thread,
-                    sequence: seq,
-                    variant,
-                }));
-            }
-            let outcome = self.kernel.execute(self.pids[variant], thread as u64, req);
-            clock.advance();
-            self.lockstep.consume(key, variant);
-            Ok(outcome)
         }
     }
 }

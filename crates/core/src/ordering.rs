@@ -29,8 +29,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mvee_sync_agent::guards::Waiter;
-
 /// A per-variant, per-shard syscall ordering clock.
 #[derive(Debug, Default)]
 pub struct SyscallOrderingClock {
@@ -54,18 +52,9 @@ impl SyscallOrderingClock {
         self.time.fetch_add(1, Ordering::AcqRel)
     }
 
-    /// Slave side: blocks until the clock reaches `timestamp`, then returns
-    /// `true`.  Returns `false` if `timeout` elapses first (which the caller
-    /// escalates to a divergence).
-    pub fn wait_for_turn(&self, timestamp: u64, timeout: std::time::Duration) -> bool {
-        Waiter::default()
-            .wait_until_deadline(timeout, || self.time.load(Ordering::Acquire) >= timestamp)
-    }
-
-    /// Slave side, poll mode: the non-blocking mirror of
-    /// [`wait_for_turn`](Self::wait_for_turn) — one lock-free check of the
-    /// same condition, for a polling monitor shard that must never sleep
-    /// inside one port's turn wait.
+    /// Slave side: whether the clock has reached `timestamp` — one
+    /// lock-free check.  The call machine polls it from an ordered slave's
+    /// turn wait and escalates a turn that never comes to a divergence.
     pub fn try_turn(&self, timestamp: u64) -> bool {
         self.time.load(Ordering::Acquire) >= timestamp
     }
@@ -133,7 +122,7 @@ impl ShardedOrderingClock {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn master_claims_monotonically_increasing_timestamps() {
@@ -145,17 +134,22 @@ mod tests {
     }
 
     #[test]
-    fn slave_wait_returns_immediately_when_time_reached() {
+    fn slave_turn_is_ready_once_time_is_reached() {
         let c = SyscallOrderingClock::new();
-        assert!(c.wait_for_turn(0, Duration::from_millis(10)));
+        assert!(c.try_turn(0));
+        assert!(!c.try_turn(1));
         c.advance();
-        assert!(c.wait_for_turn(1, Duration::from_millis(10)));
+        assert!(c.try_turn(1));
     }
 
     #[test]
-    fn slave_wait_times_out_when_turn_never_comes() {
+    fn slave_turn_comes_only_with_the_last_advance() {
         let c = SyscallOrderingClock::new();
-        assert!(!c.wait_for_turn(5, Duration::from_millis(30)));
+        for _ in 0..5 {
+            assert!(!c.try_turn(5));
+            c.advance();
+        }
+        assert!(c.try_turn(5));
     }
 
     #[test]
@@ -163,27 +157,24 @@ mod tests {
         // Thread B holds timestamp 1 and must wait for thread A (timestamp 0).
         let clock = Arc::new(SyscallOrderingClock::new());
         let order = Arc::new(AtomicU64::new(0));
+        let run = |ts: u64| {
+            let (clock, order) = (Arc::clone(&clock), Arc::clone(&order));
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                while !clock.try_turn(ts) {
+                    assert!(started.elapsed() < Duration::from_secs(2));
+                    std::thread::yield_now();
+                }
+                let pos = order.fetch_add(1, Ordering::SeqCst);
+                clock.advance();
+                pos
+            })
+        };
 
-        let c_b = Arc::clone(&clock);
-        let o_b = Arc::clone(&order);
-        let thread_b = std::thread::spawn(move || {
-            assert!(c_b.wait_for_turn(1, Duration::from_secs(2)));
-            let pos = o_b.fetch_add(1, Ordering::SeqCst);
-            c_b.advance();
-            pos
-        });
-
+        let thread_b = run(1);
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(order.load(Ordering::SeqCst), 0, "B must still be waiting");
-
-        let c_a = Arc::clone(&clock);
-        let o_a = Arc::clone(&order);
-        let thread_a = std::thread::spawn(move || {
-            assert!(c_a.wait_for_turn(0, Duration::from_secs(2)));
-            let pos = o_a.fetch_add(1, Ordering::SeqCst);
-            c_a.advance();
-            pos
-        });
+        let thread_a = run(0);
 
         assert_eq!(thread_a.join().unwrap(), 0);
         assert_eq!(thread_b.join().unwrap(), 1);

@@ -6,27 +6,33 @@
 //!
 //! A port is acquired once per (variant, thread) —
 //! [`VariantGateway::thread`](crate::mvee::VariantGateway::thread) or
-//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) — and holds
-//! everything a call needs besides the request:
+//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) — and is two
+//! things:
 //!
-//! * the **shard binding**, resolved through the configured
-//!   [`Placement`](crate::config::Placement) policy at acquisition time;
-//! * the **sequence counter**, a plain [`Cell`] (no cross-thread
-//!   `fetch_add` traffic);
 //! * the agent [`SyncContext`], built once instead of per sync op;
-//! * the monitor **stat lane** of its shard;
-//! * the **deferred-comparison batch queue**, a port-local [`RefCell`] —
-//!   the queue is logically thread-local, and the port makes that
-//!   ownership a type-level fact.
+//! * a `CallMachine` — the per-call protocol
+//!   (`crate::call`) together with the per-thread state it owns: the
+//!   **shard binding** (rendezvous lock, ordering clock and stat lane),
+//!   resolved through the configured
+//!   [`Placement`](crate::config::Placement) policy at acquisition time;
+//!   the **sequence counter**, a plain integer (no cross-thread
+//!   `fetch_add` traffic); and the **deferred-comparison batch queue**.
 //!
-//! That last point is why `ThreadPort` is deliberately `Send + !Sync`: the
-//! handle may move to the OS thread that runs the logical thread, but two
-//! OS threads can never share one, so the queue and counter need no
-//! synchronization at all.  The monitor enforces the other half of the
-//! contract at acquisition time: at most one live port per (variant,
-//! thread) (a second acquisition panics), and the sequence counter is
-//! handed back on drop so a later port resumes the same rendezvous key
-//! stream.
+//! The machine never sleeps; the port is its *blocking driver*: `syscall`,
+//! `flush` and `Drop` start an operation and step it on the caller's own
+//! stack, and whenever a step reports it cannot move they wait with the
+//! next step as the wake condition.  The poller pool ([`crate::poller`])
+//! is the other driver of the same machine, so the two transports cannot
+//! disagree on a verdict.
+//!
+//! The machine sits in a [`RefCell`], which is why `ThreadPort` is
+//! deliberately `Send + !Sync`: the handle may move to the OS thread that
+//! runs the logical thread, but two OS threads can never share one, so the
+//! queue and counter need no synchronization at all.  The monitor enforces
+//! the other half of the contract at acquisition time: at most one live
+//! port per (variant, thread) (a second acquisition panics), and the
+//! sequence counter is handed back on drop so a later port resumes the same
+//! rendezvous key stream.
 //!
 //! ```compile_fail
 //! // ThreadPort is !Sync by design: the deferred batch queue is owned by
@@ -35,15 +41,16 @@
 //! require_sync::<mvee_core::port::ThreadPort>();
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
+use mvee_sync_agent::guards::Waiter;
 use mvee_sync_agent::SyncAgent;
 
-use crate::lockstep::BatchArrival;
-use crate::monitor::{Monitor, MonitorError, DEFERRED_SEQ_BIT};
+use crate::call::{CallMachine, Step};
+use crate::monitor::{Monitor, MonitorError};
 
 /// A per-(variant, thread) syscall handle.
 ///
@@ -60,18 +67,9 @@ pub struct ThreadPort {
     agent: Arc<dyn SyncAgent>,
     /// The agent context, built once at acquisition.
     ctx: SyncContext,
-    variant: usize,
-    thread: usize,
-    /// The shard (and stat lane) this thread's monitor state is bound to,
-    /// resolved through the placement policy at acquisition time.
-    shard: usize,
-    /// Cached comparison batch size (1 = no deferral).
-    batch: usize,
-    /// Next per-thread sequence number; plain `Cell`, this port is the only
-    /// writer.
-    seq: Cell<u64>,
-    /// Port-local deferred-comparison queue (see the module docs).
-    pending: RefCell<Vec<BatchArrival>>,
+    /// The per-call protocol and the per-thread state it owns (see the
+    /// module docs); this port is its blocking driver.
+    machine: RefCell<CallMachine>,
 }
 
 impl ThreadPort {
@@ -87,34 +85,28 @@ impl ThreadPort {
         variant: usize,
         thread: usize,
     ) -> Self {
-        let (seq, shard) = monitor.acquire_port(variant, thread);
-        let batch = monitor.config().batch;
         ThreadPort {
             ctx: SyncContext::new(VariantRole::from_variant_index(variant), thread),
             agent,
-            variant,
-            thread,
-            shard,
-            batch,
-            seq: Cell::new(seq),
-            pending: RefCell::new(Vec::with_capacity(batch)),
+            machine: RefCell::new(CallMachine::new(&monitor, variant, thread)),
             monitor,
         }
     }
 
-    /// Zero-based variant index (0 is the master).
+    /// Zero-based variant index (0 is the master until a quarantine fails
+    /// mastership over).
     pub fn variant_index(&self) -> usize {
-        self.variant
+        self.machine.borrow().variant()
     }
 
     /// Logical thread index within the variant.
     pub fn thread_index(&self) -> usize {
-        self.thread
+        self.machine.borrow().thread()
     }
 
     /// The shard this thread's rendezvous/ordering/stat state is bound to.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.machine.borrow().shard()
     }
 
     /// The variant's replication role.
@@ -122,9 +114,11 @@ impl ThreadPort {
         self.ctx.role
     }
 
-    /// Whether this port belongs to the master variant.
+    /// Whether this port's variant is the replication master right now:
+    /// variant 0 until a quarantine fails mastership over to the lowest
+    /// live variant.
     pub fn is_master(&self) -> bool {
-        self.variant == 0
+        self.monitor.master_variant() == self.variant_index()
     }
 
     /// The agent context this port passes on every sync op.
@@ -149,77 +143,16 @@ impl ThreadPort {
 
     /// Deferred comparisons queued in this port, awaiting the next flush.
     pub fn pending_comparisons(&self) -> usize {
-        self.pending.borrow().len()
+        self.machine.borrow().pending_comparisons()
     }
 
     /// Issues a system call on behalf of this port's logical thread:
     /// returns the outcome the variant observes, or an error instructing
     /// the variant to terminate.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
-        let monitor = &*self.monitor;
-        match monitor.gate_and_count(self.variant, self.thread, self.shard, req) {
-            Ok(None) => {}
-            Ok(Some(answered)) => return Ok(answered),
-            Err(e) => {
-                // The MVEE is shutting down: this port's deferred
-                // comparisons will never be flushed; drop them.
-                self.pending.borrow_mut().clear();
-                return Err(e);
-            }
-        }
-
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let key = (self.thread, seq);
-
-        let disposition = monitor.config().policy.disposition(req.no);
-        let defer = self.batch > 1 && disposition.defer_compare;
-
-        // Synchronous interaction points resolve the deferred comparisons
-        // first: comparisons stay in per-thread program order, and no
-        // replicated result is handed out while an earlier comparison is
-        // still pending.
-        if !defer && (disposition.lockstep || disposition.replicate || disposition.ordered) {
-            self.flush()?;
-        }
-
-        if disposition.lockstep {
-            monitor.count_lockstep(self.shard);
-            if defer {
-                monitor.count_batched(self.shard);
-                let full = {
-                    let mut pending = self.pending.borrow_mut();
-                    pending.push(BatchArrival {
-                        key: (self.thread, seq | DEFERRED_SEQ_BIT),
-                        cmp: req.comparison_key(),
-                    });
-                    pending.len() >= self.batch
-                };
-                // A divergence recorded elsewhere between the entry gate and
-                // this push means the deferred comparison will never be
-                // resolved, so the call must not return `Ok`: drop the
-                // queue and shut down.
-                if monitor.has_diverged() {
-                    self.pending.borrow_mut().clear();
-                    return Err(MonitorError::ShutDown);
-                }
-                if full {
-                    self.flush()?;
-                }
-            } else {
-                monitor.arrive_sync(key, self.variant, self.thread, seq, req)?;
-            }
-        }
-
-        monitor.dispatch_resolved(
-            self.variant,
-            self.thread,
-            seq,
-            self.shard,
-            key,
-            disposition,
-            req,
-        )
+        let mut machine = self.machine.borrow_mut();
+        let first = machine.start(&self.monitor, req);
+        drive(&self.monitor, &mut machine, Some(req), first)
     }
 
     /// Flushes this port's deferred comparisons, if any: deposits them as
@@ -231,19 +164,16 @@ impl ThreadPort {
     /// ([`before_sync_op`](Self::before_sync_op)); public so workloads with
     /// out-of-band quiescence points can force resolution early.
     pub fn flush(&self) -> Result<(), MonitorError> {
-        let batch = std::mem::take(&mut *self.pending.borrow_mut());
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.monitor
-            .resolve_batch(self.variant, self.thread, self.shard, &batch)
+        let mut machine = self.machine.borrow_mut();
+        let first = machine.flush(&self.monitor);
+        drive(&self.monitor, &mut machine, None, first).map(|_| ())
     }
 
     /// Brackets the *start* of a sync op: flushes this port's deferred
     /// comparisons (a replication point must never overtake a pending
     /// comparison), then enters the agent.
     pub fn before_sync_op(&self, addr: u64) {
-        if !self.pending.borrow().is_empty() {
+        if self.pending_comparisons() > 0 {
             // A flush failure has already recorded the divergence and
             // poisoned table + agent; the thread learns about it at its next
             // monitored call.
@@ -267,42 +197,56 @@ impl ThreadPort {
     }
 }
 
+/// The blocking driver: runs the operation `step` began to completion on
+/// the caller's stack.  Whenever the machine cannot move, the thread waits
+/// with the machine's next step as the wake condition — deadlines,
+/// fail-over and the quarantine bail-outs all live inside that step.
+/// Rendezvous, batch and outcome waits yield, then park on the shard's
+/// event count (every deposit, publication, poison, quarantine and
+/// re-admission posts it); an ordered slave's turn wait spins and yields,
+/// because nobody posts an event for an ordering-clock advance.
+fn drive(
+    monitor: &Monitor,
+    machine: &mut CallMachine,
+    req: Option<&SyscallRequest>,
+    mut step: Step,
+) -> Result<SyscallOutcome, MonitorError> {
+    loop {
+        if let Step::Done(result) = step {
+            return result;
+        }
+        let on_turn = machine.awaits_turn();
+        let thread = machine.thread();
+        let moved = || {
+            step = machine.step(monitor, req);
+            !matches!(step, Step::Blocked)
+        };
+        if on_turn {
+            Waiter::default().wait_until(moved);
+        } else {
+            monitor.lockstep().wait_on(thread, moved);
+        }
+    }
+}
+
 impl Drop for ThreadPort {
     fn drop(&mut self) {
-        // Ports are advertised as re-acquirable "across phases of a
-        // workload", so a drop is *not* evidence of shutdown: a thread may
-        // hand its port back mid-run with compare-only calls still
-        // deferred, and silently discarding them would let those calls
-        // return `Ok` without ever being compared — a missed-divergence
-        // window.  Flush them here; the peers' equivalent drops (or their
-        // next synchronous calls) meet the batch in the rendezvous table
-        // exactly as an inline flush would.  A flush failure has already
-        // recorded the divergence, and `Drop` has nowhere to report the
-        // error anyway — the next monitored call returns `ShutDown`.
-        //
-        // Only a poisoned MVEE drops the queue outright: the table would
-        // answer `Poisoned` and the variants are terminating.
-        if self.monitor.has_diverged() {
-            self.pending.borrow_mut().clear();
-        } else {
-            let _ = self.flush();
-        }
-        // Hand the sequence counter back so a later port continues the key
-        // stream.
-        self.monitor
-            .release_port(self.variant, self.thread, self.seq.get());
+        // Ports are re-acquirable "across phases of a workload", so a drop
+        // is *not* evidence of shutdown: the close flushes compare-only
+        // calls that are still deferred (the peers' equivalent drops, or
+        // their next synchronous calls, meet the batch in the rendezvous
+        // table exactly as an inline flush would) before it hands the
+        // sequence counter back.  `Drop` has nowhere to report the verdict.
+        let machine = self.machine.get_mut();
+        let first = machine.close(&self.monitor);
+        let _ = drive(&self.monitor, machine, None, first);
     }
 }
 
 impl std::fmt::Debug for ThreadPort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPort")
-            .field("variant", &self.variant)
-            .field("thread", &self.thread)
-            .field("shard", &self.shard)
-            .field("batch", &self.batch)
-            .field("seq", &self.seq.get())
-            .field("pending", &self.pending.borrow().len())
+            .field("machine", &self.machine)
             .finish()
     }
 }
@@ -530,6 +474,56 @@ mod tests {
         assert_eq!(stats.batched_comparisons, 6);
         assert_eq!(stats.batch_flushes, 4, "one flush per variant per phase");
         assert_eq!(mvee.monitor().live_slots(), 0);
+    }
+
+    #[test]
+    fn parked_slave_takes_over_as_master_when_variant_zero_is_quarantined() {
+        // A blocking slave asleep in a replicated call's outcome wait: the
+        // quarantine of its publisher wakes it (the table posts every
+        // shard), its next step sees mastership has failed over to it, and
+        // it executes and publishes in the dead master's stead — well
+        // inside the rendezvous deadline, blaming nobody.
+        use crate::config::RecoveryPolicy;
+        use crate::divergence::{DivergenceKind, DivergenceReport};
+        use crate::monitor::ArrivalSettle;
+        use std::time::{Duration, Instant};
+
+        let timeout = Duration::from_secs(10);
+        let mvee = Mvee::builder()
+            .variants(3)
+            .recovery(RecoveryPolicy::Quarantine { min_quorum: 2 })
+            .lockstep_timeout(timeout)
+            .manual_clock(true)
+            .build();
+        let slave = mvee.thread_port(1, 0);
+        assert!(mvee.thread_port(0, 0).is_master());
+        assert!(!slave.is_master());
+        let waiter = std::thread::spawn(move || {
+            let started = Instant::now();
+            let outcome = slave.syscall(&SyscallRequest::new(Sysno::Gettimeofday));
+            (outcome, started.elapsed(), slave.is_master())
+        });
+        // Long enough for the slave to spend its yield budget and park.
+        std::thread::sleep(Duration::from_millis(50));
+        let indictment = DivergenceReport {
+            kind: DivergenceKind::ReplicationTimeout {
+                publisher: 0,
+                arrived: Vec::new(),
+            },
+            thread: 0,
+            sequence: 0,
+            variant: 2,
+        };
+        assert!(matches!(
+            mvee.monitor().fault(2, 0, indictment),
+            ArrivalSettle::Retry
+        ));
+        let (outcome, took, is_master) = waiter.join().unwrap();
+        assert!(outcome.expect("the new master publishes").is_ok());
+        assert!(took < timeout / 10, "failed over after {took:?}");
+        assert!(is_master, "mastership follows the quorum");
+        assert_eq!(mvee.monitor().quarantined_variants(), vec![0]);
+        assert!(mvee.divergence().is_none());
     }
 
     #[test]

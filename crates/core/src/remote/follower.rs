@@ -16,8 +16,8 @@
 //!   queued per leader thread and deposited into the
 //!   [`LockstepTable`](crate::lockstep::LockstepTable) as variant 0 —
 //!   through the same non-blocking try/poll interface and the same verdict
-//!   mappers the polling shards use, so a remote run's divergence reports
-//!   are field-identical to an in-proc run's.
+//!   settlers (`crate::call`) the in-proc call machine uses, so a remote
+//!   run's divergence reports are field-identical to an in-proc run's.
 //!
 //! The pump acknowledges the longest *contiguous* prefix of fully
 //! processed frames.  A synchronous arrival acks only once its rendezvous
@@ -49,6 +49,7 @@ use parking_lot::Mutex;
 
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 
+use crate::call::{settle_arrival, settle_batch};
 use crate::frame::{FrameReader, ReadFrameError};
 use crate::lockstep::{ArrivalToken, BatchArrival, BatchToken, PollWaker, TryArrive, TryBatch};
 use crate::monitor::{Monitor, MonitorError};
@@ -679,11 +680,11 @@ fn deposit(
             seq,
             will_publish,
             cmp,
-        } => match monitor
-            .lockstep()
-            .try_arrive((thread, seq), 0, cmp.clone(), timeout)
-        {
-            TryArrive::Ready(result) => finish_arrive(
+        } => {
+            let deposit = monitor
+                .lockstep()
+                .try_arrive((thread, seq), 0, cmp.clone(), timeout);
+            finish_arrive(
                 monitor,
                 thread,
                 index,
@@ -692,21 +693,13 @@ fn deposit(
                 stat_lane,
                 sync_ops_at_ingest,
                 sync_ops_seen,
-                result,
-                cmp,
-            ),
-            TryArrive::Pending(token) => Polled::Still(Pending {
-                index,
-                sync_ops_at_ingest,
-                op: PendingOp::Arrive {
-                    token,
-                    seq,
-                    will_publish,
-                    stat_lane,
-                    cmp,
+                match deposit {
+                    TryArrive::Ready(result) => Ok(result),
+                    TryArrive::Pending(token) => Err(token),
                 },
-            }),
-        },
+                cmp,
+            )
+        }
         LaneOp::Batch { stat_lane, calls } => {
             monitor.count_batch_flush(stat_lane);
             let batch: Vec<BatchArrival> = calls
@@ -716,27 +709,20 @@ fn deposit(
                     cmp,
                 })
                 .collect();
-            match monitor.lockstep().try_arrive_batch(0, &batch, timeout) {
-                TryBatch::Ready(results) => finish_batch(
-                    monitor,
-                    thread,
-                    index,
-                    batch,
-                    stat_lane,
-                    sync_ops_at_ingest,
-                    sync_ops_seen,
-                    results,
-                ),
-                TryBatch::Pending(token) => Polled::Still(Pending {
-                    index,
-                    sync_ops_at_ingest,
-                    op: PendingOp::Batch {
-                        token,
-                        batch,
-                        stat_lane,
-                    },
-                }),
-            }
+            let deposit = monitor.lockstep().try_arrive_batch(0, &batch, timeout);
+            finish_batch(
+                monitor,
+                thread,
+                index,
+                batch,
+                stat_lane,
+                sync_ops_at_ingest,
+                sync_ops_seen,
+                match deposit {
+                    TryBatch::Ready(results) => Ok(results),
+                    TryBatch::Pending(token) => Err(token),
+                },
+            )
         }
         LaneOp::Publish {
             seq,
@@ -768,56 +754,32 @@ fn poll_pending(monitor: &Monitor, thread: usize, pending: Pending, sync_ops_see
             will_publish,
             stat_lane,
             cmp,
-        } => match monitor.lockstep().poll_arrival(token) {
-            Ok(result) => finish_arrive(
-                monitor,
-                thread,
-                index,
-                seq,
-                will_publish,
-                stat_lane,
-                sync_ops_at_ingest,
-                sync_ops_seen,
-                result,
-                cmp,
-            ),
-            Err(token) => Polled::Still(Pending {
-                index,
-                sync_ops_at_ingest,
-                op: PendingOp::Arrive {
-                    token,
-                    seq,
-                    will_publish,
-                    stat_lane,
-                    cmp,
-                },
-            }),
-        },
+        } => finish_arrive(
+            monitor,
+            thread,
+            index,
+            seq,
+            will_publish,
+            stat_lane,
+            sync_ops_at_ingest,
+            sync_ops_seen,
+            monitor.lockstep().poll_arrival(token),
+            cmp,
+        ),
         PendingOp::Batch {
             token,
             batch,
             stat_lane,
-        } => match monitor.lockstep().poll_batch(token) {
-            Ok(results) => finish_batch(
-                monitor,
-                thread,
-                index,
-                batch,
-                stat_lane,
-                sync_ops_at_ingest,
-                sync_ops_seen,
-                results,
-            ),
-            Err(token) => Polled::Still(Pending {
-                index,
-                sync_ops_at_ingest,
-                op: PendingOp::Batch {
-                    token,
-                    batch,
-                    stat_lane,
-                },
-            }),
-        },
+        } => finish_batch(
+            monitor,
+            thread,
+            index,
+            batch,
+            stat_lane,
+            sync_ops_at_ingest,
+            sync_ops_seen,
+            monitor.lockstep().poll_batch(token),
+        ),
     }
 }
 
@@ -834,11 +796,12 @@ fn divergence_blames(monitor: &Monitor, thread: usize, seq: u64) -> bool {
         .is_some_and(|report| report.thread == thread && report.sequence == seq)
 }
 
-/// Settles a resolved synchronous arrival through the shared verdict
+/// Finishes a deposit or a poll of a synchronous arrival (`Err` is the token
+/// of one that is still pending): settles the verdict through the shared
 /// settler (identical divergence reports to the in-proc path) and consumes
 /// the slot when no publication will follow — mirroring the in-proc
-/// master's `dispatch_resolved` consume.  A quarantine retry re-deposits
-/// the leader's key without blocking and parks the record again.
+/// master's consume on the direct-execution path.  An arrival still pending
+/// — the first deposit or a quarantine retry — parks the record.
 #[allow(clippy::too_many_arguments)]
 fn finish_arrive(
     monitor: &Monitor,
@@ -849,112 +812,74 @@ fn finish_arrive(
     stat_lane: usize,
     sync_ops_at_ingest: u64,
     sync_ops_seen: u64,
-    result: crate::lockstep::ArrivalResult,
+    polled: Result<crate::lockstep::ArrivalResult, ArrivalToken>,
     cmp: ComparisonKey,
 ) -> Polled {
-    let mut result = result;
-    loop {
-        let lagged = match monitor.settle_sync_arrival(result, 0, thread, seq) {
-            crate::monitor::ArrivalSettle::Done => {
-                if !will_publish {
-                    monitor.lockstep().consume((thread, seq), 0);
-                }
-                None
+    let settled =
+        polled.and_then(|result| settle_arrival(monitor, 0, thread, seq, result, || cmp.clone()));
+    let lagged = match settled {
+        Err(token) => {
+            return Polled::Still(Pending {
+                index,
+                sync_ops_at_ingest,
+                op: PendingOp::Arrive {
+                    token,
+                    seq,
+                    will_publish,
+                    stat_lane,
+                    cmp,
+                },
+            });
+        }
+        Ok(Ok(())) => {
+            if !will_publish {
+                monitor.lockstep().consume((thread, seq), 0);
             }
-            crate::monitor::ArrivalSettle::Retry => {
-                let timeout = monitor.config().lockstep_timeout;
-                match monitor
-                    .lockstep()
-                    .try_rearrive((thread, seq), 0, cmp.clone(), timeout)
-                {
-                    TryArrive::Ready(next) => {
-                        result = next;
-                        continue;
-                    }
-                    TryArrive::Pending(token) => {
-                        return Polled::Still(Pending {
-                            index,
-                            sync_ops_at_ingest,
-                            op: PendingOp::Arrive {
-                                token,
-                                seq,
-                                will_publish,
-                                stat_lane,
-                                cmp,
-                            },
-                        });
-                    }
-                }
-            }
-            crate::monitor::ArrivalSettle::Fail(MonitorError::Diverged(_)) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::ArrivalSettle::Fail(_) if divergence_blames(monitor, thread, seq) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::ArrivalSettle::Fail(_) => None,
-        };
-        return Polled::Done { index, lagged };
-    }
+            None
+        }
+        Ok(Err(MonitorError::Diverged(_))) => Some((stat_lane, sync_ops_seen - sync_ops_at_ingest)),
+        Ok(Err(_)) if divergence_blames(monitor, thread, seq) => {
+            Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
+        }
+        Ok(Err(_)) => None,
+    };
+    Polled::Done { index, lagged }
 }
 
-/// Settles a resolved batch through the shared batch settler (which
-/// consumes every batch slot itself), re-presenting the unconsumed keys of
-/// a quarantined peer's rendezvous without blocking.
+/// The batched twin of [`finish_arrive`]; the shared batch settler consumes
+/// every batch slot itself.
 #[allow(clippy::too_many_arguments)]
 fn finish_batch(
     monitor: &Monitor,
     thread: usize,
     index: u64,
-    batch: Vec<BatchArrival>,
+    mut batch: Vec<BatchArrival>,
     stat_lane: usize,
     sync_ops_at_ingest: u64,
     sync_ops_seen: u64,
-    results: Vec<crate::lockstep::ArrivalResult>,
+    polled: Result<Vec<crate::lockstep::ArrivalResult>, BatchToken>,
 ) -> Polled {
-    fn blamed(monitor: &Monitor, thread: usize, batch: &[BatchArrival]) -> bool {
-        batch.iter().any(|arrival| {
-            divergence_blames(
-                monitor,
-                thread,
-                arrival.key.1 & !crate::monitor::DEFERRED_SEQ_BIT,
-            )
-        })
-    }
-    let (mut batch, mut results) = (batch, results);
-    loop {
-        let lagged = match monitor.settle_batch_results(0, thread, &batch, results) {
-            crate::monitor::BatchSettle::Done(Ok(())) => None,
-            crate::monitor::BatchSettle::Retry(indices) => {
-                let sub: Vec<BatchArrival> = indices.iter().map(|&i| batch[i].clone()).collect();
-                let timeout = monitor.config().lockstep_timeout;
-                match monitor.lockstep().try_rearrive_batch(0, &sub, timeout) {
-                    TryBatch::Ready(redone) => {
-                        batch = sub;
-                        results = redone;
-                        continue;
-                    }
-                    TryBatch::Pending(token) => {
-                        return Polled::Still(Pending {
-                            index,
-                            sync_ops_at_ingest,
-                            op: PendingOp::Batch {
-                                token,
-                                batch: sub,
-                                stat_lane,
-                            },
-                        });
-                    }
-                }
-            }
-            crate::monitor::BatchSettle::Done(Err(MonitorError::Diverged(_))) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::BatchSettle::Done(Err(_)) if blamed(monitor, thread, &batch) => {
-                Some((stat_lane, sync_ops_seen - sync_ops_at_ingest))
-            }
-            crate::monitor::BatchSettle::Done(Err(_)) => None,
-        };
-        return Polled::Done { index, lagged };
-    }
+    let settled = polled.and_then(|results| settle_batch(monitor, 0, thread, &mut batch, results));
+    let lagged = match settled {
+        Err(token) => {
+            return Polled::Still(Pending {
+                index,
+                sync_ops_at_ingest,
+                op: PendingOp::Batch {
+                    token,
+                    batch,
+                    stat_lane,
+                },
+            });
+        }
+        Ok(Ok(())) => None,
+        Ok(Err(MonitorError::Diverged(_))) => Some((stat_lane, sync_ops_seen - sync_ops_at_ingest)),
+        Ok(Err(_)) => batch
+            .iter()
+            .any(|a| {
+                divergence_blames(monitor, thread, a.key.1 & !crate::monitor::DEFERRED_SEQ_BIT)
+            })
+            .then_some((stat_lane, sync_ops_seen - sync_ops_at_ingest)),
+    };
+    Polled::Done { index, lagged }
 }

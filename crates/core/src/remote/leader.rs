@@ -22,7 +22,7 @@
 //! * only a **synchronous lockstep arrival** (an externally visible call
 //!   under the policy) blocks, waiting for the follower's ack — which the
 //!   pump sends only once the rendezvous resolved, exactly where the
-//!   in-proc master sleeps in `arrive_sync`.
+//!   in-proc master sleeps in its lockstep arrival wait.
 //!
 //! Divergence reaches the leader over the channel (a `Verdict` frame), so
 //! calls issued between a deferred mismatch's execution and its verdict
@@ -514,7 +514,7 @@ impl LeaderPort {
                 });
                 // The externally visible point: stream everything and block
                 // until the follower's rendezvous resolved — the remote
-                // mirror of the master sleeping in `arrive_sync`.  Only
+                // mirror of the master sleeping in its arrival wait.  Only
                 // after the ack does the leader execute the call.
                 let through = self
                     .push_buffered()?

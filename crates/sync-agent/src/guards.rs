@@ -172,11 +172,11 @@ pub struct Waiter {
 }
 
 impl Default for Waiter {
-    /// The default spin budget (64 iterations per yield), used by the
-    /// deadline-bounded waits on state nobody posts an event count for —
-    /// the monitor's ordering-clock turn waits.  Everything that *can* park
-    /// does: the agents on their rings' event counts, the monitor's
-    /// rendezvous waits on their shard's.
+    /// The default spin budget (64 iterations per yield), used by the one
+    /// wait on state nobody posts an event count for — a blocking port's
+    /// ordering-clock turn wait, whose condition owns the deadline.
+    /// Everything that *can* park does: the agents on their rings' event
+    /// counts, the monitor's rendezvous waits on their shard's.
     fn default() -> Self {
         Waiter::new(64)
     }
@@ -256,37 +256,6 @@ impl Waiter {
             tally.parks += 1;
             if cond() {
                 return tally;
-            }
-        }
-    }
-
-    /// Spins until `cond` returns `true` or `timeout` elapses.
-    ///
-    /// Returns `true` when the condition held (including a last re-check at
-    /// the deadline, so a condition that becomes true exactly at expiry is
-    /// not reported as a timeout), `false` otherwise.  This is the single
-    /// deadline-bounded spin/yield loop shared by the monitor (the ordering
-    /// clock and the ordered-turn wait call it directly) and the agents.
-    pub fn wait_until_deadline(
-        &self,
-        timeout: std::time::Duration,
-        mut cond: impl FnMut() -> bool,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut since_yield = 0u32;
-        loop {
-            if cond() {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return cond();
-            }
-            since_yield += 1;
-            if since_yield >= self.spin_before_yield.max(1) {
-                std::thread::yield_now();
-                since_yield = 0;
-            } else {
-                std::hint::spin_loop();
             }
         }
     }
@@ -425,27 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_deadline_returns_true_when_condition_holds() {
-        let w = Waiter::new(8);
-        assert!(w.wait_until_deadline(std::time::Duration::from_millis(10), || true));
-        let mut calls = 0;
-        assert!(
-            w.wait_until_deadline(std::time::Duration::from_secs(2), || {
-                calls += 1;
-                calls > 3
-            })
-        );
-    }
-
-    #[test]
-    fn wait_until_deadline_times_out_on_a_stuck_condition() {
-        let w = Waiter::new(8);
-        let start = std::time::Instant::now();
-        assert!(!w.wait_until_deadline(std::time::Duration::from_millis(30), || false));
-        assert!(start.elapsed() >= std::time::Duration::from_millis(30));
-    }
-
-    #[test]
     fn zero_spin_budget_yields_every_iteration_without_hanging() {
         let w = Waiter::new(0);
         let mut calls = 0;
@@ -456,7 +404,6 @@ mod tests {
             }),
             2
         );
-        assert!(w.wait_until_deadline(std::time::Duration::from_millis(50), || true));
     }
 
     #[test]

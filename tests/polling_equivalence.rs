@@ -20,19 +20,22 @@
 //!   ride it out under a single poller;
 //! * timeout *verdict identity* — a replication slave that times out must
 //!   produce a byte-identical `ReplicationTimeout` report (same
-//!   `publisher`, same `arrived` set, same blamed slot) whether the wait
-//!   was a blocking `wait_outcome` or a poll-mode deadline.
+//!   `publisher`, same `arrived` set, same blamed slot) whether a blocked
+//!   variant thread or a poller stepped the call, and so must an ordered
+//!   slave whose shard-clock turn never comes (`RendezvousTimeout` under
+//!   `PoisonAll`, a self-quarantine under `Quarantine`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mvee::core::async_port::SubmitOutcome;
-use mvee::core::config::{Pollers, Transport};
-use mvee::core::monitor::MonitorStats;
+use mvee::core::async_port::{AsyncThreadPort, SubmitOutcome};
+use mvee::core::config::{Pollers, RecoveryPolicy, Transport};
+use mvee::core::monitor::{MonitorError, MonitorStats};
 use mvee::core::mvee::Mvee;
-use mvee::core::DivergenceReport;
+use mvee::core::port::ThreadPort;
+use mvee::core::{DivergenceKind, DivergenceReport, MonitoringPolicy};
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
@@ -286,6 +289,103 @@ fn replication_timeout_verdicts_are_field_identical() {
             sync, other,
             "replication-timeout reports must be field-identical across transports"
         );
+    }
+}
+
+/// An ordered slave whose shard-clock turn never comes, on every transport.
+/// Threads A and B share one ordering clock; the master runs A's `brk`
+/// (timestamp 0) and then B's (timestamp 1), but the last variant only ever
+/// issues B's, so its own clock never reaches 1 and its turn wait expires.
+/// Under `PoisonAll` that is a `RendezvousTimeout` naming the stuck variant
+/// as the only arrival, field-identical across transports; under
+/// `Quarantine` the stuck variant alone is dropped and the survivors'
+/// ordered stream carries on.
+#[test]
+fn ordered_turn_timeout_blames_the_stuck_variant_on_every_transport() {
+    const THREAD_A: usize = 0;
+    const THREAD_B: usize = 1;
+    enum Port {
+        Sync(ThreadPort),
+        Pool(AsyncThreadPort),
+    }
+    impl Port {
+        fn brk(&self) -> Result<(), MonitorError> {
+            let req = SyscallRequest::new(Sysno::Brk).with_int(0);
+            match self {
+                Port::Sync(port) => port.syscall(&req).map(|_| ()),
+                Port::Pool(port) => port.syscall(&req).map(|_| ()),
+            }
+        }
+    }
+    let build = |path: Path, variants: usize, recovery: RecoveryPolicy| {
+        Mvee::builder()
+            .variants(variants)
+            .threads(2)
+            .shards(1)
+            .agent(AgentKind::Null)
+            .policy(MonitoringPolicy::NoComparison)
+            .recovery(recovery)
+            .transport(transport_for(path))
+            .lockstep_timeout(Duration::from_millis(200))
+            .manual_clock(true)
+            .build()
+    };
+    let port = |mvee: &Mvee, path: Path, variant: usize, thread: usize| match path {
+        Path::Sync => Port::Sync(mvee.thread_port(variant, thread)),
+        Path::Pool(_) => Port::Pool(mvee.async_thread_port(variant, thread)),
+    };
+
+    let mut reports = Vec::new();
+    for path in [Path::Sync, Path::Pool(1), Path::Pool(2)] {
+        let mvee = build(path, 2, RecoveryPolicy::PoisonAll);
+        port(&mvee, path, 0, THREAD_A).brk().unwrap();
+        port(&mvee, path, 0, THREAD_B).brk().unwrap();
+        let Err(MonitorError::Diverged(report)) = port(&mvee, path, 1, THREAD_B).brk() else {
+            panic!("the stuck slave's turn wait must expire into a divergence");
+        };
+        assert_eq!(mvee.divergence().as_ref(), Some(&report));
+        reports.push(report);
+    }
+    assert_eq!(
+        reports[0],
+        DivergenceReport {
+            kind: DivergenceKind::RendezvousTimeout { arrived: vec![1] },
+            thread: THREAD_B,
+            sequence: 0,
+            variant: 1,
+        }
+    );
+    assert!(reports.iter().all(|r| r == &reports[0]));
+
+    for path in [Path::Sync, Path::Pool(1), Path::Pool(2)] {
+        let mvee = build(path, 3, RecoveryPolicy::Quarantine { min_quorum: 2 });
+        let survivors_b: Vec<Port> = (0..2)
+            .map(|variant| {
+                port(&mvee, path, variant, THREAD_A).brk().unwrap();
+                let b = port(&mvee, path, variant, THREAD_B);
+                b.brk().unwrap();
+                b
+            })
+            .collect();
+        let Err(MonitorError::Diverged(report)) = port(&mvee, path, 2, THREAD_B).brk() else {
+            panic!("the stuck variant is handed the divergence it caused");
+        };
+        assert_eq!(
+            (report.variant, report.thread, report.sequence),
+            (2, THREAD_B, 0)
+        );
+        assert!(
+            mvee.divergence().is_none(),
+            "one stuck variant above the quorum floor must not poison the run"
+        );
+        assert_eq!(mvee.monitor().quarantined_variants(), vec![2]);
+        for survivor in &survivors_b {
+            survivor
+                .brk()
+                .expect("the survivors' next ordered call succeeds");
+        }
+        let stats = mvee.monitor_stats();
+        assert_eq!((stats.quarantines, stats.divergences), (1, 0));
     }
 }
 
