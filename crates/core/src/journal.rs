@@ -54,7 +54,7 @@ use mvee_kernel::error::Errno;
 use mvee_kernel::syscall::{ComparisonKey, SyscallArg, SyscallOutcome, Sysno};
 
 use crate::divergence::{first_mismatch, DivergenceKind, DivergenceReport};
-use crate::frame::{next_frame, push_frame, FrameError, Reader};
+use crate::frame::{next_frame, push_frame_with, FrameError, Reader, FRAME_OVERHEAD};
 use crate::monitor::{MonitorStats, DEFERRED_SEQ_BIT};
 
 pub use crate::frame::crc32;
@@ -217,74 +217,92 @@ const TAG_DIVERGE: u8 = 5;
 const TAG_SYNC_OP: u8 = 6;
 const TAG_END: u8 = 7;
 
-/// Known [`Sysno`] variants in wire order; `Unknown` is encoded out of band
-/// (wire tag 1 + raw number).  Appending here is a compatible change;
-/// reordering is not — the golden-format tests pin the order.
-const SYSNO_TABLE: [Sysno; 47] = [
-    Sysno::Read,
-    Sysno::Write,
-    Sysno::Open,
-    Sysno::Close,
-    Sysno::Stat,
-    Sysno::Fstat,
-    Sysno::Lseek,
-    Sysno::Mmap,
-    Sysno::Mprotect,
-    Sysno::Munmap,
-    Sysno::Brk,
-    Sysno::Pipe,
-    Sysno::Dup,
-    Sysno::Socket,
-    Sysno::Bind,
-    Sysno::Listen,
-    Sysno::Accept,
-    Sysno::Connect,
-    Sysno::Send,
-    Sysno::Recv,
-    Sysno::Shutdown,
-    Sysno::FutexWait,
-    Sysno::FutexWake,
-    Sysno::Clone,
-    Sysno::Exit,
-    Sysno::ExitGroup,
-    Sysno::Gettimeofday,
-    Sysno::ClockGettime,
-    Sysno::Getpid,
-    Sysno::Gettid,
-    Sysno::SchedYield,
-    Sysno::Nanosleep,
-    Sysno::SchedSetaffinity,
-    Sysno::Getrandom,
-    Sysno::Madvise,
-    Sysno::Fcntl,
-    Sysno::Ioctl,
-    Sysno::Readlink,
-    Sysno::Access,
-    Sysno::Unlink,
-    Sysno::Rename,
-    Sysno::Mkdir,
-    Sysno::Epoll,
-    Sysno::Poll,
-    Sysno::Sendfile,
-    Sysno::Writev,
-    Sysno::MveeSelfAware,
+/// Declares the known [`Sysno`] variants in wire order, once, and derives
+/// both directions from the one list: [`SYSNO_TABLE`] (wire index → call,
+/// for decode) and `sysno_wire_form` (call → wire index, for encode — an
+/// exhaustive `match`, so it is O(1) and a `Sysno` variant missing from
+/// the list fails to compile instead of panicking at run time).
+macro_rules! sysno_wire_order {
+    ($($name:ident),* $(,)?) => {
+        /// Known [`Sysno`] variants in wire order; `Unknown` is encoded out
+        /// of band (wire tag 1 + raw number).  Appending here is a
+        /// compatible change; reordering is not — the golden-format tests
+        /// pin the order.
+        const SYSNO_TABLE: &[Sysno] = &[$(Sysno::$name),*];
+
+        /// The list's positions, named: `WireIndex::X as u32` is the index
+        /// of `Sysno::X` in [`SYSNO_TABLE`].
+        #[allow(dead_code)]
+        #[repr(u32)]
+        enum WireIndex {
+            $($name),*
+        }
+
+        /// A call's wire form: `(0, index in SYSNO_TABLE)` for a known
+        /// call, `(1, raw number)` for [`Sysno::Unknown`].
+        fn sysno_wire_form(no: Sysno) -> (u8, u32) {
+            match no {
+                $(Sysno::$name => (0, WireIndex::$name as u32),)*
+                Sysno::Unknown(raw) => (1, raw),
+            }
+        }
+    };
+}
+
+sysno_wire_order![
+    Read,
+    Write,
+    Open,
+    Close,
+    Stat,
+    Fstat,
+    Lseek,
+    Mmap,
+    Mprotect,
+    Munmap,
+    Brk,
+    Pipe,
+    Dup,
+    Socket,
+    Bind,
+    Listen,
+    Accept,
+    Connect,
+    Send,
+    Recv,
+    Shutdown,
+    FutexWait,
+    FutexWake,
+    Clone,
+    Exit,
+    ExitGroup,
+    Gettimeofday,
+    ClockGettime,
+    Getpid,
+    Gettid,
+    SchedYield,
+    Nanosleep,
+    SchedSetaffinity,
+    Getrandom,
+    Madvise,
+    Fcntl,
+    Ioctl,
+    Readlink,
+    Access,
+    Unlink,
+    Rename,
+    Mkdir,
+    Epoll,
+    Poll,
+    Sendfile,
+    Writev,
+    MveeSelfAware,
 ];
 
 fn encode_sysno(buf: &mut Vec<u8>, no: Sysno) {
-    if let Sysno::Unknown(raw) = no {
-        buf.push(1);
-        buf.extend_from_slice(&raw.to_le_bytes());
-        return;
-    }
-    // The exhaustive position lookup keeps encode/decode symmetric by
-    // construction; a Sysno variant missing from the table is a bug the
-    // round-trip tests catch immediately.
-    let idx = SYSNO_TABLE
-        .iter()
-        .position(|&s| s == no)
-        .expect("known Sysno missing from SYSNO_TABLE");
-    buf.push(0);
-    buf.extend_from_slice(&(idx as u32).to_le_bytes());
+    let (tag, raw) = sysno_wire_form(no);
+    buf.push(tag);
+    buf.extend_from_slice(&raw.to_le_bytes());
 }
 
 fn decode_sysno(r: &mut Reader<'_>) -> Result<Sysno, String> {
@@ -484,77 +502,102 @@ pub(crate) fn decode_report(r: &mut Reader<'_>) -> Result<DivergenceReport, Stri
     })
 }
 
+// The per-record field encoders: the one place each record layout is
+// written down.  [`JournalRecord::encode_body`] and the [`JournalRecorder`]
+// both call them — the recorder straight from borrowed fields, so nothing
+// is cloned into a `JournalRecord` just to be serialised.
+
+fn encode_enter(buf: &mut Vec<u8>, variant: u16, thread: u32, lane: u16, self_aware: bool) {
+    buf.push(TAG_ENTER);
+    buf.extend_from_slice(&variant.to_le_bytes());
+    buf.extend_from_slice(&thread.to_le_bytes());
+    buf.extend_from_slice(&lane.to_le_bytes());
+    buf.push(u8::from(self_aware));
+}
+
+fn encode_class(buf: &mut Vec<u8>, kind: ClassKind, lane: u16) {
+    buf.push(TAG_CLASS);
+    buf.push(kind.to_wire());
+    buf.extend_from_slice(&lane.to_le_bytes());
+}
+
+fn encode_arrival(
+    buf: &mut Vec<u8>,
+    variant: u16,
+    thread: u32,
+    seq: u64,
+    shard: u16,
+    order: u64,
+    cmp: &ComparisonKey,
+) {
+    buf.push(TAG_ARRIVAL);
+    buf.extend_from_slice(&variant.to_le_bytes());
+    buf.extend_from_slice(&thread.to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&shard.to_le_bytes());
+    buf.extend_from_slice(&order.to_le_bytes());
+    encode_cmp(buf, cmp);
+}
+
+fn encode_publish(
+    buf: &mut Vec<u8>,
+    thread: u32,
+    seq: u64,
+    timestamp: Option<u64>,
+    outcome: &SyscallOutcome,
+) {
+    buf.push(TAG_PUBLISH);
+    buf.extend_from_slice(&thread.to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.push(u8::from(timestamp.is_some()));
+    buf.extend_from_slice(&timestamp.unwrap_or(0).to_le_bytes());
+    encode_outcome(buf, outcome);
+}
+
+fn encode_diverge(buf: &mut Vec<u8>, report: &DivergenceReport) {
+    buf.push(TAG_DIVERGE);
+    encode_report(buf, report);
+}
+
+fn encode_sync_op(buf: &mut Vec<u8>, variant: u16, thread: u32) {
+    buf.push(TAG_SYNC_OP);
+    buf.extend_from_slice(&variant.to_le_bytes());
+    buf.extend_from_slice(&thread.to_le_bytes());
+}
+
+fn encode_end(buf: &mut Vec<u8>, records: u64) {
+    buf.push(TAG_END);
+    buf.extend_from_slice(&records.to_le_bytes());
+}
+
 impl JournalRecord {
     /// Serializes the record body (tag + fields, no frame).
     pub fn encode_body(&self, buf: &mut Vec<u8>) {
-        match self {
+        match *self {
             JournalRecord::Enter {
                 variant,
                 thread,
                 lane,
                 self_aware,
-            } => {
-                buf.push(TAG_ENTER);
-                buf.extend_from_slice(&variant.to_le_bytes());
-                buf.extend_from_slice(&thread.to_le_bytes());
-                buf.extend_from_slice(&lane.to_le_bytes());
-                buf.push(u8::from(*self_aware));
-            }
-            JournalRecord::Class { kind, lane } => {
-                buf.push(TAG_CLASS);
-                buf.push(kind.to_wire());
-                buf.extend_from_slice(&lane.to_le_bytes());
-            }
+            } => encode_enter(buf, variant, thread, lane, self_aware),
+            JournalRecord::Class { kind, lane } => encode_class(buf, kind, lane),
             JournalRecord::Arrival {
                 variant,
                 thread,
                 seq,
                 shard,
                 order,
-                cmp,
-            } => {
-                buf.push(TAG_ARRIVAL);
-                buf.extend_from_slice(&variant.to_le_bytes());
-                buf.extend_from_slice(&thread.to_le_bytes());
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&shard.to_le_bytes());
-                buf.extend_from_slice(&order.to_le_bytes());
-                encode_cmp(buf, cmp);
-            }
+                ref cmp,
+            } => encode_arrival(buf, variant, thread, seq, shard, order, cmp),
             JournalRecord::Publish {
                 thread,
                 seq,
                 timestamp,
-                outcome,
-            } => {
-                buf.push(TAG_PUBLISH);
-                buf.extend_from_slice(&thread.to_le_bytes());
-                buf.extend_from_slice(&seq.to_le_bytes());
-                match timestamp {
-                    Some(ts) => {
-                        buf.push(1);
-                        buf.extend_from_slice(&ts.to_le_bytes());
-                    }
-                    None => {
-                        buf.push(0);
-                        buf.extend_from_slice(&0u64.to_le_bytes());
-                    }
-                }
-                encode_outcome(buf, outcome);
-            }
-            JournalRecord::Diverge { report } => {
-                buf.push(TAG_DIVERGE);
-                encode_report(buf, report);
-            }
-            JournalRecord::SyncOp { variant, thread } => {
-                buf.push(TAG_SYNC_OP);
-                buf.extend_from_slice(&variant.to_le_bytes());
-                buf.extend_from_slice(&thread.to_le_bytes());
-            }
-            JournalRecord::End { records } => {
-                buf.push(TAG_END);
-                buf.extend_from_slice(&records.to_le_bytes());
-            }
+                ref outcome,
+            } => encode_publish(buf, thread, seq, timestamp, outcome),
+            JournalRecord::Diverge { ref report } => encode_diverge(buf, report),
+            JournalRecord::SyncOp { variant, thread } => encode_sync_op(buf, variant, thread),
+            JournalRecord::End { records } => encode_end(buf, records),
         }
     }
 
@@ -832,18 +875,10 @@ impl Journal {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.header.encode(&mut buf);
-        let mut body = Vec::new();
         for record in &self.records {
-            body.clear();
-            record.encode_body(&mut body);
-            push_frame(&mut buf, &body);
+            push_frame_with(&mut buf, |body| record.encode_body(body));
         }
-        body.clear();
-        JournalRecord::End {
-            records: self.records.len() as u64,
-        }
-        .encode_body(&mut body);
-        push_frame(&mut buf, &body);
+        push_frame_with(&mut buf, |body| encode_end(body, self.records.len() as u64));
         buf
     }
 }
@@ -890,10 +925,25 @@ struct RecorderInner {
     begun: bool,
 }
 
+impl RecorderInner {
+    /// Frames one record onto the stream, its body encoded in place.
+    fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        push_frame_with(&mut self.buf, encode);
+        self.records += 1;
+    }
+}
+
 /// Thread-safe journal sink.  The monitor and the rendezvous table append
 /// records under a single leaf mutex, so file order is a valid global order
 /// of the events — that single serialization point is what makes the
 /// `order` counter a RecPlay-style timestamp.
+///
+/// Every `record_*` call encodes its record under that mutex, straight into
+/// the stream buffer and straight from the caller's borrowed fields: an
+/// append costs no allocation beyond the buffer's own amortised growth, and
+/// no key, outcome or report is cloned on the way.  An arrival's `order` is
+/// taken under the same lock acquisition that writes the record, so order
+/// values appear in file order.
 pub struct JournalRecorder {
     inner: Mutex<RecorderInner>,
 }
@@ -927,45 +977,32 @@ impl JournalRecorder {
     pub fn begin(&self, header: JournalHeader) {
         let mut inner = self.inner.lock();
         if !inner.begun {
-            let mut buf = std::mem::take(&mut inner.buf);
-            header.encode(&mut buf);
-            inner.buf = buf;
+            header.encode(&mut inner.buf);
             inner.begun = true;
         }
     }
 
-    fn push(&self, record: &JournalRecord) {
-        let mut body = Vec::with_capacity(64);
-        record.encode_body(&mut body);
+    /// Appends one record, encoded in place under the journal lock.
+    fn push(&self, encode: impl FnOnce(&mut Vec<u8>)) {
         let mut inner = self.inner.lock();
-        if !inner.begun {
-            // Records before `begin` have no header to follow; dropping
-            // them (instead of corrupting the stream) keeps the invariant
-            // that a recorder's bytes always decode.
-            return;
+        // Records before `begin` have no header to follow; dropping them
+        // (instead of corrupting the stream) keeps the invariant that a
+        // recorder's bytes always decode.
+        if inner.begun {
+            inner.append(encode);
         }
-        let mut buf = std::mem::take(&mut inner.buf);
-        push_frame(&mut buf, &body);
-        inner.buf = buf;
-        inner.records += 1;
     }
 
     /// Records a gateway entry.
     pub fn record_enter(&self, variant: usize, thread: usize, lane: usize, self_aware: bool) {
-        self.push(&JournalRecord::Enter {
-            variant: variant as u16,
-            thread: thread as u32,
-            lane: lane as u16,
-            self_aware,
+        self.push(|body| {
+            encode_enter(body, variant as u16, thread as u32, lane as u16, self_aware)
         });
     }
 
     /// Records a gateway classification (or batch flush).
     pub fn record_class(&self, kind: ClassKind, lane: usize) {
-        self.push(&JournalRecord::Class {
-            kind,
-            lane: lane as u16,
-        });
+        self.push(|body| encode_class(body, kind, lane as u16));
     }
 
     /// Records a rendezvous deposit; the global arrival order is assigned
@@ -980,26 +1017,23 @@ impl JournalRecorder {
     ) {
         // Assign the order under the same lock that serializes the write so
         // order values appear in file order.
-        let mut body = Vec::with_capacity(64);
         let mut inner = self.inner.lock();
         if !inner.begun {
             return;
         }
         let order = inner.next_order;
         inner.next_order += 1;
-        JournalRecord::Arrival {
-            variant: variant as u16,
-            thread: thread as u32,
-            seq,
-            shard: shard as u16,
-            order,
-            cmp: cmp.clone(),
-        }
-        .encode_body(&mut body);
-        let mut buf = std::mem::take(&mut inner.buf);
-        push_frame(&mut buf, &body);
-        inner.buf = buf;
-        inner.records += 1;
+        inner.append(|body| {
+            encode_arrival(
+                body,
+                variant as u16,
+                thread as u32,
+                seq,
+                shard as u16,
+                order,
+                cmp,
+            )
+        });
     }
 
     /// Records a published replicated outcome.
@@ -1010,27 +1044,17 @@ impl JournalRecorder {
         timestamp: Option<u64>,
         outcome: &SyscallOutcome,
     ) {
-        self.push(&JournalRecord::Publish {
-            thread: thread as u32,
-            seq,
-            timestamp,
-            outcome: outcome.clone(),
-        });
+        self.push(|body| encode_publish(body, thread as u32, seq, timestamp, outcome));
     }
 
     /// Records a divergence declaration.
     pub fn record_diverge(&self, report: &DivergenceReport) {
-        self.push(&JournalRecord::Diverge {
-            report: report.clone(),
-        });
+        self.push(|body| encode_diverge(body, report));
     }
 
     /// Records an agent replication point.
     pub fn record_sync_op(&self, variant: usize, thread: usize) {
-        self.push(&JournalRecord::SyncOp {
-            variant: variant as u16,
-            thread: thread as u32,
-        });
+        self.push(|body| encode_sync_op(body, variant as u16, thread as u32));
     }
 
     /// Number of records written so far (trailer excluded).
@@ -1043,13 +1067,11 @@ impl JournalRecorder {
     /// called repeatedly (each call yields a complete, decodable journal).
     pub fn finish(&self) -> Vec<u8> {
         let inner = self.inner.lock();
-        let mut buf = inner.buf.clone();
-        let mut body = Vec::with_capacity(16);
-        JournalRecord::End {
-            records: inner.records,
-        }
-        .encode_body(&mut body);
-        push_frame(&mut buf, &body);
+        // Sized for the stream plus the trailer frame (tag + count), so the
+        // copy is the only pass over the bytes.
+        let mut buf = Vec::with_capacity(inner.buf.len() + FRAME_OVERHEAD + 9);
+        buf.extend_from_slice(&inner.buf);
+        push_frame_with(&mut buf, |body| encode_end(body, inner.records));
         buf
     }
 }
@@ -1418,6 +1440,106 @@ mod tests {
     }
 
     #[test]
+    fn every_known_sysno_encodes_to_its_table_position_and_back() {
+        for (position, &no) in SYSNO_TABLE.iter().enumerate() {
+            assert_eq!(sysno_wire_form(no), (0, position as u32), "{no:?}");
+            let mut bytes = Vec::new();
+            encode_sysno(&mut bytes, no);
+            let mut expected = vec![0u8];
+            expected.extend_from_slice(&(position as u32).to_le_bytes());
+            assert_eq!(bytes, expected, "{no:?}");
+            assert_eq!(decode_sysno(&mut Reader::new(&bytes)), Ok(no));
+        }
+        let mut bytes = Vec::new();
+        encode_sysno(&mut bytes, Sysno::Unknown(999));
+        assert_eq!(bytes, [1, 0xE7, 0x03, 0, 0]);
+        assert_eq!(
+            decode_sysno(&mut Reader::new(&bytes)),
+            Ok(Sysno::Unknown(999))
+        );
+        let past_the_table = SYSNO_TABLE.len() as u32;
+        let mut bytes = vec![0u8];
+        bytes.extend_from_slice(&past_the_table.to_le_bytes());
+        assert!(decode_sysno(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// The recorder encodes from borrowed fields, `Journal::encode` from
+    /// owned `JournalRecord`s: the two must write the same bytes, for
+    /// every record kind and for the large and variable-length fields.
+    #[test]
+    fn recorder_bytes_survive_decode_then_encode_unchanged() {
+        let path_key = ComparisonKey {
+            no: Sysno::Open,
+            args: vec![
+                SyscallArg::Path("/var/www/index.html".to_string()),
+                SyscallArg::Flags(0o2),
+                SyscallArg::Pointer(0x7FFF_1234),
+            ],
+            payload_digest: 0xFEED_FACE_CAFE_BEEF,
+            payload_len: 4096,
+        };
+        let big = SyscallOutcome {
+            result: Ok(64 * 1024),
+            payload: (0..64 * 1024).map(|i| (i * 31 % 251) as u8).collect(),
+        };
+        let rec = JournalRecorder::with_header(header());
+        rec.record_enter(0, 1, 1, false);
+        rec.record_enter(1, 1, 1, true);
+        rec.record_class(ClassKind::Replicated, 1);
+        rec.record_arrival(0, 1, 4, 1, &path_key);
+        rec.record_arrival(1, 1, 4 | DEFERRED_SEQ_BIT, 1, &cmp(Sysno::Unknown(4242)));
+        rec.record_publish(1, 4, Some(u64::MAX), &big);
+        rec.record_publish(1, 5, None, &big);
+        rec.record_publish(
+            1,
+            6,
+            None,
+            &SyscallOutcome {
+                result: Err(Errno::Einval),
+                payload: Vec::new(),
+            },
+        );
+        for kind in [
+            DivergenceKind::SyscallMismatch {
+                master: Sysno::Open,
+                variant: Sysno::Unknown(7),
+            },
+            DivergenceKind::RendezvousTimeout {
+                arrived: vec![0, 2],
+            },
+            DivergenceKind::ReplicationTimeout {
+                publisher: 1,
+                arrived: vec![],
+            },
+            DivergenceKind::PolicyViolation { call: Sysno::Mmap },
+        ] {
+            rec.record_diverge(&DivergenceReport {
+                kind,
+                thread: 1,
+                sequence: 4,
+                variant: 1,
+            });
+        }
+        rec.record_sync_op(1, 1);
+        assert_eq!(rec.records(), 13);
+
+        let bytes = rec.finish();
+        let journal = Journal::decode(&bytes).expect("decode");
+        assert_eq!(journal.records.len(), 13);
+        assert!(matches!(
+            &journal.records[3],
+            JournalRecord::Arrival { order: 0, cmp, .. } if *cmp == path_key
+        ));
+        assert!(matches!(
+            &journal.records[5],
+            JournalRecord::Publish { timestamp: Some(u64::MAX), outcome, .. } if *outcome == big
+        ));
+        assert_eq!(journal.encode(), bytes);
+        // A second snapshot of the same recorder is the same journal.
+        assert_eq!(rec.finish(), bytes);
+    }
+
+    #[test]
     fn comparison_keys_with_every_arg_kind_round_trip() {
         let key = ComparisonKey {
             no: Sysno::Unknown(999),
@@ -1479,10 +1601,32 @@ mod tests {
     fn records_before_begin_are_dropped_not_corrupting() {
         let rec = JournalRecorder::new();
         rec.record_enter(0, 0, 0, false);
+        rec.record_class(ClassKind::Lockstep, 0);
+        rec.record_arrival(0, 0, 0, 0, &cmp(Sysno::Brk));
+        rec.record_publish(0, 0, None, &SyscallOutcome::ok(0));
+        rec.record_diverge(&DivergenceReport {
+            kind: DivergenceKind::PolicyViolation { call: Sysno::Open },
+            thread: 0,
+            sequence: 0,
+            variant: 0,
+        });
+        rec.record_sync_op(0, 0);
+        assert_eq!(rec.records(), 0);
         rec.begin(header());
+        assert_eq!(
+            rec.finish(),
+            JournalRecorder::with_header(header()).finish(),
+            "dropped, not written"
+        );
         rec.record_enter(0, 1, 1, false);
+        rec.record_arrival(0, 1, 0, 1, &cmp(Sysno::Brk));
         let journal = Journal::decode(&rec.finish()).expect("decode");
-        assert_eq!(journal.records.len(), 1);
+        assert_eq!(journal.records.len(), 2);
+        // A dropped arrival spends no order stamp either.
+        assert!(matches!(
+            journal.records[1],
+            JournalRecord::Arrival { order: 0, .. }
+        ));
     }
 
     #[test]

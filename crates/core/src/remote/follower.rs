@@ -284,6 +284,8 @@ impl Lane {
 struct Pump {
     monitor: Arc<Monitor>,
     tx: Option<Box<dyn Write + Send>>,
+    /// Encode buffer for outgoing frames, reused across sends.
+    out: Vec<u8>,
     inbox: Arc<Inbox>,
     fault: Arc<Mutex<Option<PeerFailure>>>,
     stop: Arc<AtomicBool>,
@@ -314,6 +316,7 @@ impl Pump {
         Pump {
             monitor,
             tx: Some(tx),
+            out: Vec::with_capacity(64),
             inbox,
             fault,
             stop,
@@ -643,9 +646,9 @@ impl Pump {
         let Some(tx) = self.tx.as_mut() else {
             return;
         };
-        let mut bytes = Vec::with_capacity(64);
-        record.encode_frame(&mut bytes);
-        if tx.write_all(&bytes).and_then(|()| tx.flush()).is_err() {
+        self.out.clear();
+        record.encode_frame(&mut self.out);
+        if tx.write_all(&self.out).and_then(|()| tx.flush()).is_err() {
             self.tx = None;
             set_fault(&self.fault, &self.waker, PeerFailureKind::Disconnected);
         }

@@ -392,12 +392,16 @@ impl LeaderPort {
     /// Pushes the buffered frames to the connection (one locked write) and
     /// returns the stream watermark of the last frame, if any were pushed.
     fn push_buffered(&self) -> Result<Option<u64>, MonitorError> {
-        if self.buffered.get() == 0 {
+        let frames = self.buffered.replace(0);
+        if frames == 0 {
             return Ok(None);
         }
-        let bytes = std::mem::take(&mut *self.buf.borrow_mut());
-        let frames = self.buffered.replace(0);
-        self.link.push(&bytes, frames).map(Some)
+        // Written, then cleared: the buffer keeps its capacity across
+        // flushes instead of regrowing from empty after each one.
+        let mut buf = self.buf.borrow_mut();
+        let pushed = self.link.push(&buf, frames);
+        buf.clear();
+        pushed.map(Some)
     }
 
     /// Moves the deferred comparisons into a [`WireRecord::Batch`] frame in

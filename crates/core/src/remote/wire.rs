@@ -23,7 +23,7 @@
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 
 use crate::divergence::DivergenceReport;
-use crate::frame::{push_frame, Reader};
+use crate::frame::{push_frame_with, Reader};
 use crate::journal::{
     decode_cmp, decode_outcome, decode_report, encode_cmp, encode_outcome, encode_report, ClassKind,
 };
@@ -109,9 +109,7 @@ pub(crate) enum WireRecord {
 impl WireRecord {
     /// Appends this record to `out` as one CRC-framed wire frame.
     pub(crate) fn encode_frame(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::with_capacity(32);
-        self.encode_body(&mut body);
-        push_frame(out, &body);
+        push_frame_with(out, |body| self.encode_body(body));
     }
 
     fn encode_body(&self, buf: &mut Vec<u8>) {
@@ -280,14 +278,22 @@ mod tests {
     use super::*;
     use crate::divergence::DivergenceKind;
     use crate::frame::next_frame;
-    use mvee_kernel::syscall::{SyscallRequest, Sysno};
+    use mvee_kernel::syscall::{SyscallArg, SyscallRequest, Sysno};
 
     fn roundtrip(record: WireRecord) {
         let mut bytes = Vec::new();
         record.encode_frame(&mut bytes);
         let (body, end) = next_frame(&bytes, 0).unwrap().unwrap();
         assert_eq!(end, bytes.len(), "one frame per record");
-        assert_eq!(WireRecord::decode(body).unwrap(), record);
+        let decoded = WireRecord::decode(body).unwrap();
+        assert_eq!(decoded, record);
+        let mut again = b"earlier frames".to_vec();
+        decoded.encode_frame(&mut again);
+        assert_eq!(
+            again[14..],
+            bytes[..],
+            "decode then re-encode is the identity"
+        );
     }
 
     fn cmp(no: Sysno, payload: &[u8]) -> ComparisonKey {
@@ -355,6 +361,38 @@ mod tests {
                 variant: 1,
             },
         });
+    }
+
+    #[test]
+    fn large_and_variable_length_fields_roundtrip() {
+        let open = SyscallRequest::new(Sysno::Open)
+            .with_arg(SyscallArg::Path("/var/www/index.html".to_string()))
+            .with_arg(SyscallArg::Flags(0o2))
+            .comparison_key();
+        roundtrip(WireRecord::Arrive {
+            thread: 1,
+            lane: 0,
+            seq: 3,
+            will_publish: false,
+            cmp: open.clone(),
+        });
+        roundtrip(WireRecord::Batch {
+            thread: 1,
+            lane: 0,
+            calls: (0..8).map(|i| ((1 << 63) | i, open.clone())).collect(),
+        });
+        let big = SyscallOutcome {
+            result: Ok(64 * 1024),
+            payload: (0..64 * 1024).map(|i| (i * 31 % 251) as u8).collect(),
+        };
+        for timestamp in [None, Some(u64::MAX)] {
+            roundtrip(WireRecord::Publish {
+                thread: 1,
+                seq: 3,
+                timestamp,
+                outcome: big.clone(),
+            });
+        }
     }
 
     #[test]

@@ -132,17 +132,16 @@ pub struct SnapshotRecord {
 impl SnapshotRecord {
     /// Serialises the record: magic, version, one CRC frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(256);
-        body.extend_from_slice(&(self.variant as u16).to_le_bytes());
-        body.extend_from_slice(&self.sync_ops.to_le_bytes());
-        body.extend_from_slice(&self.journal_records.to_le_bytes());
-        body.extend_from_slice(&self.clock_ns.to_le_bytes());
-        encode_image(&mut body, &self.image);
-
-        let mut out = Vec::with_capacity(body.len() + 16);
+        let mut out = Vec::with_capacity(256);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        frame::push_frame(&mut out, &body);
+        frame::push_frame_with(&mut out, |body| {
+            body.extend_from_slice(&(self.variant as u16).to_le_bytes());
+            body.extend_from_slice(&self.sync_ops.to_le_bytes());
+            body.extend_from_slice(&self.journal_records.to_le_bytes());
+            body.extend_from_slice(&self.clock_ns.to_le_bytes());
+            encode_image(body, &self.image);
+        });
         out
     }
 
