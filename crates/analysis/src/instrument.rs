@@ -5,7 +5,7 @@
 //! no-op symbols so uninstrumented runs still link).  This module performs
 //! the same rewrite on the toy module model: it inserts `call` pseudo-
 //! instructions around every instruction listed in a
-//! [`SyncOpReport`](crate::classify::SyncOpReport).
+//! [`SyncOpReport`].
 
 use serde::{Deserialize, Serialize};
 

@@ -12,7 +12,7 @@
 //! * **Symbol identity** — when the operands name the same global symbol the
 //!   alias is syntactic; no analysis is needed.
 //! * **Points-to** — when pointers are involved, a
-//!   [`PointsToAnalysis`](crate::pointsto::PointsToAnalysis) decides may-alias
+//!   [`PointsToAnalysis`] decides may-alias
 //!   between the operand's pointer and each synchronization variable.
 
 use std::collections::BTreeMap;

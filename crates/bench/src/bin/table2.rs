@@ -8,9 +8,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mvee_bench::{format_row, map_region, mprotect_request, print_table_header, workload_scale};
+use mvee_bench::{format_row, print_table_header, workload_scale};
 use mvee_core::config::{RemoteChannel, Transport};
+use mvee_core::monitor::MonitorError;
 use mvee_core::mvee::Mvee;
+use mvee_kernel::syscall::{SyscallArg, SyscallOutcome, SyscallRequest, Sysno};
 use mvee_sync_agent::agents::AgentKind;
 use mvee_variant::runner::{run_mvee, run_native, RunConfig};
 use mvee_workloads::catalog::{BenchmarkSpec, Suite, CATALOG};
@@ -148,6 +150,26 @@ fn print_detection_lag() {
     println!(
         "(staged sy = sync ops the leader retires behind the mismatching batch; lag = how many the follower had ingested when the verdict landed)"
     );
+}
+
+/// Maps the region a probe thread's `mprotect`s work on, through `call`
+/// (the thread's port), so the probe compares real protection changes
+/// instead of the kernel's `EINVAL` path.  Returns the region's address.
+fn map_region(call: impl FnOnce(&SyscallRequest) -> Result<SyscallOutcome, MonitorError>) -> u64 {
+    let request = SyscallRequest::new(Sysno::Mmap)
+        .with_int(4096)
+        .with_arg(SyscallArg::Flags(3));
+    let outcome = call(&request).expect("probe region mmap diverged");
+    outcome.result.expect("probe region mmap failed") as u64
+}
+
+/// A well-formed `mprotect(region, len, PROT_READ)` on a thread's
+/// [`map_region`]; the staged mismatch varies `len`.
+fn mprotect_request(region: u64, len: i64) -> SyscallRequest {
+    SyscallRequest::new(Sysno::Mprotect)
+        .with_arg(SyscallArg::Pointer(region))
+        .with_int(len)
+        .with_arg(SyscallArg::Flags(1))
 }
 
 /// One staged-mismatch run on the given replication channel; returns the

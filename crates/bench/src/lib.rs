@@ -16,8 +16,6 @@
 
 use std::time::Duration;
 
-use mvee_core::monitor::MonitorError;
-use mvee_kernel::syscall::{SyscallArg, SyscallOutcome, SyscallRequest, Sysno};
 use mvee_sync_agent::agents::AgentKind;
 use mvee_variant::diversity::DiversityProfile;
 use mvee_variant::runner::{run_mvee, run_native, RunConfig};
@@ -72,46 +70,6 @@ pub fn variant_counts() -> Vec<usize> {
 /// sweep is requested.
 pub fn comparison_batches() -> Vec<usize> {
     env_usize_list("MVEE_BENCH_BATCH", |n| (1..=1024).contains(n)).unwrap_or_else(|| vec![1])
-}
-
-/// Maps the region a bench thread's `mprotect`s work on: one `mmap` issued
-/// through `call` (the thread's port) before its first stream call, so the
-/// stream times real protection changes instead of the kernel's `EINVAL`
-/// path.  Returns the region's address.
-///
-/// # Panics
-///
-/// Panics if the call diverged or the kernel refused the mapping.
-pub fn map_region(
-    call: impl FnOnce(&SyscallRequest) -> Result<SyscallOutcome, MonitorError>,
-) -> u64 {
-    let request = SyscallRequest::new(Sysno::Mmap)
-        .with_int(4096)
-        .with_arg(SyscallArg::Flags(3));
-    let outcome = call(&request).expect("bench region mmap diverged");
-    outcome.result.expect("bench region mmap failed") as u64
-}
-
-/// A well-formed `mprotect(region, len, PROT_READ)` on a thread's
-/// [`map_region`]; the staged mismatches vary `len`.
-pub fn mprotect_request(region: u64, len: i64) -> SyscallRequest {
-    SyscallRequest::new(Sysno::Mprotect)
-        .with_arg(SyscallArg::Pointer(region))
-        .with_int(len)
-        .with_arg(SyscallArg::Flags(1))
-}
-
-/// Call `i` of the stream `ablation_transport`, `ablation_remote` and
-/// `ablation_recovery` share, so their records compare directly:
-/// deferrable address-space calls (`brk`/`mmap`/`mprotect` on `region`)
-/// with one replicated flush point (`gettimeofday`) every 32 calls.
-pub fn stream_request(i: u64, region: u64) -> SyscallRequest {
-    match i % 32 {
-        31 => SyscallRequest::new(Sysno::Gettimeofday),
-        n if n % 3 == 0 => SyscallRequest::new(Sysno::Brk).with_int(0),
-        n if n % 3 == 1 => SyscallRequest::new(Sysno::Mmap).with_int(8192),
-        _ => mprotect_request(region, 4096),
-    }
 }
 
 /// The result of measuring one benchmark under one configuration.

@@ -10,7 +10,7 @@
 //! compares in the background.  [`AsyncThreadPort`] is that transport,
 //! shaped like a virtio split queue:
 //!
-//! * a **submission ring** the variant thread deposits [`Submission`]
+//! * a **submission ring** the variant thread deposits `Submission`
 //!   descriptors into (call number, arguments, an implicit per-thread
 //!   sequence — the monitor side assigns rendezvous keys exactly as the
 //!   sync transport does, because the descriptors arrive in program
@@ -19,9 +19,9 @@
 //!   variant reaps in batches ([`AsyncThreadPort::reap`]).
 //!
 //! Both rings are [`DescRing`]s — the PR 5 SPSC ring discipline (sequence-
-//! published slots, separated cursors, [`EventCount`]-parked waiters)
+//! published slots, separated cursors, `EventCount`-parked waiters)
 //! generalized to carry owned descriptors; see
-//! [`mvee_sync_agent::spsc`](mvee_sync_agent::spsc).
+//! [`mvee_sync_agent::spsc`].
 //!
 //! # Who drains the rings: the poller pool
 //!
@@ -66,7 +66,7 @@
 //! Every submitted ticket is answered — on divergence the pipeline returns
 //! the error and the poller posts it as the completion — so a reaper
 //! parked on the completion ring always wakes with a verdict instead of
-//! hanging.  Dropping the port enqueues [`Submission::Close`] and waits
+//! hanging.  Dropping the port enqueues `Submission::Close` and waits
 //! for the poller to reach it; the poller then flushes any still-deferred
 //! comparisons and releases the (variant, thread) binding, so async ports
 //! re-acquire across workload phases exactly like sync ports.

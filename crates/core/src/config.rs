@@ -134,15 +134,6 @@ pub enum Pollers {
 }
 
 impl Pollers {
-    /// Short name used in benchmark tables and reports: `pool{n}` or
-    /// `auto`.
-    pub fn label(&self) -> String {
-        match self {
-            Pollers::Pool(n) => format!("pool{n}"),
-            Pollers::Auto => "auto".to_string(),
-        }
-    }
-
     /// The number of polling shards this shape asks for on this machine.
     pub fn pool_size(&self) -> usize {
         match self {
@@ -244,14 +235,6 @@ impl Transport {
         }
     }
 
-    /// A [`Remote`](Transport::Remote) transport over the in-process
-    /// duplex loopback.
-    pub fn remote_inproc() -> Self {
-        Transport::Remote {
-            channel: RemoteChannel::InProc,
-        }
-    }
-
     /// Whether this is the asynchronous ring transport.
     pub fn is_async(&self) -> bool {
         matches!(self, Transport::AsyncRings { .. })
@@ -260,14 +243,6 @@ impl Transport {
     /// Whether this is the distributed leader/follower transport.
     pub fn is_remote(&self) -> bool {
         matches!(self, Transport::Remote { .. })
-    }
-
-    /// The configured replication channel, if remote.
-    pub fn remote_channel(&self) -> Option<RemoteChannel> {
-        match self {
-            Transport::Remote { channel } => Some(*channel),
-            _ => None,
-        }
     }
 
     /// The configured ring depth, if asynchronous.
@@ -286,24 +261,12 @@ impl Transport {
         }
     }
 
-    /// Short name used in benchmark tables and reports.  Stable across
-    /// pool sizes; use [`Transport::label`] to distinguish them.
+    /// Short name used in reports; stable across pool sizes and channels.
     pub fn name(&self) -> &'static str {
         match self {
             Transport::Sync => "sync",
             Transport::AsyncRings { .. } => "async-rings",
             Transport::Remote { .. } => "remote",
-        }
-    }
-
-    /// Cell label for benchmark tables: distinguishes the pool size
-    /// (`sync`, `async-pool{n}`, `async-auto`) and the remote channel
-    /// (`remote-inproc`, `remote-unix`, `remote-tcp`).
-    pub fn label(&self) -> String {
-        match self {
-            Transport::Sync => "sync".to_string(),
-            Transport::AsyncRings { pollers, .. } => format!("async-{}", pollers.label()),
-            Transport::Remote { channel } => format!("remote-{}", channel.name()),
         }
     }
 }
@@ -314,7 +277,7 @@ impl Transport {
 /// * [`RecoveryPolicy::PoisonAll`] — the paper's detect-and-kill model and
 ///   the historical behaviour: the first divergence poisons the lockstep
 ///   table, every waiter is broadcast-woken with
-///   [`SyscallResult::Poisoned`](crate::lockstep::SyscallResult) and the
+///   [`ArrivalResult::Poisoned`](crate::lockstep::ArrivalResult::Poisoned) and the
 ///   whole run tears down.
 /// * [`RecoveryPolicy::Quarantine`] — the dMVX recovery model: only the
 ///   *blamed* variant is dropped.  The lockstep table removes it from every
@@ -655,7 +618,6 @@ mod tests {
         assert_eq!(c.transport.depth(), Some(DEFAULT_RING_DEPTH));
         assert_eq!(c.transport.pollers(), Some(Pollers::Pool(1)));
         assert_eq!(c.transport.name(), "async-rings");
-        assert_eq!(c.transport.label(), "async-pool1");
         assert_eq!(
             c.with_transport(Transport::AsyncRings {
                 depth: 16,
@@ -671,33 +633,21 @@ mod tests {
     fn pool_transport_reports_its_shape() {
         let c = MveeConfig::default().with_transport(Transport::async_pool(2));
         assert_eq!(c.transport.pollers(), Some(Pollers::Pool(2)));
-        // `name()` stays stable across poller shapes; `label()` tells
-        // bench cells apart.
+        // `name()` stays stable across poller shapes.
         assert_eq!(c.transport.name(), "async-rings");
-        assert_eq!(c.transport.label(), "async-pool2");
-        assert_eq!(Pollers::Pool(4).label(), "pool4");
         assert_eq!(Transport::Sync.pollers(), None);
     }
 
     #[test]
     fn remote_transport_reports_its_shape() {
-        let c = MveeConfig::default().with_transport(Transport::remote_inproc());
+        let c = MveeConfig::default().with_transport(Transport::Remote {
+            channel: RemoteChannel::InProc,
+        });
         assert!(c.transport.is_remote());
         assert!(!c.transport.is_async());
-        assert_eq!(c.transport.remote_channel(), Some(RemoteChannel::InProc));
         assert_eq!(c.transport.depth(), None);
         assert_eq!(c.transport.pollers(), None);
         assert_eq!(c.transport.name(), "remote");
-        assert_eq!(c.transport.label(), "remote-inproc");
-        let unix = Transport::Remote {
-            channel: RemoteChannel::Unix,
-        };
-        assert_eq!(unix.label(), "remote-unix");
-        let tcp = Transport::Remote {
-            channel: RemoteChannel::Tcp,
-        };
-        assert_eq!(tcp.label(), "remote-tcp");
-        assert_eq!(Transport::Sync.remote_channel(), None);
     }
 
     #[test]
@@ -724,15 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_pollers_are_accepted_and_labelled() {
+    fn auto_pollers_are_accepted() {
         let c = MveeConfig::default().with_transport(Transport::AsyncRings {
             depth: DEFAULT_RING_DEPTH,
             pollers: Pollers::Auto,
         });
         assert_eq!(c.transport.pollers(), Some(Pollers::Auto));
         assert_eq!(c.transport.name(), "async-rings");
-        assert_eq!(c.transport.label(), "async-auto");
-        assert_eq!(Pollers::Auto.label(), "auto");
     }
 
     #[test]

@@ -789,13 +789,6 @@ impl Journal {
         }
     }
 
-    /// Salvage decode: parses the longest valid record prefix.  Returns the
-    /// salvaged journal plus the error that stopped the parse (`None` when
-    /// the stream was complete).  Header errors are not salvageable.
-    pub fn decode_lossy(bytes: &[u8]) -> Result<(Journal, Option<JournalError>), JournalError> {
-        Self::decode_inner(bytes).map(|(journal, damage, _)| (journal, damage))
-    }
-
     /// Crash-recovery entry point: salvages the longest valid record prefix
     /// of a possibly torn journal and accounts for what was lost.
     ///
@@ -1703,13 +1696,16 @@ mod tests {
         let bytes = rec.finish();
         // Cut inside the second record.
         let cut = JOURNAL_HEADER_LEN + 8 + 10 + 4;
-        let (journal, err) = Journal::decode_lossy(&bytes[..cut]).expect("header intact");
-        assert_eq!(journal.records.len(), 1);
-        assert!(matches!(err, Some(JournalError::Truncated { .. })));
+        let salvaged = Journal::recover_from_bytes(&bytes[..cut]).expect("header intact");
+        assert_eq!(salvaged.journal.records.len(), 1);
+        assert!(matches!(
+            salvaged.damage,
+            Some(JournalError::Truncated { .. })
+        ));
         // A complete stream salvages everything with no error.
-        let (journal, err) = Journal::decode_lossy(&bytes).expect("header intact");
-        assert_eq!(journal.records.len(), 2);
-        assert_eq!(err, None);
+        let salvaged = Journal::recover_from_bytes(&bytes).expect("header intact");
+        assert_eq!(salvaged.journal.records.len(), 2);
+        assert_eq!(salvaged.damage, None);
     }
 
     #[test]

@@ -106,19 +106,14 @@ pub struct MonitorConfig {
     /// values above [`MAX_BATCH`] are clamped.
     pub batch: usize,
     /// How logical threads are bound to shards (see
-    /// [`Placement`](crate::config::Placement)).  [`Placement::RoundRobin`]
+    /// [`Placement`]).  [`Placement::RoundRobin`]
     /// reproduces the historical `thread % shards` binding.
     pub placement: Placement,
     /// How variant threads hand calls to the monitor (see
-    /// [`Transport`](crate::config::Transport)): blocking in the pipeline
+    /// [`Transport`]): blocking in the pipeline
     /// directly, or through per-port submission/completion rings drained by
     /// a polling pool ([`crate::async_port`], [`crate::poller`]).
     pub transport: Transport,
-    /// Busy-spin iterations before one of the transport's ring waiters
-    /// (reapers parked on completion rings, polling shards parked on their
-    /// aggregated wakers) starts yielding; the same budget
-    /// `AgentConfig::spin_before_yield` gives the agents.
-    pub spin_before_yield: u32,
     /// Divergence-journal sink, when the run is being recorded (see
     /// [`crate::journal`]).  `None` — the default — keeps the journal hooks
     /// off the hot path entirely.
@@ -141,7 +136,6 @@ impl Default for MonitorConfig {
             batch: 1,
             placement: Placement::RoundRobin,
             transport: Transport::Sync,
-            spin_before_yield: 64,
             journal: None,
             recovery: RecoveryPolicy::PoisonAll,
         }
@@ -149,11 +143,11 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// The waiter the async transport's ring loops use, built from the
-    /// configured spin budget — the same discipline the agents get from
-    /// `AgentConfig::waiter`.
+    /// The waiter the async transport's ring loops use (reapers parked on
+    /// completion rings, polling shards parked on their aggregated wakers)
+    /// — the same discipline the agents get from `AgentConfig::waiter`.
     pub fn ring_waiter(&self) -> Waiter {
-        Waiter::new(self.spin_before_yield)
+        Waiter::default()
     }
 }
 
@@ -220,7 +214,10 @@ pub struct MonitorStats {
     pub replicated_syscalls: u64,
     /// Calls ordered with the syscall ordering clock.
     pub ordered_syscalls: u64,
-    /// Divergences detected.
+    /// Divergence verdicts reached: one per `Diverge` journal record,
+    /// whether the verdict poisoned the run or only quarantined the blamed
+    /// variant (those are counted in `quarantines` as well), so a replayed
+    /// journal re-derives the same number.
     pub divergences: u64,
     /// `mvee_self_aware` queries answered.
     pub self_aware_queries: u64,
@@ -513,13 +510,9 @@ impl Monitor {
         self.quarantined[blamed].store(true, Ordering::Release);
         let mut recorded = report.clone();
         recorded.variant = blamed;
-        let lane = self
-            .thread_state(0, recorded.thread % self.config.max_threads)
-            .shard;
-        self.lane(lane).quarantines.fetch_add(1, Ordering::Relaxed);
-        if let Some(journal) = &self.config.journal {
-            journal.record_diverge(&recorded);
-        }
+        self.record_verdict(&recorded)
+            .quarantines
+            .fetch_add(1, Ordering::Relaxed);
         reports.push(recorded);
         drop(reports);
         // Sweep the victim out of the rendezvous table — this wakes every
@@ -720,18 +713,26 @@ impl Monitor {
         self.kernel.execute(self.pids[variant], thread as u64, req)
     }
 
-    pub(crate) fn record_divergence(&self, report: DivergenceReport) -> MonitorError {
-        // Count the divergence in the diverging thread's own lane (the shard
-        // binding depends only on the thread index, so variant 0's state is
-        // as good as any) so the per-shard `lane_stats` view attributes it
-        // correctly.
-        let lane = self
+    /// One divergence verdict, fatal or quarantining: counted and journaled
+    /// together, so live `divergences` equals the `Diverge` records a
+    /// replay counts.  Returns the diverging thread's own stat lane (the
+    /// shard binding depends only on the thread index, so variant 0's
+    /// state is as good as any), which is where the per-shard `lane_stats`
+    /// view attributes the verdict.
+    fn record_verdict(&self, report: &DivergenceReport) -> &StatLane {
+        let shard = self
             .thread_state(0, report.thread % self.config.max_threads)
             .shard;
-        self.lane(lane).divergences.fetch_add(1, Ordering::Relaxed);
+        let lane = self.lane(shard);
+        lane.divergences.fetch_add(1, Ordering::Relaxed);
         if let Some(journal) = &self.config.journal {
-            journal.record_diverge(&report);
+            journal.record_diverge(report);
         }
+        lane
+    }
+
+    pub(crate) fn record_divergence(&self, report: DivergenceReport) -> MonitorError {
+        self.record_verdict(&report);
         let mut slot = self.divergence_report.lock();
         if slot.is_none() {
             *slot = Some(report.clone());

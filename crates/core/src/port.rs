@@ -187,8 +187,9 @@ impl ThreadPort {
         self.agent.after_sync_op(&self.ctx, addr);
     }
 
-    /// Convenience: brackets `op` between [`before_sync_op`]
-    /// (Self::before_sync_op) and [`after_sync_op`](Self::after_sync_op).
+    /// Convenience: brackets `op` between
+    /// [`before_sync_op`](Self::before_sync_op) and
+    /// [`after_sync_op`](Self::after_sync_op).
     pub fn sync_op<T>(&self, addr: u64, op: impl FnOnce() -> T) -> T {
         self.before_sync_op(addr);
         let result = op();

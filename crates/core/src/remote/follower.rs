@@ -8,12 +8,10 @@
 //! * a **reader** that decodes frames off the channel into an inbox (it
 //!   never touches monitor state, so a slow rendezvous cannot back up the
 //!   raw byte stream), and
-//! * a **pump** that applies the records: counter records
-//!   ([`Enter`](WireRecord::Enter), [`Class`](WireRecord::Class),
-//!   [`SyncOp`](WireRecord::SyncOp)) update the monitor's stat lanes
-//!   directly, while rendezvous records ([`Arrive`](WireRecord::Arrive),
-//!   [`Batch`](WireRecord::Batch), [`Publish`](WireRecord::Publish)) are
-//!   queued per leader thread and deposited into the
+//! * a **pump** that applies the records: counter records (`Enter`,
+//!   `Class`, `SyncOp`) update the monitor's stat lanes directly, while
+//!   rendezvous records (`Arrive`, `Batch`, `Publish`) are queued per
+//!   leader thread and deposited into the
 //!   [`LockstepTable`](crate::lockstep::LockstepTable) as variant 0 —
 //!   through the same non-blocking try/poll interface and the same verdict
 //!   settlers (`crate::call`) the in-proc call machine uses, so a remote
@@ -34,7 +32,7 @@
 //! frame, or an abort all wake it.
 //!
 //! If the stream dies (torn connection, garbage, leader gone without
-//! [`Bye`](WireRecord::Bye)) the pump records a typed [`PeerFailure`]
+//! `Bye`) the pump records a typed [`PeerFailure`]
 //! naming the leader and poisons the rendezvous table so every in-proc
 //! slave thread unblocks promptly.
 

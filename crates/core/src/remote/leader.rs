@@ -3,11 +3,9 @@
 //!
 //! A [`RemoteLeader`] owns the leader end of a [`Duplex`]: a writer the
 //! leader's per-thread ports push frame batches through (serialized behind
-//! one lock), and a reader thread that decodes the follower's
-//! [`Ack`](super::wire::WireRecord::Ack) /
-//! [`Verdict`](super::wire::WireRecord::Verdict) stream into shared link
-//! state.  [`LeaderPort`] is the remote mirror of
-//! [`ThreadPort`](crate::port::ThreadPort): same sequence keys, same
+//! one lock), and a reader thread that decodes the follower's `Ack` /
+//! `Verdict` stream into shared link state.  [`LeaderPort`] is the remote
+//! mirror of [`ThreadPort`](crate::port::ThreadPort): same sequence keys, same
 //! disposition logic, same deferred-batch discipline — but where the
 //! in-proc port deposits comparisons into the rendezvous table, the leader
 //! port *encodes* them and lets the follower's pump deposit on its behalf.
@@ -87,7 +85,7 @@ pub struct RemoteLeader {
 
 impl RemoteLeader {
     /// Connects the leader over `duplex`: sends the
-    /// [`Hello`](WireRecord::Hello) prologue describing the MVEE shape and
+    /// `Hello` prologue describing the MVEE shape and
     /// spawns the ack/verdict reader thread.
     pub fn connect(
         monitor: Arc<Monitor>,
@@ -167,7 +165,7 @@ impl RemoteLeader {
         self.shared.state.lock().dead
     }
 
-    /// Streams a [`Barrier`](WireRecord::Barrier) and waits until the
+    /// Streams a `Barrier` and waits until the
     /// follower has fully processed every frame written so far — the
     /// quiescence point after which the follower's counters are final.
     ///
@@ -181,7 +179,7 @@ impl RemoteLeader {
         self.wait_acked(through, false)
     }
 
-    /// Sends [`Bye`](WireRecord::Bye) and closes the write half, letting
+    /// Sends `Bye` and closes the write half, letting
     /// the follower drain to a clean EOF.  Idempotent.
     pub fn shutdown(&self) {
         let mut bytes = Vec::with_capacity(16);
@@ -447,9 +445,9 @@ impl LeaderPort {
     }
 
     /// Issues a system call on behalf of this port's logical thread —
-    /// the remote mirror of [`ThreadPort::syscall`]
-    /// (crate::port::ThreadPort::syscall); see the [module docs](self) for
-    /// the streaming/blocking discipline.
+    /// the remote mirror of
+    /// [`ThreadPort::syscall`](crate::port::ThreadPort::syscall); see the
+    /// [module docs](self) for the streaming/blocking discipline.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
         if let Err(e) = self.gate() {
             self.pending.borrow_mut().clear();
@@ -569,7 +567,7 @@ impl LeaderPort {
     }
 
     /// Brackets the start of a sync op: streams pending deferred
-    /// comparisons and the [`SyncOp`](WireRecord::SyncOp) progress marker
+    /// comparisons and the `SyncOp` progress marker
     /// (the follower's lag metric counts these), then enters the agent.
     pub fn before_sync_op(&self, addr: u64) {
         self.flush_batch();
@@ -585,8 +583,9 @@ impl LeaderPort {
         self.link.agent.after_sync_op(&self.ctx, addr);
     }
 
-    /// Convenience: brackets `op` between [`before_sync_op`]
-    /// (Self::before_sync_op) and [`after_sync_op`](Self::after_sync_op).
+    /// Convenience: brackets `op` between
+    /// [`before_sync_op`](Self::before_sync_op) and
+    /// [`after_sync_op`](Self::after_sync_op).
     pub fn sync_op<T>(&self, addr: u64, op: impl FnOnce() -> T) -> T {
         self.before_sync_op(addr);
         let result = op();

@@ -4,7 +4,7 @@
 //! A [`Duplex`] is one endpoint of a bidirectional byte channel: an
 //! `io::Read` half the endpoint's frame reader blocks on and an `io::Write`
 //! half its frames go out through.  The wire protocol above it
-//! ([`super::wire`]) never sees which flavour it runs on:
+//! (`super::wire`) never sees which flavour it runs on:
 //!
 //! * [`Duplex::in_proc_pair`] — an in-process pipe pair (two byte queues
 //!   with condvar blocking and close-on-drop EOF semantics).  Zero syscall

@@ -8,7 +8,7 @@
 //!
 //! * [`SnapshotRecord`] — a CRC-framed, versioned serialisation of one
 //!   variant's *private* emulated-kernel state
-//!   ([`ProcessImage`](mvee_kernel::process::ProcessImage): descriptor
+//!   ([`ProcessImage`]: descriptor
 //!   table, address space, threads, affinity, exit status) plus the
 //!   positions needed to resume: the variant's sync-op count, the journal
 //!   length at capture time and the virtual-clock reading.

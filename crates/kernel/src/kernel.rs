@@ -1,12 +1,10 @@
 //! The simulated kernel: global state plus the syscall execution engine.
 //!
-//! [`Kernel`] owns one [`Process`](crate::process::Process) per variant, a
-//! shared [`Vfs`](crate::vfs::Vfs), a [`NetworkStack`](crate::net::NetworkStack),
-//! per-process [`FutexTable`](crate::futex::FutexTable)s and a
-//! [`VirtualClock`](crate::time::VirtualClock).  The MVEE monitor calls
-//! [`Kernel::execute`] for every system call it decides to forward;
-//! divergence detection and result replication happen in the monitor, not
-//! here.
+//! [`Kernel`] owns one [`Process`] per variant, a shared [`Vfs`], a
+//! [`NetworkStack`], per-process [`FutexTable`]s and a [`VirtualClock`].
+//! The MVEE monitor calls [`Kernel::execute`] for every system call it
+//! decides to forward; divergence detection and result replication happen
+//! in the monitor, not here.
 //!
 //! The kernel is fully thread-safe: monitor threads for different variant
 //! threads call into it concurrently, just as threads of a real process

@@ -58,7 +58,7 @@ impl WallOfClocksAgent {
     /// Each of the `config.threads` rings has exactly one producer — master
     /// thread `t` writes only to ring `t` (§4.5) — so all rings take the
     /// CAS-free single-producer fast path, **except** the last one:
-    /// [`ring_for`](Self::ring_for) clamps out-of-range thread indices onto
+    /// `ring_for` clamps out-of-range thread indices onto
     /// it, so a misconfigured run (more live threads than
     /// `config.threads`) funnels several producers into that ring and it
     /// must stay multi-producer-safe.

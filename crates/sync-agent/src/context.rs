@@ -108,10 +108,6 @@ pub struct AgentConfig {
     pub guard_buckets: usize,
     /// Size of the look-ahead window the partial-order agent scans.
     pub lookahead_window: usize,
-    /// How many spin iterations a waiting thread performs before yielding to
-    /// the OS scheduler (and, if the wait outlasts the yield budget too,
-    /// parking; see [`Waiter`]).
-    pub spin_before_yield: u32,
 }
 
 impl Default for AgentConfig {
@@ -123,7 +119,6 @@ impl Default for AgentConfig {
             clock_count: 512,
             guard_buckets: 512,
             lookahead_window: 256,
-            spin_before_yield: 64,
         }
     }
 }
@@ -175,7 +170,7 @@ impl AgentConfig {
 
     /// The waiter this configuration prescribes.
     pub fn waiter(&self) -> Waiter {
-        Waiter::new(self.spin_before_yield)
+        Waiter::default()
     }
 
     /// Number of slave variants.

@@ -163,6 +163,12 @@ impl WaitTally {
     }
 }
 
+/// The spin budget every configured waiter gets (the agents' through
+/// `AgentConfig::waiter`, the monitor's ring loops through
+/// `MonitorConfig::ring_waiter`): busy-spin iterations before a waiting
+/// thread starts yielding to the OS scheduler.
+pub const SPIN_BEFORE_YIELD: u32 = 64;
+
 /// A bounded waiter — its spin budget: spin, yield, then park.
 ///
 /// Returns iteration tallies so callers can feed the agent statistics.
@@ -172,19 +178,18 @@ pub struct Waiter {
 }
 
 impl Default for Waiter {
-    /// The default spin budget (64 iterations per yield), used by the one
+    /// The [`SPIN_BEFORE_YIELD`] budget; built directly by the one
     /// wait on state nobody posts an event count for — a blocking port's
     /// ordering-clock turn wait, whose condition owns the deadline.
     /// Everything that *can* park does: the agents on their rings' event
     /// counts, the monitor's rendezvous waits on their shard's.
     fn default() -> Self {
-        Waiter::new(64)
+        Waiter::new(SPIN_BEFORE_YIELD)
     }
 }
 
 impl Waiter {
-    /// Creates a waiter with the given spin budget; agents build theirs
-    /// from [`AgentConfig`](crate::context::AgentConfig) this way.
+    /// Creates a waiter with the given spin budget.
     pub const fn new(spin_before_yield: u32) -> Self {
         Waiter { spin_before_yield }
     }
@@ -212,7 +217,7 @@ impl Waiter {
     /// wake-ups arrive through `events`.
     ///
     /// Spins `spin_before_yield` iterations, yields with exponential
-    /// backoff (1, 2, 4, … consecutive yields up to [`YIELDS_BEFORE_PARK`]
+    /// backoff (1, 2, 4, … consecutive yields up to `YIELDS_BEFORE_PARK`
     /// total), then parks on `events` until a notification re-checks the
     /// condition.  Parking is safe on every target because every
     /// ring-cursor advance, clock tick, guard release and poison notifies

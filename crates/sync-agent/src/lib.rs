@@ -10,13 +10,13 @@
 //!
 //! This crate implements the three agents the paper evaluates:
 //!
-//! * [`TotalOrderAgent`](agents::TotalOrderAgent) — records a single global
+//! * [`TotalOrderAgent`] — records a single global
 //!   order in one shared buffer and replays it *exactly*; simple but slaves
 //!   stall on unrelated operations (§4.5, Figure 4a).
-//! * [`PartialOrderAgent`](agents::PartialOrderAgent) — only enforces order
+//! * [`PartialOrderAgent`] — only enforces order
 //!   between *dependent* sync ops (same memory location); slaves look ahead
 //!   in a window of the shared buffer (§4.5, Figure 4b).
-//! * [`WallOfClocksAgent`](agents::WallOfClocksAgent) — the paper's novel
+//! * [`WallOfClocksAgent`] — the paper's novel
 //!   design: synchronization variables are hashed onto a fixed wall of
 //!   logical clocks, each master thread records `(clock, time)` pairs into
 //!   its own single-producer buffer, and slaves wait on their local clock
@@ -26,12 +26,12 @@
 //! dynamically after attachment, because an allocation in the master that
 //! does not happen identically in the slaves would itself cause divergence.
 //! Buffers and clock walls are sized at construction from an
-//! [`AgentConfig`](context::AgentConfig).
+//! [`AgentConfig`].
 //!
 //! # Usage
 //!
 //! The MVEE constructs one agent per run ("injects the agent") and hands each
-//! variant thread a [`SyncContext`](context::SyncContext) describing its role
+//! variant thread a [`SyncContext`] describing its role
 //! (master or n-th slave) and its logical thread index.  Instrumented code
 //! then brackets every sync op with
 //! [`before_sync_op`](SyncAgent::before_sync_op) and

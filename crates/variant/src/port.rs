@@ -6,12 +6,12 @@
 //!
 //! * [`SyscallPort`] — the per-*variant* factory (`Send + Sync`, shared by
 //!   all of a variant's OS threads).  Implemented by
-//!   [`VariantGateway`](mvee_core::mvee::VariantGateway) (monitored
+//!   [`VariantGateway`] (monitored
 //!   execution) and [`NativePort`] (direct execution against a private
 //!   kernel, the "native" baseline of the evaluation).
 //! * [`ThreadSyscallPort`] — the per-*thread* handle a factory yields once
 //!   per logical thread ([`SyscallPort::thread_port`]).  The MVEE
-//!   implementation is [`ThreadPort`](mvee_core::port::ThreadPort), which
+//!   implementation is [`ThreadPort`], which
 //!   caches its shard binding, sequence counter and agent context and owns
 //!   its deferred-comparison queue locally; the native implementation is
 //!   [`NativeThreadPort`].

@@ -2,7 +2,7 @@
 //!
 //! [`run_native`] measures the program by itself (the "native execution" the
 //! paper's Figure 5 normalizes against); [`run_mvee`] builds an
-//! [`Mvee`](mvee_core::mvee::Mvee) with the requested variant count, agent
+//! [`Mvee`] with the requested variant count, agent
 //! and policy, spawns one OS thread per (variant, logical thread) pair —
 //! each acquiring its [`ThreadPort`](mvee_core::port::ThreadPort) at thread
 //! start — and lets all variants run concurrently, exactly as ReMon runs

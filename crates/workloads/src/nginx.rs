@@ -14,7 +14,7 @@
 //!   whether the custom sync primitives are instrumented) and embeds the
 //!   shared [`MveeConfig`] tuning block (agent, shards, batch, placement).
 //! * [`run_nginx_experiment`] runs the server inside an
-//!   [`Mvee`](mvee_core::mvee::Mvee) (or natively) while a load generator
+//!   [`Mvee`] (or natively) while a load generator
 //!   modelled on `wrk` issues requests from outside the MVEE, and reports
 //!   throughput plus any detected divergence.
 //! * [`AttackOutcome`] / the `attack_request` flag reproduce the tailored

@@ -130,9 +130,12 @@ fn corrupted_record_bodies_fail_their_crc_with_the_right_index() {
     }
 
     // Salvage decode keeps everything before the damage.
-    let (salvaged, err) = Journal::decode_lossy(&corrupt).expect("header is intact");
-    assert_eq!(salvaged.records.len() as u64, index);
-    assert!(matches!(err, Some(JournalError::CorruptRecord { .. })));
+    let salvaged = Journal::recover_from_bytes(&corrupt).expect("header is intact");
+    assert_eq!(salvaged.journal.records.len() as u64, index);
+    assert!(matches!(
+        salvaged.damage,
+        Some(JournalError::CorruptRecord { .. })
+    ));
 }
 
 #[test]
@@ -142,8 +145,9 @@ fn journal_without_end_trailer_is_torn_but_salvageable() {
     // the End body is tag + u64 = 9 bytes plus the 8-byte frame header).
     let torn = &bytes[..bytes.len() - (8 + 9)];
     assert_eq!(Journal::decode(torn), Err(JournalError::MissingEnd));
-    let (salvaged, err) = Journal::decode_lossy(torn).expect("header is intact");
-    assert_eq!(err, Some(JournalError::MissingEnd));
+    let recovered = Journal::recover_from_bytes(torn).expect("header is intact");
+    assert_eq!(recovered.damage, Some(JournalError::MissingEnd));
+    let salvaged = recovered.journal;
     // Every record before the tear survives, and the salvaged journal
     // replays cleanly after re-encoding (encode appends a fresh trailer).
     let full = Journal::decode(&bytes).unwrap();
@@ -308,6 +312,7 @@ fn variant_killed_mid_batch_is_quarantined_and_survivors_settle() {
     // arrival is in the history, and replay does not trust verdicts.
     let run = replay(&recorder.finish()).expect("degraded journal must replay");
     assert_eq!(run.divergence.as_ref(), Some(&mvee.quarantine_reports()[0]));
+    assert_eq!(run.stats.divergences, mvee.monitor_stats().divergences);
 }
 
 /// A variant that goes silent *mid-replicated-call* — it consumed one

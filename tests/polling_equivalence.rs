@@ -385,7 +385,7 @@ fn ordered_turn_timeout_blames_the_stuck_variant_on_every_transport() {
                 .expect("the survivors' next ordered call succeeds");
         }
         let stats = mvee.monitor_stats();
-        assert_eq!((stats.quarantines, stats.divergences), (1, 0));
+        assert_eq!((stats.quarantines, stats.divergences), (1, 1));
     }
 }
 

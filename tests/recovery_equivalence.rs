@@ -29,7 +29,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use mvee::core::config::{RecoveryPolicy, Transport};
-use mvee::core::journal::{JournalMode, JournalRecorder};
+use mvee::core::journal::{replay, JournalMode, JournalRecorder};
 use mvee::core::monitor::MonitorError;
 use mvee::core::mvee::Mvee;
 use mvee::kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
@@ -391,9 +391,14 @@ fn respawned_variant_rejoins_and_compares_across_the_full_quorum() {
         let again = phase(&mvee, vec![None, None, Some(poison_req())]);
         assert_eq!(again, vec![true, true, false], "{}", path_label(path));
         assert_eq!(mvee.quarantined_variants(), vec![2]);
-        assert_eq!(mvee.monitor_stats().quarantines, 2);
+        let stats = mvee.monitor_stats();
+        assert_eq!((stats.quarantines, stats.divergences), (2, 2));
         assert_eq!(mvee.divergence(), None);
         assert_eq!(mvee.monitor().live_slots(), 0);
+        // Live ≡ replay on the verdict counter: one per `Diverge` record,
+        // quarantine or poison alike.
+        let run = replay(&recorder.finish()).expect("the round trip's journal must replay");
+        assert_eq!(run.stats.divergences, stats.divergences);
     }
 }
 
