@@ -8,8 +8,10 @@
 //! * a **reader** that decodes frames off the channel into an inbox (it
 //!   never touches monitor state, so a slow rendezvous cannot back up the
 //!   raw byte stream), and
-//! * a **pump** that applies the records: counter records (`Enter`,
-//!   `Class`, `SyncOp`) update the monitor's stat lanes directly, while
+//! * a **pump** that applies the records: counter records (`Counts`,
+//!   `SyncOp`) update the monitor's stat lanes directly — a `Counts` record
+//!   through the same `Monitor::count_*` calls, one per call it counts, the
+//!   in-proc gateway makes — while
 //!   rendezvous records (`Arrive`, `Batch`, `Publish`) are queued per
 //!   leader thread and deposited into the
 //!   [`LockstepTable`](crate::lockstep::LockstepTable) as variant 0 —
@@ -17,14 +19,17 @@
 //!   settlers (`crate::call`) the in-proc call machine uses, so a remote
 //!   run's divergence reports are field-identical to an in-proc run's.
 //!
-//! The pump acknowledges the longest *contiguous* prefix of fully
-//! processed frames.  A synchronous arrival acks only once its rendezvous
-//! resolved — that ack is what unblocks the leader, making the leader
-//! block exactly where the in-proc master blocks.  Deferred batches ack at
-//! resolution too, but the leader never waits for those watermarks, so
-//! comparison stays asynchronous; the distance it ran ahead (measured in
-//! leader sync ops) is recorded as the divergence-detection lag when a
-//! deferred comparison turns out to diverge.
+//! The pump tracks the longest *contiguous* prefix of fully processed
+//! frames, and acknowledges it only when that prefix passes one of the two
+//! frame kinds the leader waits on: a synchronous `Arrive` (acked once its
+//! rendezvous resolved — that ack is what unblocks the leader, making the
+//! leader block exactly where the in-proc master blocks) or a `Barrier`.
+//! Deferred batches, publishes and counters are never acked on their own:
+//! the leader never waits for them, so comparison stays asynchronous and
+//! the pump writes about one ack per round instead of one per pass.  The
+//! distance the leader ran ahead (measured in leader sync ops) is recorded
+//! as the divergence-detection lag when a deferred comparison turns out to
+//! diverge.
 //!
 //! The pump never blocks on any single rendezvous: per-thread queues
 //! advance independently, and the pump parks on a [`PollWaker`] registered
@@ -294,6 +299,9 @@ struct Pump {
     resolved: BTreeSet<u64>,
     /// Longest contiguous prefix of processed records (= the ack value).
     acked: u64,
+    /// Stream indices of the ingested `Arrive` and `Barrier` frames — the
+    /// only frames the leader waits on — not yet covered by `acked`.
+    awaited: VecDeque<u64>,
     lanes: HashMap<u32, Lane>,
     /// Leader sync ops ingested so far — the detection-lag clock.
     sync_ops_seen: u64,
@@ -322,6 +330,7 @@ impl Pump {
             next_index: 0,
             resolved: BTreeSet::new(),
             acked: 0,
+            awaited: VecDeque::new(),
             lanes: HashMap::new(),
             sync_ops_seen: 0,
             hello_seen: false,
@@ -352,7 +361,18 @@ impl Pump {
                 self.acked += 1;
                 ack_advanced = true;
             }
-            if ack_advanced {
+            // Ack only a prefix that passes a frame the leader waits on:
+            // nothing ever waits on the others.
+            let mut ack_due = false;
+            while self
+                .awaited
+                .front()
+                .is_some_and(|&index| index < self.acked)
+            {
+                self.awaited.pop_front();
+                ack_due = true;
+            }
+            if ack_due {
                 let through = self.acked;
                 self.send(&WireRecord::Ack { through });
             }
@@ -375,11 +395,13 @@ impl Pump {
                 .min();
             // Turn advances and passed deadlines raise no event, but the
             // event count's bounded park re-evaluates this condition
-            // periodically, so a missed deadline degrades to a poll.
+            // periodically, so a missed deadline degrades to a poll.  A new
+            // inbox frame needs no check of its own: the reader raises the
+            // waker after every push, and `epoch` predates this pass's
+            // `ingest`.
             waiter.wait_until_event(self.waker.events(), || {
                 self.waker.epoch() != epoch
                     || self.stop.load(Ordering::Acquire)
-                    || !self.inbox.queue.lock().is_empty()
                     || deadline.is_some_and(|d| Instant::now() >= d)
             });
         }
@@ -470,24 +492,27 @@ impl Pump {
                 }
             }
             match record {
-                WireRecord::Enter {
+                WireRecord::Counts {
                     thread,
                     lane,
-                    self_aware,
+                    counts,
                 } => {
-                    self.monitor
-                        .count_enter(0, thread as usize, lane as usize, self_aware);
-                    self.resolved.insert(index);
-                }
-                WireRecord::Class { kind, lane } => {
-                    use crate::journal::ClassKind;
-                    let lane = lane as usize;
-                    match kind {
-                        ClassKind::Lockstep => self.monitor.count_lockstep(lane),
-                        ClassKind::Batched => self.monitor.count_batched(lane),
-                        ClassKind::Replicated => self.monitor.count_replicated(lane),
-                        ClassKind::Ordered => self.monitor.count_ordered(lane),
-                        ClassKind::BatchFlush => self.monitor.count_batch_flush(lane),
+                    let (thread, lane) = (thread as usize, lane as usize);
+                    for i in 0..counts.enters {
+                        self.monitor
+                            .count_enter(0, thread, lane, i < counts.self_aware);
+                    }
+                    for _ in 0..counts.lockstep {
+                        self.monitor.count_lockstep(lane);
+                    }
+                    for _ in 0..counts.batched {
+                        self.monitor.count_batched(lane);
+                    }
+                    for _ in 0..counts.replicated {
+                        self.monitor.count_replicated(lane);
+                    }
+                    for _ in 0..counts.ordered {
+                        self.monitor.count_ordered(lane);
                     }
                     self.resolved.insert(index);
                 }
@@ -500,6 +525,7 @@ impl Pump {
                     // this index is acknowledged only once every earlier
                     // frame fully resolved — the quiescence point.
                     self.resolved.insert(index);
+                    self.awaited.push_back(index);
                 }
                 WireRecord::Bye => {
                     self.saw_bye = true;
@@ -513,6 +539,7 @@ impl Pump {
                     cmp,
                 } => {
                     let seen = self.sync_ops_seen;
+                    self.awaited.push_back(index);
                     self.lane(thread).queue.push_back((
                         index,
                         seen,

@@ -1,26 +1,84 @@
 //! The leader front end: executes variant 0's syscalls through the normal
 //! gateway pipeline and streams the evidence to the follower monitor.
 //!
-//! A [`RemoteLeader`] owns the leader end of a [`Duplex`]: a writer the
-//! leader's per-thread ports push frame batches through (serialized behind
-//! one lock), and a reader thread that decodes the follower's `Ack` /
-//! `Verdict` stream into shared link state.  [`LeaderPort`] is the remote
-//! mirror of [`ThreadPort`](crate::port::ThreadPort): same sequence keys, same
+//! A [`RemoteLeader`] owns the leader end of a [`Duplex`]: the write half
+//! and one frame buffer, both behind one connection lock, that every
+//! leader thread's port encodes into; a reader thread that decodes the
+//! follower's `Ack` / `Verdict` stream into shared link state; and a
+//! flusher thread that bounds how long a frame may wait in the buffer.
+//! [`LeaderPort`] is the remote mirror of
+//! [`ThreadPort`](crate::port::ThreadPort): same sequence keys, same
 //! disposition logic, same deferred-batch discipline — but where the
 //! in-proc port deposits comparisons into the rendezvous table, the leader
 //! port *encodes* them and lets the follower's pump deposit on its behalf.
 //!
+//! # Push points
+//!
+//! Frames are encoded in place into the shared buffer, and the buffer —
+//! every thread's frames in it, in append order — goes to the socket in one
+//! `write` only at a *push point*:
+//!
+//! * a frame the leader will wait on: a synchronous `Arrive` or a `Barrier`;
+//! * a replicated call, after it executes — and before it executes as well
+//!   when the call may block in the kernel (any call that may block pushes
+//!   first);
+//! * [`before_sync_op`](LeaderPort::before_sync_op), a full deferred batch,
+//!   port drop and [`shutdown`](RemoteLeader::shutdown);
+//! * the flusher's tick, every eighth of the lockstep timeout.
+//!
+//! A port's gateway counters travel as one `Counts` record, appended in
+//! place ahead of each `Arrive` or `Batch` the port appends and at each of
+//! its pushes.  Ahead, because the follower applies a `Counts` record when
+//! it reads it but deposits a rendezvous frame later: a call's entry must
+//! be counted before a comparison that may quarantine a variant, or it
+//! would count as degraded where the in-proc gateway counted it whole.
+//!
+//! # The hold rule
+//!
+//! An ordered call whose comparison is deferred leaves its `Publish` in the
+//! buffer to ride the write of its batch.  It is written at once when its
+//! comparison is not deferred (batch size 1 included), when it fills the
+//! batch, or when — checked under the connection lock as it is appended —
+//! another thread has already claimed a later timestamp on the same shard
+//! clock.  Whatever is still held after an eighth of the lockstep timeout
+//! the flusher writes: no frame waits longer than that.
+//!
+//! Why that is safe: a slave waits on its own master's `Publish` and, for an
+//! ordered call, on the `Publish`es of earlier timestamps on its shard clock.
+//! Its master's own frame goes out with that master's next push.  An
+//! earlier timestamp's frame was appended either before the later claim —
+//! then it sits ahead of the later claimer's `Publish` in the one FIFO
+//! buffer, and that claimer's next push writes both — or after it, and then
+//! the timestamp check writes it at once.  So every slave wait is released
+//! by its own master's next push.  Per-port buffers would break the first
+//! case — another thread's held frame would wait for *that* thread's next
+//! push, which never comes while it is parked.
+//!
+//! The next push alone is not a bound, though: a master that computes
+//! outside the MVEE after a deferred call may not push for longer than its
+//! slave's outcome deadline (the lockstep timeout), where the in-proc
+//! master would have published at once.  The flusher caps that wait at an
+//! eighth of the deadline, so a slave still fails only when its master lags
+//! by most of a lockstep timeout — as in-proc.
+//!
+//! # Blocking
+//!
 //! The blocking rule mirrors the in-proc master exactly:
 //!
-//! * **deferred comparisons** buffer locally and stream at the PR-3 flush
-//!   points (batch full, before any synchronous call, before a sync op,
-//!   port drop) without waiting for anything;
-//! * **replicated / ordered** calls execute immediately and stream their
-//!   published outcome — the in-proc master never blocks as publisher;
+//! * **deferred comparisons** (and the publishes they hold) stream at the
+//!   flush points without waiting for anything;
+//! * **replicated / ordered** calls execute immediately and publish — the
+//!   in-proc master never blocks as publisher;
 //! * only a **synchronous lockstep arrival** (an externally visible call
 //!   under the policy) blocks, waiting for the follower's ack — which the
 //!   pump sends only once the rendezvous resolved, exactly where the
 //!   in-proc master sleeps in its lockstep arrival wait.
+//!
+//! The follower acks only when its contiguous resolved prefix passes an
+//! `Arrive` or a `Barrier`, so a waiter waits for an ack that covers *its
+//! own frame* (its stream index plus one) — never for the count of frames
+//! sent, which may end in a `Counts` record or another thread's frame that
+//! no ack will ever cover.
 //!
 //! Divergence reaches the leader over the channel (a `Verdict` frame), so
 //! calls issued between a deferred mismatch's execution and its verdict
@@ -35,33 +93,45 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
+use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome, SyscallRequest, Sysno};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
 use mvee_sync_agent::SyncAgent;
 
 use crate::divergence::DivergenceReport;
 use crate::frame::FrameReader;
-use crate::journal::ClassKind;
 use crate::monitor::{Monitor, MonitorError, DEFERRED_SEQ_BIT};
 use crate::remote::transport::Duplex;
-use crate::remote::wire::WireRecord;
+use crate::remote::wire::{push_batch, push_publish, CallCounts, WireRecord};
 use crate::remote::{PeerFailure, PeerFailureKind, RemotePeer};
 
-/// The write half of the channel plus the implicit frame numbering.
+/// The write half of the channel and the one frame buffer every leader
+/// port appends to (see the [module docs](self)).
 struct Conn {
     /// `None` once [`RemoteLeader::shutdown`] has closed the stream.
     tx: Option<Box<dyn Write + Send>>,
-    /// Frames pushed so far; an ack of `through == frames_sent` means the
-    /// follower has fully processed everything written to date.
-    frames_sent: u64,
+    /// Encoded frames not yet written, in stream order.
+    buf: Vec<u8>,
+    /// Frames appended so far, written or not: the stream index of the
+    /// next frame.
+    frames: u64,
+}
+
+impl Conn {
+    /// Appends one frame encoded by `encode`; returns its stream index.
+    fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        encode(&mut self.buf);
+        self.frames += 1;
+        self.frames - 1
+    }
 }
 
 /// Link state fed by the reader thread, watched by blocked leader threads.
 #[derive(Default)]
 struct LinkState {
-    /// Frames the follower has fully processed (contiguous prefix).
+    /// Frames the follower has fully processed (contiguous prefix), as of
+    /// its last ack.
     acked: u64,
     /// First divergence verdict received over the channel.
     verdict: Option<DivergenceReport>,
@@ -69,18 +139,63 @@ struct LinkState {
     dead: Option<PeerFailure>,
 }
 
+/// What the leader's threads share: the connection, and the link state the
+/// reader feeds.  Lock order: `conn` before `state`.
 struct LinkShared {
+    conn: Mutex<Conn>,
+    /// Signalled when [`RemoteLeader::shutdown`] closes the stream, so the
+    /// flusher stops without waiting out its period.
+    closed: Condvar,
     state: Mutex<LinkState>,
     changed: Condvar,
+}
+
+impl LinkShared {
+    /// Writes the shared buffer — every port's frames appended since the
+    /// last push — to the channel in one `write`.
+    fn write(&self, conn: &mut Conn) -> Result<(), MonitorError> {
+        let Some(tx) = conn.tx.as_mut() else {
+            conn.buf.clear();
+            let failure = self.state.lock().dead.unwrap_or(PeerFailure {
+                peer: RemotePeer::Follower,
+                kind: PeerFailureKind::Disconnected,
+            });
+            return Err(MonitorError::Peer(failure));
+        };
+        if conn.buf.is_empty() {
+            return Ok(());
+        }
+        let written = tx.write_all(&conn.buf).and_then(|()| tx.flush());
+        // Cleared, not dropped: the buffer keeps its capacity across pushes.
+        conn.buf.clear();
+        if written.is_err() {
+            conn.tx = None;
+            let failure = PeerFailure {
+                peer: RemotePeer::Follower,
+                kind: PeerFailureKind::Disconnected,
+            };
+            self.mark_dead(failure);
+            return Err(MonitorError::Peer(failure));
+        }
+        Ok(())
+    }
+
+    fn mark_dead(&self, failure: PeerFailure) {
+        let mut state = self.state.lock();
+        if state.dead.is_none() {
+            state.dead = Some(failure);
+        }
+        self.changed.notify_all();
+    }
 }
 
 /// The leader end of a replication channel (see the [module docs](self)).
 pub struct RemoteLeader {
     monitor: Arc<Monitor>,
     agent: Arc<dyn SyncAgent>,
-    conn: Mutex<Conn>,
     shared: Arc<LinkShared>,
-    reader: Mutex<Option<JoinHandle<()>>>,
+    /// The reader and the flusher, joined on drop.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl RemoteLeader {
@@ -93,17 +208,6 @@ impl RemoteLeader {
         duplex: Duplex,
     ) -> Arc<RemoteLeader> {
         let (rx, tx) = duplex.into_split();
-        let shared = Arc::new(LinkShared {
-            state: Mutex::new(LinkState::default()),
-            changed: Condvar::new(),
-        });
-        let reader = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mvee-leader-rx".into())
-                .spawn(move || read_follower_stream(rx, &shared))
-                .expect("spawning the leader reader thread failed")
-        };
         let config = monitor.config();
         let hello = WireRecord::Hello {
             variants: config.variants as u16,
@@ -111,20 +215,44 @@ impl RemoteLeader {
             shards: monitor.shard_count() as u16,
             batch: config.batch as u16,
         };
-        let mut bytes = Vec::with_capacity(32);
-        hello.encode_frame(&mut bytes);
-        let leader = Arc::new(RemoteLeader {
+        let mut conn = Conn {
+            tx: Some(tx),
+            buf: Vec::with_capacity(4096),
+            frames: 0,
+        };
+        conn.append(|out| hello.encode_frame(out));
+        let shared = Arc::new(LinkShared {
+            conn: Mutex::new(conn),
+            closed: Condvar::new(),
+            state: Mutex::new(LinkState::default()),
+            changed: Condvar::new(),
+        });
+        let _ = shared.write(&mut shared.conn.lock());
+        let reader = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("mvee-leader-rx".into())
+                .spawn(move || read_follower_stream(rx, &shared))
+                .expect("spawning the leader reader thread failed")
+        };
+        let flusher = {
+            let shared = Arc::clone(&shared);
+            let period = (config.lockstep_timeout / 8).max(Duration::from_millis(1));
+            std::thread::Builder::new()
+                .name("mvee-leader-flush".into())
+                .spawn(move || flush_held_frames(&shared, period))
+                .expect("spawning the leader flusher thread failed")
+        };
+        Arc::new(RemoteLeader {
             monitor,
             agent,
-            conn: Mutex::new(Conn {
-                tx: Some(tx),
-                frames_sent: 0,
-            }),
             shared,
-            reader: Mutex::new(Some(reader)),
-        });
-        let _ = leader.push(&bytes, 1);
-        leader
+            threads: Mutex::new(vec![reader, flusher]),
+        })
+    }
+
+    fn conn(&self) -> MutexGuard<'_, Conn> {
+        self.shared.conn.lock()
     }
 
     /// The monitor the leader executes against.
@@ -149,8 +277,7 @@ impl RemoteLeader {
             shard,
             batch,
             seq: Cell::new(seq),
-            buf: RefCell::new(Vec::with_capacity(256)),
-            buffered: Cell::new(0),
+            counts: Cell::new(CallCounts::default()),
             pending: RefCell::new(Vec::with_capacity(batch)),
         }
     }
@@ -166,62 +293,36 @@ impl RemoteLeader {
     }
 
     /// Streams a `Barrier` and waits until the
-    /// follower has fully processed every frame written so far — the
+    /// follower has fully processed every frame written before it — the
     /// quiescence point after which the follower's counters are final.
     ///
     /// Returns `Ok` even after a divergence verdict (the follower keeps
     /// draining and acknowledging the stream); fails only when the channel
     /// itself is down.
     pub fn barrier(&self) -> Result<(), MonitorError> {
-        let mut bytes = Vec::with_capacity(16);
-        WireRecord::Barrier.encode_frame(&mut bytes);
-        let through = self.push(&bytes, 1)?;
-        self.wait_acked(through, false)
-    }
-
-    /// Sends `Bye` and closes the write half, letting
-    /// the follower drain to a clean EOF.  Idempotent.
-    pub fn shutdown(&self) {
-        let mut bytes = Vec::with_capacity(16);
-        WireRecord::Bye.encode_frame(&mut bytes);
-        let _ = self.push(&bytes, 1);
-        self.conn.lock().tx = None;
-    }
-
-    /// Writes pre-encoded frames to the channel; returns the stream
-    /// watermark (total frames sent) to wait on.
-    fn push(&self, bytes: &[u8], frames: u64) -> Result<u64, MonitorError> {
-        let mut conn = self.conn.lock();
-        let Some(tx) = conn.tx.as_mut() else {
-            let failure = self.shared.state.lock().dead.unwrap_or(PeerFailure {
-                peer: RemotePeer::Follower,
-                kind: PeerFailureKind::Disconnected,
-            });
-            return Err(MonitorError::Peer(failure));
+        let index = {
+            let mut conn = self.conn();
+            let index = conn.append(|out| WireRecord::Barrier.encode_frame(out));
+            self.shared.write(&mut conn)?;
+            index
         };
-        if let Err(_e) = tx.write_all(bytes).and_then(|()| tx.flush()) {
-            conn.tx = None;
-            drop(conn);
-            let failure = PeerFailure {
-                peer: RemotePeer::Follower,
-                kind: PeerFailureKind::Disconnected,
-            };
-            self.mark_dead(failure);
-            return Err(MonitorError::Peer(failure));
-        }
-        conn.frames_sent += frames;
-        Ok(conn.frames_sent)
+        self.wait_acked(index + 1, false)
     }
 
-    fn mark_dead(&self, failure: PeerFailure) {
-        let mut state = self.shared.state.lock();
-        if state.dead.is_none() {
-            state.dead = Some(failure);
+    /// Sends `Bye` behind every buffered frame and closes the write half,
+    /// letting the follower drain to a clean EOF.  Idempotent.
+    pub fn shutdown(&self) {
+        let mut conn = self.conn();
+        if conn.tx.is_some() {
+            conn.append(|out| WireRecord::Bye.encode_frame(out));
+            let _ = self.shared.write(&mut conn);
         }
-        self.shared.changed.notify_all();
+        conn.tx = None;
+        self.shared.closed.notify_all();
     }
 
-    /// Blocks until the follower has processed `through` frames.
+    /// Blocks until the follower has acked `through` frames: the index + 1
+    /// of an `Arrive` or `Barrier`, the only frames it acks.
     ///
     /// With `break_on_verdict`, a divergence verdict ends the wait early —
     /// the caller inspects [`verdict`](Self::verdict) to map it, exactly
@@ -266,17 +367,18 @@ impl RemoteLeader {
 impl Drop for RemoteLeader {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(reader) = self.reader.lock().take() {
-            let _ = reader.join();
+        for thread in self.threads.lock().drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
 impl std::fmt::Debug for RemoteLeader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let frames = self.conn().frames;
         let state = self.shared.state.lock();
         f.debug_struct("RemoteLeader")
-            .field("frames_sent", &self.conn.lock().frames_sent)
+            .field("frames", &frames)
             .field("acked", &state.acked)
             .field("verdict", &state.verdict.is_some())
             .field("dead", &state.dead)
@@ -334,11 +436,24 @@ fn read_follower_stream(rx: Box<dyn std::io::Read + Send>, shared: &LinkShared) 
     shared.changed.notify_all();
 }
 
+/// The flusher thread: every `period`, writes whatever the ports left in the
+/// shared buffer, so a held frame never waits longer than that for a push —
+/// not even while every leader thread computes or parks outside the MVEE
+/// (see the [module docs](self)).  Ends when the stream closes.
+fn flush_held_frames(shared: &LinkShared, period: Duration) {
+    let mut conn = shared.conn.lock();
+    while conn.tx.is_some() {
+        if shared.closed.wait_for(&mut conn, period).timed_out() {
+            let _ = shared.write(&mut conn);
+        }
+    }
+}
+
 /// The leader's per-thread syscall handle: the remote mirror of
 /// [`ThreadPort`](crate::port::ThreadPort) (see the [module docs](self)).
 ///
-/// `Send` but `!Sync`, like the in-proc port: it owns an unsynchronized
-/// frame buffer and deferred-comparison queue.
+/// `Send` but `!Sync`, like the in-proc port: it owns unsynchronized
+/// counters and a deferred-comparison queue.
 pub struct LeaderPort {
     link: Arc<RemoteLeader>,
     /// The agent context, built once at acquisition.
@@ -351,13 +466,11 @@ pub struct LeaderPort {
     batch: usize,
     /// Next per-thread sequence number.
     seq: Cell<u64>,
-    /// Encoded frames not yet pushed to the connection.
-    buf: RefCell<Vec<u8>>,
-    /// Number of frames in `buf`.
-    buffered: Cell<u64>,
+    /// Gateway counters since this port's last `Counts` record.
+    counts: Cell<CallCounts>,
     /// Deferred comparisons awaiting the next flush point, keyed with the
     /// deferred-keyspace bit exactly like the in-proc port.
-    pending: RefCell<Vec<(u64, mvee_kernel::syscall::ComparisonKey)>>,
+    pending: RefCell<Vec<(u64, ComparisonKey)>>,
 }
 
 impl LeaderPort {
@@ -381,40 +494,54 @@ impl LeaderPort {
         self.pending.borrow().len()
     }
 
-    /// Encodes `record` into the local frame buffer (not yet pushed).
-    fn buffer(&self, record: &WireRecord) {
-        record.encode_frame(&mut self.buf.borrow_mut());
-        self.buffered.set(self.buffered.get() + 1);
+    fn count(&self, bump: impl FnOnce(&mut CallCounts)) {
+        let mut counts = self.counts.get();
+        bump(&mut counts);
+        self.counts.set(counts);
     }
 
-    /// Pushes the buffered frames to the connection (one locked write) and
-    /// returns the stream watermark of the last frame, if any were pushed.
-    fn push_buffered(&self) -> Result<Option<u64>, MonitorError> {
-        let frames = self.buffered.replace(0);
-        if frames == 0 {
-            return Ok(None);
-        }
-        // Written, then cleared: the buffer keeps its capacity across
-        // flushes instead of regrowing from empty after each one.
-        let mut buf = self.buf.borrow_mut();
-        let pushed = self.link.push(&buf, frames);
-        buf.clear();
-        pushed.map(Some)
-    }
-
-    /// Moves the deferred comparisons into a [`WireRecord::Batch`] frame in
-    /// the local buffer.  The follower's pump counts the flush and deposits
-    /// the block; the leader does not wait (comparison is asynchronous).
-    fn flush_batch(&self) {
-        let calls = std::mem::take(&mut *self.pending.borrow_mut());
-        if calls.is_empty() {
+    /// Appends the deferred comparisons as one [`WireRecord::Batch`] frame,
+    /// behind the `Counts` of the calls in it.  The follower's pump counts
+    /// the flush and deposits the block; the leader does not wait
+    /// (comparison is asynchronous).
+    fn append_batch(&self, conn: &mut Conn) {
+        let mut pending = self.pending.borrow_mut();
+        if pending.is_empty() {
             return;
         }
-        self.buffer(&WireRecord::Batch {
-            thread: self.thread as u32,
-            lane: self.shard as u16,
-            calls,
-        });
+        self.append_counts(conn);
+        conn.append(|out| push_batch(out, self.thread as u32, self.shard as u16, &pending));
+        // Cleared, not taken: the queue keeps its capacity across batches.
+        pending.clear();
+    }
+
+    /// [`append_batch`](Self::append_batch), taking the connection lock
+    /// only when there is a batch to append.
+    fn flush_batch(&self) {
+        if !self.pending.borrow().is_empty() {
+            self.append_batch(&mut self.link.conn());
+        }
+    }
+
+    /// Appends this port's counters since its last `Counts` record, if any:
+    /// ahead of each `Arrive` or `Batch`, and at each push (module docs).
+    fn append_counts(&self, conn: &mut Conn) {
+        let counts = self.counts.take();
+        if counts != CallCounts::default() {
+            let record = WireRecord::Counts {
+                thread: self.thread as u32,
+                lane: self.shard as u16,
+                counts,
+            };
+            conn.append(|out| record.encode_frame(out));
+        }
+    }
+
+    /// A push point: appends this port's remaining `Counts` behind the
+    /// buffered frames and writes the whole shared buffer.
+    fn push(&self, conn: &mut Conn) -> Result<(), MonitorError> {
+        self.append_counts(conn);
+        self.link.shared.write(conn)
     }
 
     /// The channel-driven divergence gate: the remote mirror of the in-proc
@@ -447,23 +574,28 @@ impl LeaderPort {
     /// Issues a system call on behalf of this port's logical thread —
     /// the remote mirror of
     /// [`ThreadPort::syscall`](crate::port::ThreadPort::syscall); see the
-    /// [module docs](self) for the streaming/blocking discipline.
+    /// [module docs](self) for the push points, the hold rule and the
+    /// blocking discipline.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
         if let Err(e) = self.gate() {
             self.pending.borrow_mut().clear();
             return Err(e);
         }
         let monitor = &*self.link.monitor;
+        if self.counts.get().enters == u32::MAX {
+            // A thread that never reaches a push point (a `sched_yield`
+            // loop) must not wrap its counters: append them to the shared
+            // buffer now, for whichever push comes next.
+            self.append_counts(&mut self.link.conn());
+        }
         let self_aware = req.no == Sysno::MveeSelfAware;
-        self.buffer(&WireRecord::Enter {
-            thread: self.thread as u32,
-            lane: self.shard as u16,
-            self_aware,
+        self.count(|c| {
+            c.enters += 1;
+            c.self_aware += u32::from(self_aware);
         });
         if self_aware {
             // Answered by the monitor, not the kernel: variant index 0.
-            // The Enter frame rides the next flush so the follower's
-            // counters still see it.
+            // The count rides the next push so the follower still sees it.
             return Ok(SyscallOutcome::ok(0));
         }
 
@@ -473,24 +605,19 @@ impl LeaderPort {
         let disposition = monitor.config().policy.disposition(req.no);
         let defer = self.batch > 1 && disposition.defer_compare;
 
-        // Synchronous interaction points resolve (here: stream) the
-        // deferred comparisons first, keeping comparisons in per-thread
-        // program order exactly like the in-proc flush discipline.
+        // Synchronous interaction points stream the deferred comparisons
+        // first, keeping comparisons in per-thread program order exactly
+        // like the in-proc flush discipline.
         if !defer && (disposition.lockstep || disposition.replicate || disposition.ordered) {
             self.flush_batch();
         }
 
+        let mut full = false;
         if disposition.lockstep {
-            self.buffer(&WireRecord::Class {
-                kind: ClassKind::Lockstep,
-                lane: self.shard as u16,
-            });
+            self.count(|c| c.lockstep += 1);
             if defer {
-                self.buffer(&WireRecord::Class {
-                    kind: ClassKind::Batched,
-                    lane: self.shard as u16,
-                });
-                let full = {
+                self.count(|c| c.batched += 1);
+                full = {
                     let mut pending = self.pending.borrow_mut();
                     pending.push((seq | DEFERRED_SEQ_BIT, req.comparison_key()));
                     pending.len() >= self.batch
@@ -504,62 +631,65 @@ impl LeaderPort {
                 }
                 if full {
                     self.flush_batch();
-                    self.push_buffered()?;
                 }
             } else {
-                self.buffer(&WireRecord::Arrive {
+                // The externally visible point: stream everything and block
+                // until the follower's rendezvous resolved — the remote
+                // mirror of the master sleeping in its arrival wait.  Only
+                // after the ack does the leader execute the call.
+                let arrive = WireRecord::Arrive {
                     thread: self.thread as u32,
                     lane: self.shard as u16,
                     seq,
                     will_publish: disposition.replicate || disposition.ordered,
                     cmp: req.comparison_key(),
-                });
-                // The externally visible point: stream everything and block
-                // until the follower's rendezvous resolved — the remote
-                // mirror of the master sleeping in its arrival wait.  Only
-                // after the ack does the leader execute the call.
-                let through = self
-                    .push_buffered()?
-                    .expect("an Arrive frame was just buffered");
-                self.link.wait_acked(through, true)?;
+                };
+                let index = {
+                    let mut conn = self.link.conn();
+                    self.append_counts(&mut conn);
+                    let index = conn.append(|out| arrive.encode_frame(out));
+                    self.push(&mut conn)?;
+                    index
+                };
+                self.link.wait_acked(index + 1, true)?;
                 if self.link.verdict().is_some() {
                     return Err(self.map_verdict(seq));
                 }
             }
         }
 
+        // A call that may park in the kernel first releases every held
+        // frame: no slave may wait on this thread's frames while it sleeps.
+        if req.no.may_block() {
+            self.push(&mut self.link.conn())?;
+        }
+        let thread = self.thread as u32;
         if disposition.replicate {
-            self.buffer(&WireRecord::Class {
-                kind: ClassKind::Replicated,
-                lane: self.shard as u16,
-            });
+            self.count(|c| c.replicated += 1);
             let outcome = monitor.execute_kernel(0, self.thread, req);
-            self.buffer(&WireRecord::Publish {
-                thread: self.thread as u32,
-                seq,
-                timestamp: None,
-                outcome: outcome.clone(),
-            });
+            let mut conn = self.link.conn();
+            conn.append(|out| push_publish(out, thread, seq, None, &outcome));
             // Stream-and-go: the in-proc master never blocks as publisher,
             // and the slaves unblock as soon as the pump applies this.
-            self.push_buffered()?;
+            self.push(&mut conn)?;
             return Ok(outcome);
         }
         if disposition.ordered {
-            self.buffer(&WireRecord::Class {
-                kind: ClassKind::Ordered,
-                lane: self.shard as u16,
-            });
-            let ts = monitor.ordering_clock(0, self.shard).claim_timestamp();
+            self.count(|c| c.ordered += 1);
+            let clock = monitor.ordering_clock(0, self.shard);
+            let ts = clock.claim_timestamp();
             let outcome = monitor.execute_kernel(0, self.thread, req);
-            self.buffer(&WireRecord::Publish {
-                thread: self.thread as u32,
-                seq,
-                timestamp: Some(ts),
-                outcome: outcome.clone(),
-            });
-            self.push_buffered()?;
+            let mut conn = self.link.conn();
+            conn.append(|out| push_publish(out, thread, seq, Some(ts), &outcome));
+            // The hold rule (module docs): a deferred call's publish rides
+            // its batch's write unless a later timestamp is already out.
+            if !defer || full || clock.now() > ts + 1 {
+                self.push(&mut conn)?;
+            }
             return Ok(outcome);
+        }
+        if full {
+            self.push(&mut self.link.conn())?;
         }
         // Neither replicated nor ordered: execute directly.  Any lockstep
         // slot consume rides the Arrive frame (`will_publish: false`).
@@ -570,11 +700,15 @@ impl LeaderPort {
     /// comparisons and the `SyncOp` progress marker
     /// (the follower's lag metric counts these), then enters the agent.
     pub fn before_sync_op(&self, addr: u64) {
-        self.flush_batch();
-        self.buffer(&WireRecord::SyncOp {
-            thread: self.thread as u32,
-        });
-        let _ = self.push_buffered();
+        {
+            let mut conn = self.link.conn();
+            self.append_batch(&mut conn);
+            let marker = WireRecord::SyncOp {
+                thread: self.thread as u32,
+            };
+            conn.append(|out| marker.encode_frame(out));
+            let _ = self.push(&mut conn);
+        }
         self.link.agent.before_sync_op(&self.ctx, addr);
     }
 
@@ -601,11 +735,10 @@ impl Drop for LeaderPort {
         // died or diverged, then hand the sequence counter back.
         if self.gate().is_err() {
             self.pending.borrow_mut().clear();
-            self.buf.borrow_mut().clear();
-            self.buffered.set(0);
         } else {
-            self.flush_batch();
-            let _ = self.push_buffered();
+            let mut conn = self.link.conn();
+            self.append_batch(&mut conn);
+            let _ = self.push(&mut conn);
         }
         self.link
             .monitor

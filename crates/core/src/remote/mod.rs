@@ -22,6 +22,9 @@
 //!   asynchronously, acknowledges resolved prefixes and reports verdicts
 //!   back; divergence reports come out field-identical to an in-proc run.
 //!
+//! The wire moves per burst, not per call: when the leader writes, what it
+//! may hold back and what the follower acks is stated once, in [`leader`].
+//!
 //! Wired through [`Transport::Remote`](crate::config::Transport::Remote)
 //! on [`MveeConfig`](crate::config::MveeConfig); see `Mvee::leader_port`.
 //! Channel death — a killed follower, a torn connection, a corrupt stream

@@ -3,34 +3,38 @@
 //!
 //! Every record travels as one `len | crc | body` frame.  Frames carry no
 //! explicit sequence number: both ends number them implicitly by stream
-//! position (the leader's writes are serialized behind one connection lock,
-//! the follower's reader decodes them in order), and the follower's
-//! [`Ack`](WireRecord::Ack) acknowledges a *count* of fully processed
-//! frames — the contiguous resolved prefix of the stream.
+//! position (the leader's threads append to one shared buffer behind one
+//! connection lock, the follower's reader decodes them in order).  The
+//! follower's [`Ack`](WireRecord::Ack) acknowledges a *count* of fully
+//! processed frames — the contiguous resolved prefix of the stream — and is
+//! sent only once that prefix passes a frame the leader waits on (an
+//! [`Arrive`](WireRecord::Arrive) or a [`Barrier`](WireRecord::Barrier)).
 //!
 //! Leader → follower: [`Hello`](WireRecord::Hello),
-//! [`Enter`](WireRecord::Enter), [`Class`](WireRecord::Class),
-//! [`Arrive`](WireRecord::Arrive), [`Batch`](WireRecord::Batch),
-//! [`Publish`](WireRecord::Publish), [`SyncOp`](WireRecord::SyncOp),
-//! [`Barrier`](WireRecord::Barrier), [`Bye`](WireRecord::Bye).
+//! [`Counts`](WireRecord::Counts), [`Arrive`](WireRecord::Arrive),
+//! [`Batch`](WireRecord::Batch), [`Publish`](WireRecord::Publish),
+//! [`SyncOp`](WireRecord::SyncOp), [`Barrier`](WireRecord::Barrier),
+//! [`Bye`](WireRecord::Bye).
 //! Follower → leader: [`Ack`](WireRecord::Ack),
 //! [`Verdict`](WireRecord::Verdict), [`Bye`](WireRecord::Bye).
 //!
 //! Comparison keys, replicated outcomes and divergence reports reuse the
 //! journal's body codecs, so a report decoded from a `Verdict` frame is
-//! field-identical to the in-proc [`DivergenceReport`].
+//! field-identical to the in-proc [`DivergenceReport`].  The leader encodes
+//! its hot records — [`push_publish`], [`push_batch`] — straight from
+//! borrowed outcomes and keys, byte-identical to encoding the owned record.
 
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 
 use crate::divergence::DivergenceReport;
 use crate::frame::{push_frame_with, Reader};
 use crate::journal::{
-    decode_cmp, decode_outcome, decode_report, encode_cmp, encode_outcome, encode_report, ClassKind,
+    decode_cmp, decode_outcome, decode_report, encode_cmp, encode_outcome, encode_report,
 };
 
+// Tags 2 and 3 carried the per-call `Enter` and `Class` counter records that
+// `Counts` replaced; they now decode as unknown tags.
 const TAG_HELLO: u8 = 1;
-const TAG_ENTER: u8 = 2;
-const TAG_CLASS: u8 = 3;
 const TAG_ARRIVE: u8 = 4;
 const TAG_BATCH: u8 = 5;
 const TAG_PUBLISH: u8 = 6;
@@ -39,6 +43,22 @@ const TAG_BARRIER: u8 = 8;
 const TAG_BYE: u8 = 9;
 const TAG_ACK: u8 = 10;
 const TAG_VERDICT: u8 = 11;
+const TAG_COUNTS: u8 = 12;
+
+/// One leader port's gateway counters since its last push: the mirror of
+/// the in-proc `count_enter` / `count_lockstep` & co. calls, applied by the
+/// follower through the same calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CallCounts {
+    /// Calls that entered the gateway, self-aware queries included.
+    pub(crate) enters: u32,
+    /// How many of `enters` were `mvee_self_aware` queries.
+    pub(crate) self_aware: u32,
+    pub(crate) lockstep: u32,
+    pub(crate) batched: u32,
+    pub(crate) replicated: u32,
+    pub(crate) ordered: u32,
+}
 
 /// One protocol record (see the [module docs](self) for direction).
 #[derive(Debug, Clone, PartialEq)]
@@ -55,14 +75,13 @@ pub(crate) enum WireRecord {
         /// Comparison batch size.
         batch: u16,
     },
-    /// A call entered the leader's gateway (mirror of `count_enter`).
-    Enter {
+    /// The counters of leader thread `thread` (stat lane `lane`) since its
+    /// previous `Counts` record; a port appends one whenever it pushes.
+    Counts {
         thread: u32,
         lane: u16,
-        self_aware: bool,
+        counts: CallCounts,
     },
-    /// A per-class counter bump (mirror of `count_lockstep` & co.).
-    Class { kind: ClassKind, lane: u16 },
     /// A synchronous lockstep arrival: the follower deposits variant 0's
     /// comparison key at `(thread, seq)`.  `will_publish` tells the
     /// follower whether a `Publish` for the same key follows (which then
@@ -126,20 +145,24 @@ impl WireRecord {
                 buf.extend_from_slice(&shards.to_le_bytes());
                 buf.extend_from_slice(&batch.to_le_bytes());
             }
-            WireRecord::Enter {
+            WireRecord::Counts {
                 thread,
                 lane,
-                self_aware,
+                counts,
             } => {
-                buf.push(TAG_ENTER);
+                buf.push(TAG_COUNTS);
                 buf.extend_from_slice(&thread.to_le_bytes());
                 buf.extend_from_slice(&lane.to_le_bytes());
-                buf.push(u8::from(*self_aware));
-            }
-            WireRecord::Class { kind, lane } => {
-                buf.push(TAG_CLASS);
-                buf.push(kind.to_wire());
-                buf.extend_from_slice(&lane.to_le_bytes());
+                for n in [
+                    counts.enters,
+                    counts.self_aware,
+                    counts.lockstep,
+                    counts.batched,
+                    counts.replicated,
+                    counts.ordered,
+                ] {
+                    buf.extend_from_slice(&n.to_le_bytes());
+                }
             }
             WireRecord::Arrive {
                 thread,
@@ -159,34 +182,13 @@ impl WireRecord {
                 thread,
                 lane,
                 calls,
-            } => {
-                buf.push(TAG_BATCH);
-                buf.extend_from_slice(&thread.to_le_bytes());
-                buf.extend_from_slice(&lane.to_le_bytes());
-                buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
-                for (seq, cmp) in calls {
-                    buf.extend_from_slice(&seq.to_le_bytes());
-                    encode_cmp(buf, cmp);
-                }
-            }
+            } => encode_batch(buf, *thread, *lane, calls),
             WireRecord::Publish {
                 thread,
                 seq,
                 timestamp,
                 outcome,
-            } => {
-                buf.push(TAG_PUBLISH);
-                buf.extend_from_slice(&thread.to_le_bytes());
-                buf.extend_from_slice(&seq.to_le_bytes());
-                match timestamp {
-                    Some(ts) => {
-                        buf.push(1);
-                        buf.extend_from_slice(&ts.to_le_bytes());
-                    }
-                    None => buf.push(0),
-                }
-                encode_outcome(buf, outcome);
-            }
+            } => encode_publish(buf, *thread, *seq, *timestamp, outcome),
             WireRecord::SyncOp { thread } => {
                 buf.push(TAG_SYNC_OP);
                 buf.extend_from_slice(&thread.to_le_bytes());
@@ -214,20 +216,18 @@ impl WireRecord {
                 shards: r.u16()?,
                 batch: r.u16()?,
             },
-            TAG_ENTER => WireRecord::Enter {
+            TAG_COUNTS => WireRecord::Counts {
                 thread: r.u32()?,
                 lane: r.u16()?,
-                self_aware: r.u8()? != 0,
+                counts: CallCounts {
+                    enters: r.u32()?,
+                    self_aware: r.u32()?,
+                    lockstep: r.u32()?,
+                    batched: r.u32()?,
+                    replicated: r.u32()?,
+                    ordered: r.u32()?,
+                },
             },
-            TAG_CLASS => {
-                let tag = r.u8()?;
-                let kind =
-                    ClassKind::from_wire(tag).ok_or_else(|| format!("unknown class kind {tag}"))?;
-                WireRecord::Class {
-                    kind,
-                    lane: r.u16()?,
-                }
-            }
             TAG_ARRIVE => WireRecord::Arrive {
                 thread: r.u32()?,
                 lane: r.u16()?,
@@ -273,6 +273,60 @@ impl WireRecord {
     }
 }
 
+/// Appends a [`WireRecord::Batch`] frame encoded from borrowed calls.
+pub(crate) fn push_batch(
+    out: &mut Vec<u8>,
+    thread: u32,
+    lane: u16,
+    calls: &[(u64, ComparisonKey)],
+) {
+    push_frame_with(out, |body| encode_batch(body, thread, lane, calls));
+}
+
+/// Appends a [`WireRecord::Publish`] frame encoded from a borrowed outcome.
+pub(crate) fn push_publish(
+    out: &mut Vec<u8>,
+    thread: u32,
+    seq: u64,
+    timestamp: Option<u64>,
+    outcome: &SyscallOutcome,
+) {
+    push_frame_with(out, |body| {
+        encode_publish(body, thread, seq, timestamp, outcome)
+    });
+}
+
+fn encode_batch(buf: &mut Vec<u8>, thread: u32, lane: u16, calls: &[(u64, ComparisonKey)]) {
+    buf.push(TAG_BATCH);
+    buf.extend_from_slice(&thread.to_le_bytes());
+    buf.extend_from_slice(&lane.to_le_bytes());
+    buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
+    for (seq, cmp) in calls {
+        buf.extend_from_slice(&seq.to_le_bytes());
+        encode_cmp(buf, cmp);
+    }
+}
+
+fn encode_publish(
+    buf: &mut Vec<u8>,
+    thread: u32,
+    seq: u64,
+    timestamp: Option<u64>,
+    outcome: &SyscallOutcome,
+) {
+    buf.push(TAG_PUBLISH);
+    buf.extend_from_slice(&thread.to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    match timestamp {
+        Some(ts) => {
+            buf.push(1);
+            buf.extend_from_slice(&ts.to_le_bytes());
+        }
+        None => buf.push(0),
+    }
+    encode_outcome(buf, outcome);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,15 +363,6 @@ mod tests {
             threads: 8,
             shards: 2,
             batch: 16,
-        });
-        roundtrip(WireRecord::Enter {
-            thread: 3,
-            lane: 1,
-            self_aware: true,
-        });
-        roundtrip(WireRecord::Class {
-            kind: ClassKind::Replicated,
-            lane: 0,
         });
         roundtrip(WireRecord::Arrive {
             thread: 2,
@@ -405,5 +450,66 @@ mod tests {
         long.push(0);
         assert!(WireRecord::decode(&long).is_err());
         assert!(WireRecord::decode(&[200]).is_err(), "unknown tag");
+    }
+
+    #[test]
+    fn counts_roundtrip_and_the_retired_counter_tags_are_unknown() {
+        roundtrip(WireRecord::Counts {
+            thread: 3,
+            lane: 1,
+            counts: CallCounts {
+                enters: 9,
+                self_aware: 1,
+                lockstep: 7,
+                batched: 6,
+                replicated: 1,
+                ordered: u32::MAX,
+            },
+        });
+        roundtrip(WireRecord::Counts {
+            thread: 0,
+            lane: 0,
+            counts: CallCounts::default(),
+        });
+        // Tags 2 and 3 were the per-call `Enter` and `Class` records; a
+        // frame carrying either, with its old body, is refused by tag.
+        for body in [&[2u8, 3, 0, 0, 0, 1, 0, 1][..], &[3u8, 2, 0, 0][..]] {
+            let err = WireRecord::decode(body).unwrap_err();
+            assert_eq!(err, format!("unknown wire record tag {}", body[0]));
+        }
+    }
+
+    #[test]
+    fn borrowed_encoders_match_the_owned_records() {
+        let outcome = SyscallOutcome {
+            result: Ok(5),
+            payload: b"hello".to_vec(),
+        };
+        let mut borrowed = Vec::new();
+        push_publish(&mut borrowed, 2, 11, Some(4), &outcome);
+        let mut owned = Vec::new();
+        WireRecord::Publish {
+            thread: 2,
+            seq: 11,
+            timestamp: Some(4),
+            outcome,
+        }
+        .encode_frame(&mut owned);
+        assert_eq!(borrowed, owned);
+
+        let calls = vec![
+            (1 << 63, cmp(Sysno::Brk, b"")),
+            ((1 << 63) | 1, cmp(Sysno::Mprotect, b"x")),
+        ];
+        let mut borrowed = Vec::new();
+        push_batch(&mut borrowed, 1, 0, &calls);
+        let mut owned = Vec::new();
+        WireRecord::Batch {
+            thread: 1,
+            lane: 0,
+            calls,
+        }
+        .encode_frame(&mut owned);
+        assert_eq!(borrowed, owned);
     }
 }

@@ -16,9 +16,12 @@
 //!
 //! The socket flavours (Unix socketpair, TCP loopback) run the same frames
 //! through a real kernel byte stream — partial reads, coalesced writes —
-//! and must change nothing.
+//! and must change nothing.  Publishes the leader holds for a later write
+//! must never strand a slave: not another leader thread's while this one
+//! is parked, nor this thread's own while it computes past the lockstep
+//! timeout.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -26,7 +29,7 @@ use proptest::prelude::*;
 use mvee::core::config::{RemoteChannel, Transport};
 use mvee::core::monitor::MonitorStats;
 use mvee::core::mvee::Mvee;
-use mvee::core::DivergenceReport;
+use mvee::core::{DivergenceReport, MonitoringPolicy};
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
@@ -360,4 +363,165 @@ fn leader_port_acquisition_is_guarded() {
         refused.is_err(),
         "a leader port without Transport::Remote must be refused"
     );
+}
+
+/// The leader holds a deferred ordered call's `Publish` for its batch's
+/// write.  When that thread then parks outside the MVEE, a slave of
+/// *another* thread must still get every frame it waits on: thread 1's slave
+/// needs thread 0's timestamp on the shared shard clock, so thread 0's held
+/// `Publish` has to go out with thread 1's push.  Thread 0's leader stays
+/// parked until thread 1's slave has finished both of its calls.
+///
+/// The 60 s lockstep timeout puts the leader's periodic flush of held
+/// frames 7.5 s out, past the 5 s this test gives slave thread 1: only
+/// thread 1's own push can release it in time.
+#[test]
+fn a_parked_leader_thread_does_not_strand_another_threads_slave() {
+    let mvee = Arc::new(
+        Mvee::builder()
+            .variants(2)
+            .threads(2)
+            .shards(1)
+            .agent(AgentKind::Null)
+            .batch(8)
+            .policy(MonitoringPolicy::SecuritySensitiveOnly)
+            .transport(Transport::Remote {
+                channel: RemoteChannel::InProc,
+            })
+            .lockstep_timeout(Duration::from_secs(60))
+            .manual_clock(true)
+            .build(),
+    );
+    // Deferred comparison, ordered on the one shard clock.
+    let mprotect = || SyscallRequest::new(Sysno::Mprotect).with_int(4096);
+    let gettimeofday = || SyscallRequest::new(Sysno::Gettimeofday);
+    // Leader thread 0 and slave thread 0 keep their ports (and so their
+    // half-full batches) until the main thread releases them.
+    let release = Arc::new(Barrier::new(3));
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let leader_0 = {
+        let (mvee, release) = (Arc::clone(&mvee), Arc::clone(&release));
+        std::thread::spawn(move || {
+            let port = mvee.leader_port(0);
+            let result = port.syscall(&mprotect()).map(|_| ());
+            parked_tx.send(()).expect("the main thread waits for this");
+            release.wait();
+            result
+        })
+    };
+    let slave_0 = {
+        let (mvee, release) = (Arc::clone(&mvee), Arc::clone(&release));
+        std::thread::spawn(move || {
+            let port = mvee.thread_port(1, 0);
+            let result = port.syscall(&mprotect()).map(|_| ());
+            release.wait();
+            result
+        })
+    };
+    parked_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("leader thread 0 issued its call");
+    let (slave_1_tx, slave_1_rx) = mpsc::channel();
+    let slave_1 = {
+        let mvee = Arc::clone(&mvee);
+        std::thread::spawn(move || {
+            let port = mvee.thread_port(1, 1);
+            let result = port
+                .syscall(&mprotect())
+                .and_then(|_| port.syscall(&gettimeofday()))
+                .map(|_| ());
+            let _ = slave_1_tx.send(result);
+        })
+    };
+    let leader_1 = mvee.leader_port(1);
+    leader_1
+        .syscall(&mprotect())
+        .expect("leader thread 1's ordered call");
+    leader_1
+        .syscall(&gettimeofday())
+        .expect("leader thread 1's replicated call");
+    let slave_1_result = slave_1_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("slave thread 1 must finish while leader thread 0 is parked");
+    assert_eq!(
+        slave_1_result,
+        Ok(()),
+        "slave thread 1 was stranded behind leader thread 0's held frame"
+    );
+    assert!(
+        !leader_0.is_finished(),
+        "leader thread 0 must still be parked"
+    );
+    assert_eq!(mvee.divergence(), None);
+    release.wait();
+    for (who, handle) in [("leader 0", leader_0), ("slave 0", slave_0)] {
+        let result = handle.join().expect("thread panicked");
+        assert_eq!(result, Ok(()), "{who}");
+    }
+    slave_1.join().expect("slave thread 1 panicked");
+    drop(leader_1);
+    mvee.remote_barrier()
+        .expect("the replication channel must stay healthy");
+    assert_eq!(mvee.divergence(), None);
+    assert_eq!(mvee.remote_fault(), None);
+}
+
+/// A held `Publish` must reach its slave within the slave's outcome
+/// deadline even when the leader thread, right after the deferred ordered
+/// call, computes outside the MVEE for longer than a lockstep timeout and
+/// so pushes nothing.  The in-proc master publishes at once; the remote
+/// leader may hold the frame for an eighth of the timeout at most.
+#[test]
+fn a_leader_computing_past_the_lockstep_timeout_does_not_strand_its_slave() {
+    let mvee = Arc::new(
+        Mvee::builder()
+            .variants(2)
+            .threads(1)
+            .agent(AgentKind::Null)
+            .batch(8)
+            .transport(Transport::Remote {
+                channel: RemoteChannel::InProc,
+            })
+            .lockstep_timeout(Duration::from_millis(200))
+            .manual_clock(true)
+            .build(),
+    );
+    let mprotect = || SyscallRequest::new(Sysno::Mprotect).with_int(4096);
+    let gettimeofday = || SyscallRequest::new(Sysno::Gettimeofday);
+    let (done_tx, done_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel();
+    let slave = {
+        let mvee = Arc::clone(&mvee);
+        std::thread::spawn(move || {
+            let port = mvee.thread_port(1, 0);
+            let _ = done_tx.send(port.syscall(&mprotect()).map(|_| ()));
+            // The port keeps its half-full batch until the leader is back:
+            // flushing it now would wait for a batch the leader has not
+            // streamed, in-proc as much as remote.
+            resume_rx.recv().expect("the main thread resumes the slave");
+            port.syscall(&gettimeofday()).map(|_| ())
+        })
+    };
+    let leader = mvee.leader_port(0);
+    leader
+        .syscall(&mprotect())
+        .expect("the leader's deferred ordered call");
+    // Computing: no syscall, so no push, for 2.5 lockstep timeouts.
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(
+        done_rx.try_recv(),
+        Ok(Ok(())),
+        "the slave's mprotect must complete while its leader computes"
+    );
+    assert_eq!(mvee.divergence(), None);
+    resume_tx.send(()).expect("the slave waits for this");
+    leader
+        .syscall(&gettimeofday())
+        .expect("the leader's replicated call");
+    assert_eq!(slave.join().expect("slave thread panicked"), Ok(()));
+    drop(leader);
+    mvee.remote_barrier()
+        .expect("the replication channel must stay healthy");
+    assert_eq!(mvee.divergence(), None);
+    assert_eq!(mvee.remote_fault(), None);
 }

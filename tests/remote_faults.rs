@@ -5,14 +5,17 @@
 //!
 //! Every live scenario runs under a watchdog: the failure mode these tests
 //! guard against is a leader (or an in-proc slave) blocked forever on a
-//! peer that will never answer.
+//! peer that will never answer.  The same raw-channel splice also counts
+//! the wire traffic of a healthy stream: one write per burst, one ack per
+//! wait.
 
-use std::io::Write;
-use std::sync::{mpsc, Arc};
+use std::io::{Read, Write};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mvee::core::config::{RecoveryPolicy, RemoteChannel, Transport};
+use mvee::core::frame::next_frame;
 use mvee::core::mvee::Mvee;
 use mvee::core::remote::transport::pipe;
 use mvee::core::remote::{
@@ -369,5 +372,272 @@ fn mismatched_hello_is_refused() {
         leader.shutdown();
         drop(leader);
         drop(handle);
+    });
+}
+
+/// What a [`Tap`] saw pass through it.
+#[derive(Default)]
+struct TapLog {
+    /// `write` (or `read`) calls that moved at least one byte.
+    calls: usize,
+    bytes: Vec<u8>,
+}
+
+impl TapLog {
+    /// CRC-framed frames in the bytes seen so far.
+    fn frames(&self) -> usize {
+        let (mut frames, mut offset) = (0, 0);
+        while let Some((_, end)) = next_frame(&self.bytes, offset).expect("well-framed stream") {
+            frames += 1;
+            offset = end;
+        }
+        frames
+    }
+}
+
+/// A byte-channel half that logs the traffic it passes through.
+struct Tap<T> {
+    inner: T,
+    log: Arc<Mutex<TapLog>>,
+}
+
+impl<T: Write> Write for Tap<T> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(bytes)?;
+        let mut log = self.log.lock().unwrap();
+        log.calls += 1;
+        log.bytes.extend_from_slice(&bytes[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<T: Read> Read for Tap<T> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(out)?;
+        if n > 0 {
+            let mut log = self.log.lock().unwrap();
+            log.calls += 1;
+            log.bytes.extend_from_slice(&out[..n]);
+        }
+        Ok(n)
+    }
+}
+
+/// The replication wire carries a burst, not a call: each group of seven
+/// deferred address-space calls and one replicated `gettimeofday` is one
+/// socket write of eleven frames (seven held publishes, the group's
+/// `Counts` ahead of its batch, the batch, the replicated publish and the
+/// `Counts` record of its replication), and the follower acks only the
+/// barrier the leader waits on.
+#[test]
+fn each_group_is_one_write_and_only_the_barrier_is_acked() {
+    const GROUPS: usize = 4;
+    with_watchdog("wire traffic", || {
+        let mvee = Arc::new(
+            Mvee::builder()
+                .variants(2)
+                .threads(1)
+                .agent(AgentKind::Null)
+                .batch(8)
+                .lockstep_timeout(Duration::from_secs(60))
+                .manual_clock(true)
+                .build(),
+        );
+        let group: Vec<SyscallRequest> = (0..7)
+            .map(|i| match i % 3 {
+                0 => SyscallRequest::new(Sysno::Brk).with_int(0),
+                1 => SyscallRequest::new(Sysno::Mprotect).with_int(4096),
+                _ => SyscallRequest::new(Sysno::Mmap).with_int(8192),
+            })
+            .chain([SyscallRequest::new(Sysno::Gettimeofday)])
+            .collect();
+        let (f_rx, l_tx) = pipe();
+        let (l_rx, f_tx) = pipe();
+        let follower = Follower::spawn(
+            Arc::clone(mvee.monitor()),
+            Duplex::from_parts(Box::new(f_rx), Box::new(f_tx)),
+        );
+        let sent = Arc::new(Mutex::new(TapLog::default()));
+        let acked = Arc::new(Mutex::new(TapLog::default()));
+        let leader = RemoteLeader::connect(
+            Arc::clone(mvee.monitor()),
+            Arc::clone(mvee.agent()),
+            Duplex::from_parts(
+                Box::new(Tap {
+                    inner: l_rx,
+                    log: Arc::clone(&acked),
+                }),
+                Box::new(Tap {
+                    inner: l_tx,
+                    log: Arc::clone(&sent),
+                }),
+            ),
+        );
+        let slave = {
+            let (mvee, group) = (Arc::clone(&mvee), group.clone());
+            thread::spawn(move || {
+                let port = mvee.thread_port(1, 0);
+                for _ in 0..GROUPS {
+                    for req in &group {
+                        port.syscall(req).expect("the slave's call");
+                    }
+                }
+            })
+        };
+        let port = leader.port(0);
+        for _ in 0..GROUPS {
+            for req in &group {
+                port.syscall(req).expect("the leader's call");
+            }
+        }
+        leader.barrier().expect("the barrier is acked");
+        {
+            let sent = sent.lock().unwrap();
+            assert_eq!(
+                sent.calls,
+                1 + GROUPS + 1,
+                "one write for the Hello, one per group, one for the barrier"
+            );
+            assert_eq!(sent.frames(), 1 + 11 * GROUPS + 1);
+        }
+        assert_eq!(
+            acked.lock().unwrap().frames(),
+            1,
+            "exactly one ack: the barrier's"
+        );
+        slave.join().expect("slave thread panicked");
+        drop(port);
+        leader.shutdown();
+        drop(follower);
+        assert_eq!(mvee.divergence(), None);
+        assert_eq!(leader.failure(), None);
+    });
+}
+
+/// A byte-channel read half that hands over a few bytes per read, after a
+/// pause: the follower then ingests the frames of one burst one by one, as
+/// over a slow link, instead of all in one pass.
+struct Trickle<T>(T);
+
+impl<T: Read> Read for Trickle<T> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        thread::sleep(Duration::from_millis(2));
+        let n = out.len().min(8);
+        self.0.read(&mut out[..n])
+    }
+}
+
+/// Three variants under quarantine, one thread, batch 8.
+fn quarantine_mvee() -> Arc<Mvee> {
+    Arc::new(
+        Mvee::builder()
+            .variants(3)
+            .threads(1)
+            .agent(AgentKind::Null)
+            .batch(8)
+            .recovery(RecoveryPolicy::quarantine())
+            .lockstep_timeout(Duration::from_secs(10))
+            .manual_clock(true)
+            .build(),
+    )
+}
+
+/// `variant`'s calls: three deferred mprotects, a synchronous write on which
+/// variant 2 diverges, then two replicated calls.  A variant stops at its
+/// first refused call, like one whose process died.
+fn issue_quarantine_plan(
+    variant: usize,
+    syscall: impl Fn(&SyscallRequest) -> Result<mvee::kernel::syscall::SyscallOutcome, MonitorError>,
+) {
+    let payload: &[u8] = if variant == 2 { b"evil" } else { b"same" };
+    let plan = [
+        SyscallRequest::new(Sysno::Mprotect).with_int(4096),
+        SyscallRequest::new(Sysno::Mprotect).with_int(4096),
+        SyscallRequest::new(Sysno::Mprotect).with_int(4096),
+        SyscallRequest::new(Sysno::Write)
+            .with_fd(1)
+            .with_payload(payload),
+        SyscallRequest::new(Sysno::Gettimeofday),
+        SyscallRequest::new(Sysno::Gettimeofday),
+    ];
+    for req in &plan {
+        if syscall(req).is_err() {
+            break;
+        }
+    }
+}
+
+/// Under quarantine a remote run counts degraded calls exactly as the
+/// in-proc run does: the leader's calls up to and including the write that
+/// quarantines variant 2 ran with the full quorum, the two after it did
+/// not.  The follower applies a `Counts` record when it reads it but
+/// deposits a rendezvous frame later, so the leader's counters must reach
+/// it ahead of the `Batch` and the `Arrive` — over a slow link the frames
+/// of one burst are ingested one at a time, and counters trailing the
+/// `Arrive` would be counted after the quarantine.
+#[test]
+fn remote_counts_degraded_calls_like_in_proc_under_quarantine() {
+    with_watchdog("degraded calls under quarantine", || {
+        let in_proc = quarantine_mvee();
+        let variants: Vec<_> = (0..3)
+            .map(|variant| {
+                let mvee = Arc::clone(&in_proc);
+                thread::spawn(move || {
+                    let port = mvee.thread_port(variant, 0);
+                    issue_quarantine_plan(variant, |req| port.syscall(req));
+                })
+            })
+            .collect();
+        for handle in variants {
+            handle.join().expect("in-proc variant panicked");
+        }
+        let expected = in_proc.monitor_stats();
+        assert_eq!(in_proc.quarantined_variants(), vec![2]);
+        assert_eq!(
+            expected.degraded_calls, 4,
+            "two calls on each survivor ran after the quarantine"
+        );
+
+        let mvee = quarantine_mvee();
+        let (f_rx, l_tx) = pipe();
+        let (l_rx, f_tx) = pipe();
+        let follower = Follower::spawn(
+            Arc::clone(mvee.monitor()),
+            Duplex::from_parts(Box::new(Trickle(f_rx)), Box::new(f_tx)),
+        );
+        let leader = RemoteLeader::connect(
+            Arc::clone(mvee.monitor()),
+            Arc::clone(mvee.agent()),
+            Duplex::from_parts(Box::new(l_rx), Box::new(l_tx)),
+        );
+        let slaves: Vec<_> = (1..3)
+            .map(|variant| {
+                let mvee = Arc::clone(&mvee);
+                thread::spawn(move || {
+                    let port = mvee.thread_port(variant, 0);
+                    issue_quarantine_plan(variant, |req| port.syscall(req));
+                })
+            })
+            .collect();
+        {
+            let port = leader.port(0);
+            issue_quarantine_plan(0, |req| port.syscall(req));
+        }
+        for handle in slaves {
+            handle.join().expect("slave variant panicked");
+        }
+        leader.barrier().expect("the barrier is acked");
+        assert_eq!(mvee.quarantined_variants(), vec![2]);
+        assert_eq!(
+            mvee.monitor_stats(),
+            expected,
+            "remote stats (degraded_calls included) differ from in-proc"
+        );
+        leader.shutdown();
+        drop(follower);
     });
 }
