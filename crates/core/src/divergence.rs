@@ -115,32 +115,37 @@ impl DivergenceReport {
 /// `keys[i]` is `None` when variant `i` has not arrived; absent variants
 /// are not treated as divergent here (the rendezvous timeout handles
 /// them).
+///
+/// The vote runs over `keys` in place and allocates nothing: the
+/// rendezvous table calls this once per resolving slot, and only a
+/// mismatch clones the two keys it reports.
 pub fn first_mismatch(
     keys: &[Option<ComparisonKey>],
 ) -> Option<(usize, ComparisonKey, ComparisonKey)> {
-    let arrived: Vec<(usize, &ComparisonKey)> = keys
-        .iter()
-        .enumerate()
-        .filter_map(|(i, k)| k.as_ref().map(|k| (i, k)))
-        .collect();
-    let mut reference: Option<&ComparisonKey> = None;
+    let arrived = || {
+        keys.iter()
+            .enumerate()
+            .filter_map(|(i, k)| k.as_ref().map(|k| (i, k)))
+    };
+    // The common case: every arrival agrees with the first, so no vote.
+    let (_, first) = arrived().next()?;
+    if arrived().all(|(_, key)| key == first) {
+        return None;
+    }
+    let mut reference = first;
     let mut best = 0usize;
-    for (_, key) in &arrived {
-        let count = arrived.iter().filter(|(_, other)| other == key).count();
+    for (_, key) in arrived() {
+        let count = arrived().filter(|(_, other)| *other == key).count();
         // Strict `>` with an index-ordered scan: on a tie the group seen
         // first — the one with the lowest-indexed member — keeps the win.
         if count > best {
             best = count;
-            reference = Some(key);
+            reference = key;
         }
     }
-    let reference = reference?;
-    for (i, key) in &arrived {
-        if key != &reference {
-            return Some((*i, reference.clone(), (*key).clone()));
-        }
-    }
-    None
+    arrived()
+        .find(|(_, key)| *key != reference)
+        .map(|(i, key)| (i, reference.clone(), key.clone()))
 }
 
 #[cfg(test)]

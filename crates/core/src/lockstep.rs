@@ -27,6 +27,21 @@
 //! exactly and is kept for apples-to-apples ablations (`ablation_sharding`
 //! bench).
 //!
+//! A shard's map hashes a key with one multiply-xorshift instead of the
+//! standard library's SipHash, which would run several times per compared
+//! call (each deposit, poll and consume looks the slot up).  SipHash
+//! defends a map against keys chosen to collide; no variant chooses a key
+//! here.  In-process, the monitor assigns both halves: the logical thread
+//! index and the per-thread sequence number.  The remote follower deposits
+//! keys it reads off the leader's stream, so there the stream is trusted
+//! for liveness: a faulty leader that sends colliding keys slows the
+//! follower's shard, which it can already do by withholding or flooding
+//! frames.  The follower refuses a malformed batch at ingest, but it does
+//! not police which keys a well-formed stream names.  The mix folds
+//! [`DEFERRED_SEQ_BIT`](crate::monitor::DEFERRED_SEQ_BIT) into the low
+//! bits, so a deferred key and the synchronous key with the same count do
+//! not share a bucket even in a small map.
+//!
 //! # One deposit → poll core
 //!
 //! Every wait has exactly one implementation, the non-blocking one: `try_*`
@@ -87,13 +102,22 @@
 //! the release site doubles as the reclaim check.  The table's size stays
 //! bounded by the number of in-flight calls, not by the length of the
 //! execution.
+//!
+//! A reclaimed slot's *shell* — its per-variant `keys` vector, the one part
+//! of a slot on the heap — goes to its shard's spare list, emptied, and the
+//! shard's next new slot is issued from it; every other field of the issued
+//! slot is built fresh, with the expected set read from the active mask at
+//! issue time.  A shard keeps at most 64 spares (`SPARE_SHELLS`), so the pool
+//! is bounded too, and a steady-state rendezvous allocates nothing inside
+//! the table.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use mvee_kernel::syscall::{ComparisonKey, SyscallOutcome};
 use mvee_sync_agent::guards::{EventCount, Waiter};
@@ -181,14 +205,16 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(variants: usize, mask: u64) -> Self {
-        let expected = if variants >= 64 {
-            variants
+    /// A fresh slot over `keys` (one `None` per variant) expecting the
+    /// variants in `mask`.
+    fn new(keys: Vec<Option<ComparisonKey>>, mask: u64) -> Self {
+        let expected = if keys.len() >= 64 {
+            keys.len()
         } else {
             mask.count_ones() as usize
         };
         Slot {
-            keys: vec![None; variants],
+            keys,
             outcome: None,
             timestamp: None,
             consumed: 0,
@@ -246,10 +272,128 @@ fn full_mask(variants: usize) -> u64 {
     }
 }
 
+/// How many reclaimed slot shells a shard keeps for reuse.  Measured per
+/// shard on the benchmark's workloads (BASELINES.md, *Rendezvous slots
+/// without SipHash or malloc*): live slots peak at 3–16 on five of the six,
+/// apart from one `remote_unix` shard at 161, and 99.7–99.999 % of new
+/// slots there are issued from a spare.  On `parallel_agents` a quarter of
+/// the shards burst to thousands of live slots (2 300–2 743), so only
+/// 53–54 % of new slots come from a spare and the rest allocate.  The cap
+/// is what bounds a shard's memory after such a burst.
+const SPARE_SHELLS: usize = 64;
+
+/// Multiplier of the slot-key mix: 2⁶⁴ divided by the golden ratio, odd.
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The shard maps' hasher: one multiply-xorshift over a [`SlotKey`] (see
+/// the module docs on why no SipHash is needed).  `SlotKey` hashes as its
+/// thread (`write_usize`), then its sequence number (`write_u64`).
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a slot key hashes as two integers");
+    }
+
+    fn write_usize(&mut self, thread: usize) {
+        self.0 = (thread as u64) << 32;
+    }
+
+    fn write_u64(&mut self, seq: u64) {
+        // The rotation moves the deferred-keyspace bit (bit 63) to bit 0.
+        self.0 ^= seq.rotate_left(1);
+    }
+
+    fn finish(&self) -> u64 {
+        let x = self.0.wrapping_mul(MIX);
+        x ^ (x >> 32)
+    }
+}
+
+/// One shard's slots and the emptied shells of the slots it reclaimed
+/// (see the module docs on slot lifetime).
+#[derive(Debug, Default)]
+struct SlotMap {
+    live: HashMap<SlotKey, Slot, BuildHasherDefault<SlotHasher>>,
+    /// At most [`SPARE_SHELLS`] `keys` vectors, each empty.
+    spare: Vec<Vec<Option<ComparisonKey>>>,
+}
+
+impl SlotMap {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn get(&self, key: SlotKey) -> Option<&Slot> {
+        self.live.get(&key)
+    }
+
+    fn get_mut(&mut self, key: SlotKey) -> Option<&mut Slot> {
+        self.live.get_mut(&key)
+    }
+
+    /// `key`'s slot; if it is not live, a new one for `variants` variants
+    /// expecting the set `mask()` names, issued from a spare shell when
+    /// there is one.
+    fn get_or_issue(
+        &mut self,
+        key: SlotKey,
+        variants: usize,
+        mask: impl FnOnce() -> u64,
+    ) -> &mut Slot {
+        let spare = &mut self.spare;
+        self.live.entry(key).or_insert_with(|| {
+            let mut keys = spare.pop().unwrap_or_else(|| Vec::with_capacity(variants));
+            keys.resize(variants, None);
+            Slot::new(keys, mask())
+        })
+    }
+
+    /// Removes `key`'s slot, keeping its shell.
+    fn reclaim(&mut self, key: SlotKey) {
+        if let Some(mut slot) = self.live.remove(&key) {
+            Self::keep_shell(&mut self.spare, &mut slot);
+        }
+    }
+
+    /// Keeps only the slots `keep` accepts, and the shells of the others.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Slot) -> bool) {
+        let spare = &mut self.spare;
+        self.live.retain(|_, slot| {
+            let kept = keep(slot);
+            if !kept {
+                Self::keep_shell(spare, slot);
+            }
+            kept
+        });
+    }
+
+    fn keep_shell(spare: &mut Vec<Vec<Option<ComparisonKey>>>, slot: &mut Slot) {
+        if spare.len() < SPARE_SHELLS {
+            let mut keys = std::mem::take(&mut slot.keys);
+            keys.clear();
+            spare.push(keys);
+        }
+    }
+
+    /// Releases one waiter registration on `key` and reclaims the slot if
+    /// it is fully consumed and unreferenced.  Must be called exactly once
+    /// per registration (see the module docs on slot lifetime).
+    fn release_waiter(&mut self, key: SlotKey) {
+        if let Some(slot) = self.live.get_mut(&key) {
+            slot.waiters -= 1;
+            if slot.waiters == 0 && slot.fully_consumed() {
+                self.reclaim(key);
+            }
+        }
+    }
+}
+
 /// One independent partition of the rendezvous table.
 #[derive(Debug, Default)]
 struct Shard {
-    slots: Mutex<HashMap<SlotKey, Slot>>,
+    slots: Mutex<SlotMap>,
     /// Posted on every state change a blocked waiter of this shard could be
     /// waiting for (see the module docs on the shared wait).
     changed: EventCount,
@@ -438,7 +582,7 @@ impl LockstepTable {
         self.shard(key)
             .slots
             .lock()
-            .get(&key)
+            .get(key)
             .map(Self::arrived_variants)
             .unwrap_or_default()
     }
@@ -525,7 +669,7 @@ impl LockstepTable {
         }
         for shard in self.shards.iter() {
             let mut slots = shard.slots.lock();
-            slots.retain(|_, slot| {
+            slots.retain(|slot| {
                 if slot.mask & bit != 0 {
                     slot.mask &= !bit;
                     slot.expected -= 1;
@@ -606,21 +750,12 @@ impl LockstepTable {
             .collect()
     }
 
-    /// Releases one waiter registration on `key` and reclaims the slot if it
-    /// is fully consumed and unreferenced.  Must be called exactly once per
-    /// registration (see the module docs on slot lifetime).
-    fn release_waiter(&self, slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>, key: SlotKey) {
-        if let Some(slot) = slots.get_mut(&key) {
-            slot.waiters -= 1;
-            if slot.waiters == 0 && slot.fully_consumed() {
-                slots.remove(&key);
-            }
-        }
-    }
-
-    /// A fresh slot expecting the currently active variant set.
-    fn new_slot(&self) -> Slot {
-        Slot::new(self.variants, self.active_mask.load(Ordering::SeqCst))
+    /// `key`'s slot in `slots`; a new one expects the currently active
+    /// variant set.
+    fn slot_mut<'a>(&self, slots: &'a mut SlotMap, key: SlotKey) -> &'a mut Slot {
+        slots.get_or_issue(key, self.variants, || {
+            self.active_mask.load(Ordering::SeqCst)
+        })
     }
 
     /// The one blocking wait of the table: returns once `moved` returns
@@ -719,7 +854,7 @@ impl LockstepTable {
         if let Some(journal) = &self.journal {
             journal.record_publish(key.0, key.1, timestamp, &outcome);
         }
-        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
+        let slot = self.slot_mut(&mut slots, key);
         slot.outcome = Some(outcome);
         slot.timestamp = timestamp;
         drop(slots);
@@ -750,11 +885,11 @@ impl LockstepTable {
     pub fn consume(&self, key: SlotKey, variant: usize) {
         let shard = self.shard(key);
         let mut slots = shard.slots.lock();
-        if let Some(slot) = slots.get_mut(&key) {
+        if let Some(slot) = slots.get_mut(key) {
             slot.consumed += 1;
             slot.consumed_mask |= variant_bit(variant);
             if slot.fully_consumed() && slot.waiters == 0 {
-                slots.remove(&key);
+                slots.reclaim(key);
             }
         }
     }
@@ -823,7 +958,7 @@ impl LockstepTable {
         if journal {
             self.journal_arrival(key, variant, &cmp);
         }
-        let slot = slots.entry(key).or_insert_with(|| self.new_slot());
+        let slot = self.slot_mut(&mut slots, key);
         slot.deposit(variant, cmp);
         if let Some(result) = self.slot_result(slot) {
             if matches!(result, ArrivalResult::Mismatch(..)) {
@@ -840,7 +975,7 @@ impl LockstepTable {
         if self.is_poisoned() {
             // Same verdict the first poll would return; resolve immediately
             // so no token (and no registration) escapes.
-            self.release_waiter(&mut slots, key);
+            slots.release_waiter(key);
             drop(slots);
             self.wake(shard);
             return TryArrive::Ready(ArrivalResult::Poisoned);
@@ -859,10 +994,10 @@ impl LockstepTable {
         let shard = self.shard(token.key);
         let mut slots = shard.slots.lock();
         if self.is_poisoned() {
-            self.release_waiter(&mut slots, token.key);
+            slots.release_waiter(token.key);
             return Ok(ArrivalResult::Poisoned);
         }
-        let resolved = match slots.get(&token.key) {
+        let resolved = match slots.get(token.key) {
             // Defensive: the waiter refcount makes a vanished slot
             // unreachable, and one that did vanish was completed and
             // consumed — report the benign outcome instead of panicking.
@@ -870,17 +1005,17 @@ impl LockstepTable {
             Some(slot) => self.slot_result(slot),
         };
         if let Some(result) = resolved {
-            self.release_waiter(&mut slots, token.key);
+            slots.release_waiter(token.key);
             return Ok(result);
         }
         if Instant::now() >= token.deadline {
             // The slot was just inspected (the at-the-wire re-check) and is
             // incomplete: report which variants did arrive.
             let arrived = slots
-                .get(&token.key)
+                .get(token.key)
                 .map(Self::arrived_variants)
                 .unwrap_or_default();
-            self.release_waiter(&mut slots, token.key);
+            slots.release_waiter(token.key);
             return Ok(ArrivalResult::Timeout(arrived));
         }
         Err(token)
@@ -961,7 +1096,7 @@ impl LockstepTable {
             if journal {
                 self.journal_arrival(arrival.key, variant, &arrival.cmp);
             }
-            let slot = slots.entry(arrival.key).or_insert_with(|| self.new_slot());
+            let slot = self.slot_mut(&mut slots, arrival.key);
             slot.deposit(variant, arrival.cmp.clone());
             if let Some(result) = self.slot_result(slot) {
                 if matches!(result, ArrivalResult::Mismatch(..)) {
@@ -981,7 +1116,7 @@ impl LockstepTable {
             token.unresolved = 0;
         }
         let deposit = if token.unresolved == 0 {
-            TryBatch::Ready(token.resolve(self, &mut slots))
+            TryBatch::Ready(token.resolve(&mut slots))
         } else {
             TryBatch::Pending(token)
         };
@@ -1008,7 +1143,7 @@ impl LockstepTable {
                 if token.results[i].is_some() {
                     continue;
                 }
-                let resolved = match slots.get(&token.keys[i]) {
+                let resolved = match slots.get(token.keys[i]) {
                     None => Some(ArrivalResult::Consistent),
                     Some(slot) => self.slot_result(slot),
                 };
@@ -1022,7 +1157,7 @@ impl LockstepTable {
                     if token.results[i].is_some() {
                         continue;
                     }
-                    token.results[i] = Some(match slots.get(&token.keys[i]) {
+                    token.results[i] = Some(match slots.get(token.keys[i]) {
                         None => ArrivalResult::Consistent,
                         Some(slot) => ArrivalResult::Timeout(Self::arrived_variants(slot)),
                     });
@@ -1031,7 +1166,7 @@ impl LockstepTable {
             }
         }
         if token.unresolved == 0 {
-            return Ok(token.resolve(self, &mut slots));
+            return Ok(token.resolve(&mut slots));
         }
         Err(token)
     }
@@ -1051,7 +1186,7 @@ impl LockstepTable {
         if self.is_poisoned() {
             return TryOutcome::Ready(None);
         }
-        if let Some(slot) = slots.get(&key) {
+        if let Some(slot) = slots.get(key) {
             if let Some(outcome) = &slot.outcome {
                 return TryOutcome::Ready(Some((outcome.clone(), slot.timestamp)));
             }
@@ -1074,7 +1209,7 @@ impl LockstepTable {
         if self.is_poisoned() {
             return Ok(None);
         }
-        if let Some(slot) = slots.get(&token.key) {
+        if let Some(slot) = slots.get(token.key) {
             if let Some(outcome) = &slot.outcome {
                 return Ok(Some((outcome.clone(), slot.timestamp)));
             }
@@ -1154,14 +1289,10 @@ impl BatchToken {
 
     /// Releases every held waiter registration (the single release site of
     /// the poll-mode batch path) and unwraps the per-key verdicts.
-    fn resolve(
-        self,
-        table: &LockstepTable,
-        slots: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>,
-    ) -> Vec<ArrivalResult> {
+    fn resolve(self, slots: &mut SlotMap) -> Vec<ArrivalResult> {
         for (i, key) in self.keys.iter().enumerate() {
             if self.holds_waiter[i] {
-                table.release_waiter(slots, *key);
+                slots.release_waiter(*key);
             }
         }
         self.results
@@ -1877,6 +2008,151 @@ mod tests {
         let results = waiter.join().unwrap();
         assert_eq!(results, vec![ArrivalResult::Timeout(vec![0]); 3]);
         assert_eq!(table.live_slots(), 0);
+    }
+
+    /// Spare shells in `key`'s shard.
+    fn spares(table: &LockstepTable, key: SlotKey) -> usize {
+        table.shard(key).slots.lock().spare.len()
+    }
+
+    /// Checks that `table` holds no live slot and one spare shell, issues
+    /// that shell for `next` by publishing to it, asserts the slot reads as
+    /// fresh, and retires it.
+    fn assert_reissued_fresh(table: &LockstepTable, next: SlotKey) {
+        assert_eq!(table.live_slots(), 0, "the shell's slot was reclaimed");
+        assert_eq!(spares(table, next), 1, "the reclaimed shell is spare");
+        table.publish_outcome(next, SyscallOutcome::ok(1), None);
+        assert_eq!(spares(table, next), 0, "the spare shell was reissued");
+        {
+            let slots = table.shard(next).slots.lock();
+            let slot = slots.get(next).expect("the reissued slot is live");
+            assert_eq!(slot.keys.len(), table.variants());
+            assert!(slot.keys.iter().all(Option::is_none), "stale key");
+            assert!(!slot.mismatch, "stale mismatch");
+            assert_eq!(slot.outcome, Some(SyscallOutcome::ok(1)));
+            assert_eq!(slot.timestamp, None, "stale timestamp");
+            assert_eq!((slot.consumed, slot.consumed_mask), (0, 0));
+            assert_eq!(slot.waiters, 0, "stale waiter count");
+            let active = table.active_mask.load(Ordering::SeqCst);
+            assert_eq!(slot.mask, active);
+            assert_eq!(slot.expected, active.count_ones() as usize);
+        }
+        for variant in 0..table.variants() {
+            table.consume(next, variant);
+        }
+        assert_eq!(table.live_slots(), 0);
+    }
+
+    fn pending(deposit: TryArrive) -> ArrivalToken {
+        match deposit {
+            TryArrive::Pending(token) => token,
+            TryArrive::Ready(r) => panic!("must be pending, got {r:?}"),
+        }
+    }
+
+    #[test]
+    fn shell_reclaimed_after_a_mismatch_is_reissued_fresh() {
+        let table = LockstepTable::new(2);
+        let key = (0, 0);
+        let long = Duration::from_secs(5);
+        let token = pending(table.try_arrive(key, 0, cmp(Sysno::Brk, b"a"), long));
+        let peer = table.try_arrive(key, 1, cmp(Sysno::Mprotect, b"b"), long);
+        assert!(matches!(
+            peer,
+            TryArrive::Ready(ArrivalResult::Mismatch(..))
+        ));
+        assert!(matches!(
+            table.poll_arrival(token),
+            Ok(ArrivalResult::Mismatch(..))
+        ));
+        table.consume(key, 0);
+        table.consume(key, 1);
+        assert_reissued_fresh(&table, (0, 1));
+    }
+
+    #[test]
+    fn shell_reclaimed_after_a_timeout_is_reissued_fresh() {
+        let table = LockstepTable::new(2);
+        let key = (0, 0);
+        let short = Duration::from_millis(10);
+        let token = pending(table.try_arrive(key, 0, cmp(Sysno::Brk, b"a"), short));
+        std::thread::sleep(short * 2);
+        assert_eq!(
+            table.poll_arrival(token),
+            Ok(ArrivalResult::Timeout(vec![0]))
+        );
+        table.consume(key, 0);
+        table.consume(key, 1);
+        assert_reissued_fresh(&table, (0, 1));
+    }
+
+    #[test]
+    fn shell_reclaimed_by_a_quarantine_sweep_is_reissued_fresh() {
+        // Variant 1 mismatches and never consumes; the sweep that drops it
+        // leaves the slot fully consumed and reclaims it.
+        let table = LockstepTable::new(3);
+        let key = (0, 0);
+        let long = Duration::from_secs(5);
+        let first = pending(table.try_arrive(key, 0, cmp(Sysno::Brk, b"a"), long));
+        let second = pending(table.try_arrive(key, 2, cmp(Sysno::Brk, b"a"), long));
+        let odd = table.try_arrive(key, 1, cmp(Sysno::Mprotect, b"b"), long);
+        assert!(matches!(
+            odd,
+            TryArrive::Ready(ArrivalResult::Mismatch(1, ..))
+        ));
+        for token in [first, second] {
+            assert!(matches!(
+                table.poll_arrival(token),
+                Ok(ArrivalResult::Mismatch(1, ..))
+            ));
+        }
+        table.consume(key, 0);
+        table.consume(key, 2);
+        assert_eq!(table.live_slots(), 1);
+        assert!(table.quarantine(1));
+        assert_reissued_fresh(&table, (0, 1));
+    }
+
+    #[test]
+    fn shell_reclaimed_after_a_timestamped_publish_is_reissued_fresh() {
+        let table = LockstepTable::new(2);
+        let key = (0, 0);
+        table.publish_outcome(
+            key,
+            SyscallOutcome::ok_with_payload(3, b"abc".to_vec()),
+            Some(9),
+        );
+        table.consume(key, 0);
+        table.consume(key, 1);
+        assert_reissued_fresh(&table, (0, 1));
+    }
+
+    #[test]
+    fn shell_reclaimed_after_a_readmission_is_reissued_fresh() {
+        // The slot is issued while variant 2 is quarantined; the reissue
+        // must expect all three again.
+        let table = LockstepTable::new(3);
+        let key = (0, 0);
+        assert!(table.quarantine(2));
+        table.publish_outcome(key, SyscallOutcome::ok(0), None);
+        table.readmit(2);
+        table.consume(key, 0);
+        table.consume(key, 1);
+        assert_reissued_fresh(&table, (0, 1));
+    }
+
+    #[test]
+    fn spare_shells_are_capped_per_shard() {
+        let table = LockstepTable::with_shards(1, 1);
+        let n = SPARE_SHELLS as u64 + 8;
+        for seq in 0..n {
+            table.publish_outcome((0, seq), SyscallOutcome::ok(0), None);
+        }
+        for seq in 0..n {
+            table.consume((0, seq), 0);
+        }
+        assert_eq!(table.live_slots(), 0);
+        assert_eq!(spares(&table, (0, 0)), SPARE_SHELLS);
     }
 
     #[test]

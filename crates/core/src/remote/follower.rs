@@ -37,7 +37,9 @@
 //! frame, or an abort all wake it.
 //!
 //! If the stream dies (torn connection, garbage, leader gone without
-//! `Bye`) the pump records a typed [`PeerFailure`]
+//! `Bye`) or carries a record no leader sends (a mismatched `Hello`, a
+//! `Batch` longer than the `Hello`'s batch or out of call order) the pump
+//! records a typed [`PeerFailure`]
 //! naming the leader and poisons the rendezvous table so every in-proc
 //! slave thread unblocks promptly.
 
@@ -556,6 +558,16 @@ impl Pump {
                     lane,
                     calls,
                 } => {
+                    // The leader sends one thread's deferred calls in call
+                    // order, at most a batch (the `Hello`'s) at a time.
+                    // Anything else is refused here: the table asserts
+                    // both, and a panic would kill the pump and strand
+                    // every in-proc slave until its lockstep timeout.
+                    let in_order = calls.windows(2).all(|pair| pair[0].0 < pair[1].0);
+                    if calls.len() > self.monitor.config().batch || !in_order {
+                        set_fault(&self.fault, &self.waker, PeerFailureKind::Corrupt);
+                        return progressed;
+                    }
                     let seen = self.sync_ops_seen;
                     self.lane(thread).queue.push_back((
                         index,
@@ -910,4 +922,107 @@ fn finish_batch(
             .then_some((stat_lane, sync_ops_seen - sync_ops_at_ingest)),
     };
     Polled::Done { index, lagged }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+    use std::time::Duration;
+
+    use mvee_kernel::syscall::{SyscallRequest, Sysno};
+    use mvee_sync_agent::agents::AgentKind;
+
+    use super::*;
+    use crate::lockstep::MAX_BATCH;
+    use crate::monitor::DEFERRED_SEQ_BIT;
+    use crate::mvee::Mvee;
+    use crate::remote::transport::pipe;
+
+    /// Feeds a matching `Hello` and then `calls` as one `Batch` to a
+    /// follower while an in-proc slave waits in a rendezvous: the pump must
+    /// refuse the batch as corruption and poison the table, never panic.
+    fn refuses_batch(label: &str, calls: Vec<(u64, ComparisonKey)>) {
+        let mvee = Arc::new(
+            Mvee::builder()
+                .variants(2)
+                .threads(1)
+                .agent(AgentKind::Null)
+                .batch(8)
+                .lockstep_timeout(Duration::from_secs(60))
+                .manual_clock(true)
+                .build(),
+        );
+        let (f_rx, leader_tx) = pipe();
+        let (_ack_rx, f_tx) = pipe();
+        let handle = Follower::spawn(
+            Arc::clone(mvee.monitor()),
+            Duplex::from_parts(Box::new(f_rx), Box::new(f_tx)),
+        );
+        // Declared after `handle`, so a failed assertion drops it first and
+        // the reader sees EOF instead of `handle`'s join hanging on it.
+        let mut leader_tx = leader_tx;
+        let slave = {
+            let mvee = Arc::clone(&mvee);
+            std::thread::spawn(move || {
+                mvee.thread_port(1, 0).syscall(
+                    &SyscallRequest::new(Sysno::Write)
+                        .with_fd(1)
+                        .with_payload(b"waiting"),
+                )
+            })
+        };
+        let config = mvee.monitor().config();
+        let mut frames = Vec::new();
+        WireRecord::Hello {
+            variants: config.variants as u16,
+            threads: config.workload_threads as u32,
+            shards: mvee.monitor().shard_count() as u16,
+            batch: config.batch as u16,
+        }
+        .encode_frame(&mut frames);
+        WireRecord::Batch {
+            thread: 0,
+            lane: 0,
+            calls,
+        }
+        .encode_frame(&mut frames);
+        leader_tx.write_all(&frames).expect("the pipe is open");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let fault = loop {
+            if let Some(fault) = handle.fault() {
+                break fault;
+            }
+            assert!(Instant::now() < deadline, "{label}: no fault recorded");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(
+            fault,
+            PeerFailure {
+                peer: RemotePeer::Leader,
+                kind: PeerFailureKind::Corrupt,
+            },
+            "{label}"
+        );
+        let verdict = slave.join().expect("the slave thread panicked");
+        assert_eq!(verdict, Err(MonitorError::ShutDown), "{label}");
+    }
+
+    fn deferred(seqs: impl IntoIterator<Item = u64>) -> Vec<(u64, ComparisonKey)> {
+        let key = SyscallRequest::new(Sysno::Brk).with_int(0).comparison_key();
+        seqs.into_iter()
+            .map(|seq| (seq | DEFERRED_SEQ_BIT, key.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn a_malformed_batch_faults_the_pump_instead_of_panicking_it() {
+        refuses_batch(
+            "more calls than MAX_BATCH",
+            deferred(0..MAX_BATCH as u64 + 1),
+        );
+        refuses_batch("more calls than the Hello's batch", deferred(0..9));
+        refuses_batch("a repeated seq", deferred([0, 1, 1]));
+        refuses_batch("seqs out of call order", deferred([1, 0]));
+    }
 }
