@@ -70,7 +70,9 @@ fn main() {
 /// The agent-time attribution table: where slave and master wait time went
 /// (spins, yields, parks on each side), how often producers rescanned the
 /// reader cursors, and how often masters stalled on a full buffer — per
-/// agent, on the contention-heavy `lockheavy` workload.  This is the
+/// agent, on the contention-heavy `lockheavy` workload.  Both spin columns
+/// read 0 on a one-CPU process by design: the default waiter skips its spin
+/// phase where no peer can run meanwhile.  This is the
 /// taxonomy `AgentStats` carries since the adaptive-waiter redesign;
 /// per-thread-group attribution is available through
 /// `SyncAgent::lane_stats`.
@@ -111,7 +113,7 @@ fn print_stall_taxonomy(scale: f64) {
         );
     }
     println!(
-        "(spins/yields/parks = slave wait phases, m-* = master full-buffer wait phases; rescans = producer min-cursor refreshes)"
+        "(spins/yields/parks = slave wait phases, m-* = master full-buffer wait phases; rescans = producer min-cursor refreshes; spins read 0 on one CPU by design)"
     );
 }
 

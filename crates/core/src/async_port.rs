@@ -18,6 +18,16 @@
 //! * a **completion ring** the monitor side posts verdicts to, which the
 //!   variant reaps in batches ([`AsyncThreadPort::reap`]).
 //!
+//! The poller posts completions in ticket order, so the port keeps the
+//! verdicts it drained off the ring ahead of the caller's reaps in a
+//! **reap buffer** ordered by ticket, not a hash map: an in-order reap takes
+//! the buffer's front, an out-of-order one finds its verdict by binary
+//! search.  The buffer holds exactly the drained-but-unreaped verdicts — an
+//! abandoned ticket costs one entry, never a run of holes.  The port also
+//! knows how far it has drained the ring, so a ticket below that point
+//! that is not in the buffer was already reaped, and reaping it again
+//! panics instead of waiting for a verdict that will never come.
+//!
 //! Both rings are [`DescRing`]s — the PR 5 SPSC ring discipline (sequence-
 //! published slots, separated cursors, `EventCount`-parked waiters)
 //! generalized to carry owned descriptors; see
@@ -72,7 +82,7 @@
 //! re-acquire across workload phases exactly like sync ports.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
@@ -154,8 +164,11 @@ pub struct AsyncThreadPort {
     /// Tickets submitted but not yet reaped by the caller.
     outstanding: Cell<usize>,
     /// Verdicts drained from the completion ring but not yet asked for
-    /// (reaps may happen out of submission order).
-    reaped: RefCell<HashMap<Ticket, Result<SyscallOutcome, MonitorError>>>,
+    /// (reaps may happen out of submission order), in ticket order.
+    reaped: RefCell<VecDeque<(Ticket, Result<SyscallOutcome, MonitorError>)>>,
+    /// One past the newest ticket popped off the completion ring: every
+    /// ticket below it was either reaped or sits in `reaped`.
+    drained_to: Cell<Ticket>,
     /// Keeps the pool's poller threads alive until the last port closes.
     _pool: Arc<PollerPool>,
     /// Tells the serving poller a submission landed.
@@ -194,7 +207,8 @@ impl AsyncThreadPort {
             completions: registration.completions,
             next_ticket: Cell::new(0),
             outstanding: Cell::new(0),
-            reaped: RefCell::new(HashMap::new()),
+            reaped: RefCell::new(VecDeque::new()),
+            drained_to: Cell::new(0),
             _pool: Arc::clone(pool),
             waker: registration.waker,
             done: registration.done,
@@ -274,8 +288,7 @@ impl AsyncThreadPort {
             ticket < self.next_ticket.get(),
             "reaping a ticket this port never issued"
         );
-        if let Some(result) = self.reaped.borrow_mut().remove(&ticket) {
-            self.outstanding.set(self.outstanding.get() - 1);
+        if let Some(result) = self.take_buffered(ticket) {
             return result;
         }
         loop {
@@ -286,7 +299,7 @@ impl AsyncThreadPort {
             // released to the poller once per burst.
             let mut found = None;
             let mut drained = false;
-            while let Some(completion) = self.completions.try_pop_quiet() {
+            while let Some(completion) = self.pop_completion() {
                 drained = true;
                 if completion.ticket == ticket {
                     found = Some(completion.result);
@@ -294,7 +307,7 @@ impl AsyncThreadPort {
                 }
                 self.reaped
                     .borrow_mut()
-                    .insert(completion.ticket, completion.result);
+                    .push_back((completion.ticket, completion.result));
             }
             if drained {
                 self.completions.space_events().notify();
@@ -311,13 +324,50 @@ impl AsyncThreadPort {
     }
 
     /// Non-blocking reap: the verdict if it has already been posted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a ticket that was already reaped.
     pub fn try_reap(&self, ticket: Ticket) -> Option<Result<SyscallOutcome, MonitorError>> {
         self.drain_completions();
-        let result = self.reaped.borrow_mut().remove(&ticket);
-        if result.is_some() {
-            self.outstanding.set(self.outstanding.get() - 1);
+        self.take_buffered(ticket)
+    }
+
+    /// Takes `ticket`'s verdict out of the reap buffer; `None` while the
+    /// completion ring has not delivered it yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring delivered `ticket` and it is no longer buffered:
+    /// it was reaped before, and no second verdict will ever arrive.
+    fn take_buffered(&self, ticket: Ticket) -> Option<Result<SyscallOutcome, MonitorError>> {
+        if ticket >= self.drained_to.get() {
+            return None;
         }
-        result
+        let mut reaped = self.reaped.borrow_mut();
+        // In order, the verdict is the front entry and `remove(0)` a
+        // `pop_front`; out of order, the search stays logarithmic.
+        let Ok(index) = reaped.binary_search_by_key(&ticket, |&(t, _)| t) else {
+            panic!("reaping ticket {ticket}, which was already reaped");
+        };
+        let (_, result) = reaped
+            .remove(index)
+            .expect("the binary search returned an index in the buffer");
+        self.outstanding.set(self.outstanding.get() - 1);
+        Some(result)
+    }
+
+    /// Pops the next verdict off the completion ring without releasing its
+    /// space (callers notify once per burst), advancing `drained_to`.
+    fn pop_completion(&self) -> Option<Completion> {
+        let completion = self.completions.try_pop_quiet()?;
+        debug_assert_eq!(
+            completion.ticket,
+            self.drained_to.get(),
+            "completions are posted in ticket order"
+        );
+        self.drained_to.set(completion.ticket + 1);
+        Some(completion)
     }
 
     /// Issues a system call and blocks for its verdict: submit + reap.
@@ -407,10 +457,10 @@ impl AsyncThreadPort {
     /// reap buffer, releasing ring space to the poller once per burst.
     fn drain_completions(&self) {
         let mut drained = false;
-        while let Some(completion) = self.completions.try_pop_quiet() {
+        while let Some(completion) = self.pop_completion() {
             self.reaped
                 .borrow_mut()
-                .insert(completion.ticket, completion.result);
+                .push_back((completion.ticket, completion.result));
             drained = true;
         }
         if drained {
@@ -452,6 +502,7 @@ mod tests {
     use crate::config::{Pollers, Transport};
     use crate::mvee::Mvee;
     use mvee_kernel::syscall::Sysno;
+    use proptest::prelude::*;
 
     fn async_mvee(variants: usize, batch: usize) -> Mvee {
         Mvee::builder()
@@ -619,5 +670,127 @@ mod tests {
         assert_eq!(stats.batched_comparisons, 4);
         assert_eq!(stats.batch_flushes, 2, "one flush per variant");
         assert!(!mvee.monitor().has_diverged());
+    }
+
+    fn brk(addr: i64) -> SyscallRequest {
+        SyscallRequest::new(Sysno::Brk).with_int(addr)
+    }
+
+    fn pipelined(port: &AsyncThreadPort, req: &SyscallRequest) -> Ticket {
+        match port.submit(req) {
+            SubmitOutcome::Ticket(ticket) => ticket,
+            SubmitOutcome::Completed(_) => panic!("{:?} must pipeline", req.no),
+        }
+    }
+
+    #[test]
+    fn reaping_a_ticket_twice_panics_instead_of_hanging() {
+        // On its own thread, so a reap that parks forever fails the
+        // watchdog below instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reaper = std::thread::spawn(move || {
+            let mvee = async_mvee(1, 8);
+            let port = mvee.async_thread_port(0, 0);
+            let ticket = pipelined(&port, &brk(0));
+            port.reap(ticket).unwrap();
+            let again = |reap: &dyn Fn()| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(reap)).is_err()
+            };
+            let panicked = [
+                again(&|| drop(port.reap(ticket))),
+                again(&|| drop(port.try_reap(ticket))),
+            ];
+            let _ = tx.send((panicked, port.outstanding()));
+        });
+        let (panicked, outstanding) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a second reap of one ticket hung instead of panicking");
+        reaper.join().unwrap();
+        assert_eq!(panicked, [true, true], "[reap, try_reap]");
+        assert_eq!(outstanding, 0);
+    }
+
+    /// Reaps one of `pending` chosen by `rng`, blocking or by polling
+    /// `try_reap`, and checks the verdict is the break its `brk` asked for.
+    fn reap_any(port: &AsyncThreadPort, pending: &mut Vec<(Ticket, i64)>, rng: &mut TestRng) {
+        let (ticket, want) = pending.swap_remove(rng.below(pending.len() as u64) as usize);
+        let verdict = if rng.below(2) == 0 {
+            port.reap(ticket)
+        } else {
+            loop {
+                if let Some(verdict) = port.try_reap(ticket) {
+                    break verdict;
+                }
+                std::thread::yield_now();
+            }
+        };
+        assert_eq!(verdict.unwrap().result, Ok(want), "ticket {ticket}");
+    }
+
+    proptest! {
+        /// Pipelined `brk`s (each asking for its own break), replicated
+        /// calls and flushes — both of which drain verdicts ahead of them
+        /// into the reap buffer — with reaps in a random order, half of
+        /// them through `try_reap`.
+        #[test]
+        fn every_verdict_lands_on_its_own_ticket_in_any_reap_order(
+            ops in proptest::collection::vec(0u8..5, 1..64),
+            seed in any::<u64>(),
+        ) {
+            const PAGE: i64 = 4096;
+            let mut rng = TestRng::new(seed);
+            let mvee = async_mvee(1, 8);
+            let port = mvee.async_thread_port(0, 0);
+            let base = port.syscall(&brk(0)).unwrap().result.unwrap();
+            let mut pending = Vec::new();
+            for (i, op) in (1..).zip(ops) {
+                match op {
+                    0 | 1 => {
+                        let want = base + i * PAGE;
+                        pending.push((pipelined(&port, &brk(want)), want));
+                    }
+                    2 => match port.submit(&SyscallRequest::new(Sysno::Gettimeofday)) {
+                        SubmitOutcome::Completed(result) => {
+                            prop_assert!(result.unwrap().result.is_ok());
+                        }
+                        SubmitOutcome::Ticket(_) => panic!("gettimeofday must complete inline"),
+                    },
+                    3 => port.flush().unwrap(),
+                    _ if !pending.is_empty() => reap_any(&port, &mut pending, &mut rng),
+                    _ => {}
+                }
+            }
+            while !pending.is_empty() {
+                reap_any(&port, &mut pending, &mut rng);
+            }
+            prop_assert_eq!(port.outstanding(), 0);
+            prop_assert!(port.reaped.borrow().is_empty());
+            drop(port);
+            prop_assert_eq!(mvee.monitor().live_slots(), 0);
+        }
+    }
+
+    #[test]
+    fn an_abandoned_ticket_costs_the_reap_buffer_one_entry() {
+        let mvee = async_mvee(1, 8);
+        let port = mvee.async_thread_port(0, 0);
+        let depth = port.depth();
+        let _abandoned = pipelined(&port, &brk(0));
+        let mut peak = 0;
+        for _ in 0..10_000 / depth {
+            let tickets: Vec<Ticket> = (0..depth)
+                .map(|_| {
+                    let ticket = pipelined(&port, &brk(0));
+                    peak = peak.max(port.reaped.borrow().len());
+                    ticket
+                })
+                .collect();
+            for ticket in tickets {
+                port.reap(ticket).unwrap();
+                peak = peak.max(port.reaped.borrow().len());
+            }
+        }
+        assert!(peak <= 1 + depth, "reap buffer peaked at {peak} entries");
+        assert_eq!(port.outstanding(), 1);
     }
 }

@@ -146,7 +146,9 @@ pub const MAX_BATCH: usize = 1024;
 /// (the peer is microseconds of gateway code away, not a few instructions),
 /// the waiter's fixed yield budget — a peer that is already running
 /// gets here within a few yields, and a yield costs a fifth of a park/wake
-/// round trip — and only then a park on the shard's event count.
+/// round trip — and only then a park on the shard's event count.  On a
+/// one-CPU process every default waiter has this shape too
+/// (`guards::spin_budget`); this one skips the spin on every host.
 const YIELD_THEN_PARK: Waiter = Waiter::new(0);
 
 /// One pending comparison of a batched rendezvous: the slot it belongs to

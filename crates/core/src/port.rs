@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
-use mvee_sync_agent::guards::Waiter;
+use mvee_sync_agent::guards::{Waiter, SPIN_BEFORE_YIELD};
 use mvee_sync_agent::SyncAgent;
 
 use crate::call::{CallMachine, Step};
@@ -206,6 +206,13 @@ impl ThreadPort {
 /// event count (every deposit, publication, poison, quarantine and
 /// re-admission posts it); an ordered slave's turn wait spins and yields,
 /// because nobody posts an event for an ordering-clock advance.
+///
+/// The turn wait keeps the full [`SPIN_BEFORE_YIELD`] budget even on a
+/// one-CPU process, where the default waiter spins 0: with no park phase,
+/// the spin is the only thing spacing its `yield_now` calls, and a zero
+/// budget cost `journal_recover` (two slaves waiting on one master's turn)
+/// 3.5 % of its throughput on `benchmark/` (BASELINES.md, *Spin only where
+/// a peer can run*).
 fn drive(
     monitor: &Monitor,
     machine: &mut CallMachine,
@@ -223,7 +230,7 @@ fn drive(
             !matches!(step, Step::Blocked)
         };
         if on_turn {
-            Waiter::default().wait_until(moved);
+            Waiter::new(SPIN_BEFORE_YIELD).wait_until(moved);
         } else {
             monitor.lockstep().wait_on(thread, moved);
         }

@@ -10,9 +10,19 @@
 //! than cores): every spinning slave burns the time slice the thread it is
 //! waiting for needs.  The [`Waiter`] therefore escalates
 //! spin → exponential-backoff yield → park on an [`EventCount`] condvar.
+//!
+//! The spin phase only pays where a peer can run *while* the waiter spins.
+//! A process that may use one CPU has no such peer: whatever the waiter
+//! waits for moves only once the waiter gives the CPU up, so every spin
+//! there is wasted.  [`Waiter::default`] therefore spins 0 iterations when
+//! `available_parallelism()` is 1 and [`SPIN_BEFORE_YIELD`] otherwise — the
+//! never-spin-on-a-uniprocessor rule of Go's `canSpin` and glibc's adaptive
+//! mutex.  Explicit budgets ([`Waiter::new`], [`GuardTable::new`]) are kept
+//! as given — among them the one pure spin/yield wait, whose spin is all
+//! that spaces its yields (see [`Waiter::default`]).
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Yields performed (with exponential backoff) before the first park.
@@ -163,11 +173,33 @@ impl WaitTally {
     }
 }
 
-/// The spin budget every configured waiter gets (the agents' through
-/// `AgentConfig::waiter`, the monitor's ring loops through
-/// `MonitorConfig::ring_waiter`): busy-spin iterations before a waiting
-/// thread starts yielding to the OS scheduler.
+/// The spin budget every configured waiter gets on a multi-CPU process
+/// (the agents' through `AgentConfig::waiter`, the monitor's ring loops
+/// through `MonitorConfig::ring_waiter`): busy-spin iterations before a
+/// waiting thread starts yielding to the OS scheduler.  A process that may
+/// use one CPU spins 0 instead (see [`spin_budget`]): no peer runs while it
+/// spins.
 pub const SPIN_BEFORE_YIELD: u32 = 64;
+
+/// The default spin budget for a process that may use `cpus` CPUs: 0 on
+/// one CPU, where the peer being waited for cannot move until the waiter
+/// yields, and [`SPIN_BEFORE_YIELD`] otherwise.
+pub fn spin_budget(cpus: usize) -> u32 {
+    if cpus <= 1 {
+        0
+    } else {
+        SPIN_BEFORE_YIELD
+    }
+}
+
+/// [`spin_budget`] of this process's CPU count, read once.  A count the OS
+/// cannot report keeps the multi-CPU budget.
+fn default_spin_budget() -> u32 {
+    static BUDGET: OnceLock<u32> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        std::thread::available_parallelism().map_or(SPIN_BEFORE_YIELD, |n| spin_budget(n.get()))
+    })
+}
 
 /// A bounded waiter — its spin budget: spin, yield, then park.
 ///
@@ -178,13 +210,16 @@ pub struct Waiter {
 }
 
 impl Default for Waiter {
-    /// The [`SPIN_BEFORE_YIELD`] budget; built directly by the one
-    /// wait on state nobody posts an event count for — a blocking port's
-    /// ordering-clock turn wait, whose condition owns the deadline.
-    /// Everything that *can* park does: the agents on their rings' event
-    /// counts, the monitor's rendezvous waits on their shard's.
+    /// The process's [`spin_budget`]: [`SPIN_BEFORE_YIELD`] where another
+    /// CPU can run the peer, 0 on a one-CPU process (read once, at the
+    /// first call — confine the process before it).  Meant for
+    /// [`wait_until_event`](Self::wait_until_event), whose park phase
+    /// bounds the yields; a pure [`wait_until`](Self::wait_until) loop
+    /// has nothing but the spin to space its yields, so the one in
+    /// production (a blocking port's ordering-clock turn wait) names
+    /// its budget explicitly.
     fn default() -> Self {
-        Waiter::new(SPIN_BEFORE_YIELD)
+        Waiter::new(default_spin_budget())
     }
 }
 
@@ -409,6 +444,40 @@ mod tests {
             }),
             2
         );
+    }
+
+    #[test]
+    fn spin_budget_is_zero_only_on_one_cpu() {
+        assert_eq!(spin_budget(1), 0);
+        assert_eq!(spin_budget(2), SPIN_BEFORE_YIELD);
+        assert_eq!(spin_budget(64), SPIN_BEFORE_YIELD);
+    }
+
+    /// The tally of a wait whose condition fails `stall` polls, then holds.
+    fn stalled_wait(waiter: Waiter, stall: u32) -> WaitTally {
+        let events = EventCount::new();
+        let mut polls = 0;
+        waiter.wait_until_event(&events, || {
+            polls += 1;
+            polls > stall
+        })
+    }
+
+    #[test]
+    fn default_waiter_spins_only_where_a_peer_can_run() {
+        // Outlasts every spin phase, so the tally shows the whole budget.
+        let stall = SPIN_BEFORE_YIELD + 4;
+        let one_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+        let expected = if one_cpu {
+            0
+        } else {
+            u64::from(SPIN_BEFORE_YIELD)
+        };
+        let tally = stalled_wait(Waiter::default(), stall);
+        assert_eq!(tally.spins, expected, "one CPU: {one_cpu}, {tally:?}");
+        assert!(tally.yields > 0, "{tally:?}");
+        // An explicit budget is kept as given either way.
+        assert_eq!(stalled_wait(Waiter::new(8), stall).spins, 8);
     }
 
     #[test]

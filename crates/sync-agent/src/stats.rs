@@ -33,7 +33,9 @@ pub struct AgentStats {
     pub slave_stalls: u64,
     /// Times the master had to wait because a sync buffer was full.
     pub master_stalls: u64,
-    /// Total spin-wait iterations executed by slaves while stalled.
+    /// Total spin-wait iterations executed by slaves while stalled.  Reads
+    /// 0 on a one-CPU process by design: the default waiter skips its spin
+    /// phase there ([`spin_budget`](crate::guards::spin_budget)).
     pub slave_spin_iterations: u64,
     /// `yield_now` calls executed by slaves while stalled (the waiter's
     /// second phase).
@@ -41,7 +43,8 @@ pub struct AgentStats {
     /// Parking episodes (condvar blocks) of stalled slaves — the waiter's
     /// third phase.
     pub slave_parks: u64,
-    /// Spin-wait iterations of master threads stalled on a full sync buffer.
+    /// Spin-wait iterations of master threads stalled on a full sync buffer
+    /// (0 on a one-CPU process by design, like `slave_spin_iterations`).
     #[serde(default)]
     pub master_spin_iterations: u64,
     /// `yield_now` calls of master threads stalled on a full sync buffer.
