@@ -5,16 +5,18 @@
 //! there is nothing to replicate to.
 
 use crate::context::SyncContext;
-use crate::stats::{AgentStats, SharedStats};
-use crate::SyncAgent;
+use crate::{AgentCore, SyncAgent, SyncStep};
 
 use super::AgentKind;
 
 /// An agent that records statistics but enforces no ordering.
+///
+/// Even the no-op agent goes through the shared driver, so it marks its
+/// replication points and journals and snapshots see the same program
+/// positions under every agent.
 #[derive(Debug, Default)]
 pub struct NullAgent {
-    stats: SharedStats,
-    hook: super::HookCell,
+    core: AgentCore,
 }
 
 impl NullAgent {
@@ -29,26 +31,15 @@ impl SyncAgent for NullAgent {
         AgentKind::Null
     }
 
-    fn before_sync_op(&self, ctx: &SyncContext, _addr: u64) {
-        // Even the no-op agent marks its replication points, so journals
-        // and snapshots see the same program positions under every agent.
-        self.hook.sync_op(ctx, &self.stats);
-        if ctx.role.is_master() {
-            self.stats.count_record(ctx.thread);
-        } else {
-            self.stats.count_replay(ctx.thread);
-        }
+    fn core(&self) -> &AgentCore {
+        &self.core
+    }
+
+    fn try_before_sync_op(&self, _ctx: &SyncContext, _addr: u64) -> SyncStep<'_> {
+        SyncStep::Ready
     }
 
     fn after_sync_op(&self, _ctx: &SyncContext, _addr: u64) {}
-
-    fn stats(&self) -> AgentStats {
-        self.stats.snapshot()
-    }
-
-    fn set_replication_hook(&self, hook: crate::ReplicationHook) {
-        self.hook.install(hook);
-    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,13 @@
 //! identifies as the source of cache contention in `radiosity`,
 //! `fluidanimate`, `dedup` and friends.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::context::{AgentConfig, SyncContext, VariantRole, MAX_THREADS};
-use crate::guards::{GuardTable, Waiter};
+use crate::guards::GuardTable;
 use crate::ring::{RecordRing, SyncRecord};
-use crate::stats::{AgentStats, SharedStats};
-use crate::SyncAgent;
+use crate::stats::AgentStats;
+use crate::{AgentCore, SyncAgent, SyncStep, WaitSite};
 
 use super::AgentKind;
 
@@ -36,13 +36,8 @@ struct SlaveState {
     /// (only thread `t` claims thread-`t` records, and `t` never scans while
     /// it holds a claim).
     claimed_map: Vec<AtomicU64>,
-    /// Per-thread position of the op claimed between `before` and `after`,
-    /// stored as `pos + 1` (0 = none).
-    claimed: Vec<AtomicU64>,
-    /// The skip index's per-thread resume position: the position after this
-    /// thread's most recently claimed record — its scan for the next own
-    /// record restarts here, never from the frontier.
-    scan_from: Vec<AtomicU64>,
+    /// One entry per logical thread.
+    threads: Vec<ThreadReplay>,
 }
 
 impl SlaveState {
@@ -50,10 +45,34 @@ impl SlaveState {
         SlaveState {
             completed: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             claimed_map: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            claimed: (0..MAX_THREADS).map(|_| AtomicU64::new(0)).collect(),
-            scan_from: (0..MAX_THREADS).map(|_| AtomicU64::new(0)).collect(),
+            threads: (0..MAX_THREADS).map(|_| ThreadReplay::default()).collect(),
         }
     }
+}
+
+/// One slave thread's replay state, on its own cache line: only that thread
+/// reads or writes it, so every access is relaxed.  Positions stored as
+/// `pos + 1` use 0 for "none".
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct ThreadReplay {
+    /// The op claimed between `before` and `after`, as `pos + 1`.
+    claimed: AtomicU64,
+    /// The skip index's resume position: the position after this thread's
+    /// most recently claimed record — its scan for the next own record
+    /// restarts here, never from the frontier.
+    scan_from: AtomicU64,
+    /// The look-ahead's skip state, kept across the polls of one op so each
+    /// poll resumes where the last one stopped — typically re-checking a
+    /// single blocker slot — instead of rescanning the window: the record
+    /// found for this thread (`pos + 1`) and its dependency key...
+    found: AtomicU64,
+    found_key: AtomicU64,
+    /// ...the first position that still blocks it (`pos + 1`)...
+    blocker: AtomicU64,
+    /// ...and the position below which the dependency scan verified that
+    /// nothing blocks it.
+    checked_to: AtomicU64,
 }
 
 /// Partial-order replication agent.
@@ -62,11 +81,8 @@ pub struct PartialOrderAgent {
     config: AgentConfig,
     ring: RecordRing,
     guards: GuardTable,
-    waiter: Waiter,
-    stats: SharedStats,
     slaves: Vec<SlaveState>,
-    poisoned: AtomicBool,
-    hook: super::HookCell,
+    core: AgentCore,
 }
 
 impl PartialOrderAgent {
@@ -77,13 +93,10 @@ impl PartialOrderAgent {
         PartialOrderAgent {
             ring: RecordRing::new(config.buffer_capacity, readers),
             guards: GuardTable::with_waiter(config.guard_buckets, waiter),
-            waiter,
-            stats: SharedStats::new(),
             slaves: (0..readers)
                 .map(|_| SlaveState::new(config.buffer_capacity))
                 .collect(),
-            poisoned: AtomicBool::new(false),
-            hook: super::HookCell::new(),
+            core: AgentCore::new(waiter),
             config,
         }
     }
@@ -101,25 +114,6 @@ impl PartialOrderAgent {
         // Two ops are dependent when they touch the same 64-bit word; this is
         // the same alignment rule the clock wall uses.
         addr & !7
-    }
-
-    fn master_before(&self, ctx: &SyncContext, addr: u64) {
-        let bucket = self.guards.bucket_for(addr);
-        if super::push_record_guarded(
-            &self.guards,
-            bucket,
-            &self.ring,
-            &self.waiter,
-            |tally| self.stats.count_master_wait(ctx.thread, tally),
-            || self.is_poisoned(),
-            || SyncRecord::simple(ctx.thread as u32, addr),
-        ) {
-            self.stats.count_record(ctx.thread);
-        }
-    }
-
-    fn master_after(&self, _ctx: &SyncContext, addr: u64) {
-        self.guards.release(self.guards.bucket_for(addr));
     }
 
     /// Whether this slave has completed the op recorded at `pos`.
@@ -141,8 +135,9 @@ impl PartialOrderAgent {
     fn find_own_record(&self, slave: usize, thread: u32) -> Option<(u64, SyncRecord)> {
         let frontier = self.ring.reader_pos(slave);
         let window_end = frontier + self.config.lookahead_window as u64;
-        let start = self.slaves[slave].scan_from[thread as usize]
-            .load(Ordering::Acquire)
+        let start = self.slaves[slave].threads[thread as usize]
+            .scan_from
+            .load(Ordering::Relaxed)
             .max(frontier);
         let published = self.ring.write_pos();
         let mut pos = start;
@@ -200,76 +195,60 @@ impl PartialOrderAgent {
         b >= self.ring.reader_pos(slave) && self.blocks(slave, b, key)
     }
 
-    fn slave_before(&self, ctx: &SyncContext, slave: usize) {
-        let thread = ctx.thread as u32;
-        // The wait's local skip state: the record we found for ourselves,
-        // the first position that still blocks it, and how far the
-        // dependency scan has verified.  Each poll resumes where the last
-        // one stopped — typically re-checking a single blocker slot —
-        // instead of rescanning the whole window from the frontier.
-        let mut found: Option<(u64, u64)> = None; // (pos, dependency key)
-        let mut blocker: Option<u64> = None;
-        let mut dep_checked_to = 0u64;
-        let mut claimed = None;
-        let tally = self.waiter.wait_until_event(self.ring.events(), || {
-            if self.is_poisoned() {
-                return true;
-            }
-            let (pos, key) = match found {
-                Some(f) => f,
-                None => match self.find_own_record(slave, thread) {
-                    Some((pos, rec)) => {
-                        let key = Self::dependency_key(rec.addr);
-                        found = Some((pos, key));
-                        dep_checked_to = self.ring.reader_pos(slave);
-                        (pos, key)
-                    }
-                    None => return false,
-                },
-            };
-            if let Some(b) = blocker {
-                if self.still_blocks(slave, b, key) {
-                    return false;
+    fn slave_step(&self, ctx: &SyncContext, slave: usize) -> SyncStep<'_> {
+        let me = &self.slaves[slave].threads[ctx.thread];
+        let blocked = || self.core.block(WaitSite::Replay, self.ring.events());
+        let (pos, key) = match me.found.load(Ordering::Relaxed).checked_sub(1) {
+            Some(pos) => (pos, me.found_key.load(Ordering::Relaxed)),
+            None => match self.find_own_record(slave, ctx.thread as u32) {
+                Some((pos, rec)) => {
+                    let key = Self::dependency_key(rec.addr);
+                    me.found.store(pos + 1, Ordering::Relaxed);
+                    me.found_key.store(key, Ordering::Relaxed);
+                    me.checked_to
+                        .store(self.ring.reader_pos(slave), Ordering::Relaxed);
+                    (pos, key)
                 }
-                // The blocker resolved (completed — possibly observed only
-                // through the frontier having passed it — or published as
-                // non-dependent); it has now been evaluated for good.
-                blocker = None;
-                dep_checked_to = dep_checked_to.max(b + 1);
-            }
-            // Resume the dependency scan.  Positions below the frontier are
-            // complete by definition, and positions below `dep_checked_to`
-            // were already verified non-blocking (both verdicts are final).
-            let mut q = dep_checked_to.max(self.ring.reader_pos(slave));
-            while q < pos {
-                if self.blocks(slave, q, key) {
-                    blocker = Some(q);
-                    dep_checked_to = q;
-                    return false;
-                }
-                q += 1;
-            }
-            claimed = Some(pos);
-            true
-        });
-        let Some(pos) = claimed else {
-            // Poisoned bail-out: nothing was claimed; `slave_after` observes
-            // `claimed == 0` and leaves the replay state untouched.
-            return;
+                None => return blocked(),
+            },
         };
-        let state = &self.slaves[slave];
+        let mut q = me.checked_to.load(Ordering::Relaxed);
+        if let Some(b) = me.blocker.load(Ordering::Relaxed).checked_sub(1) {
+            if self.still_blocks(slave, b, key) {
+                return blocked();
+            }
+            // The blocker resolved (completed — possibly observed only
+            // through the frontier having passed it — or published as
+            // non-dependent); it has now been evaluated for good.
+            me.blocker.store(0, Ordering::Relaxed);
+            q = q.max(b + 1);
+        }
+        // Resume the dependency scan.  Positions below the frontier are
+        // complete by definition, and positions below `checked_to` were
+        // already verified non-blocking (both verdicts are final).
+        q = q.max(self.ring.reader_pos(slave));
+        while q < pos {
+            if self.blocks(slave, q, key) {
+                me.blocker.store(q + 1, Ordering::Relaxed);
+                me.checked_to.store(q, Ordering::Relaxed);
+                return blocked();
+            }
+            q += 1;
+        }
+        me.found.store(0, Ordering::Relaxed);
         let slot = (pos % self.capacity()) as usize;
-        state.claimed_map[slot].store(pos + 1, Ordering::Release);
-        state.claimed[ctx.thread].store(pos + 1, Ordering::Release);
-        state.scan_from[ctx.thread].store(pos + 1, Ordering::Release);
-        self.stats.count_slave_wait(ctx.thread, tally);
-        self.stats.count_replay(ctx.thread);
+        self.slaves[slave].claimed_map[slot].store(pos + 1, Ordering::Release);
+        me.claimed.store(pos + 1, Ordering::Relaxed);
+        me.scan_from.store(pos + 1, Ordering::Relaxed);
+        SyncStep::Ready
     }
 
     fn slave_after(&self, ctx: &SyncContext, slave: usize) {
-        let claimed = self.slaves[slave].claimed[ctx.thread].swap(0, Ordering::AcqRel);
+        let claimed = self.slaves[slave].threads[ctx.thread]
+            .claimed
+            .swap(0, Ordering::Relaxed);
         debug_assert!(
-            claimed > 0 || self.is_poisoned(),
+            claimed > 0 || self.core.is_poisoned(),
             "after_sync_op without matching before_sync_op"
         );
         if claimed == 0 {
@@ -302,45 +281,41 @@ impl SyncAgent for PartialOrderAgent {
         AgentKind::PartialOrder
     }
 
-    fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
-        self.hook.sync_op(ctx, &self.stats);
+    fn core(&self) -> &AgentCore {
+        &self.core
+    }
+
+    fn try_before_sync_op(&self, ctx: &SyncContext, addr: u64) -> SyncStep<'_> {
         match ctx.role {
-            VariantRole::Master => self.master_before(ctx, addr),
-            VariantRole::Slave { index } => self.slave_before(ctx, index),
+            VariantRole::Master => super::record_step(
+                &self.core,
+                &self.guards,
+                self.guards.bucket_for(addr),
+                &self.ring,
+                || SyncRecord::simple(ctx.thread as u32, addr),
+            ),
+            VariantRole::Slave { index } => self.slave_step(ctx, index),
         }
     }
 
     fn after_sync_op(&self, ctx: &SyncContext, addr: u64) {
         match ctx.role {
-            VariantRole::Master => self.master_after(ctx, addr),
+            VariantRole::Master => self.guards.release(self.guards.bucket_for(addr)),
             VariantRole::Slave { index } => self.slave_after(ctx, index),
         }
     }
 
     fn stats(&self) -> AgentStats {
-        let mut stats = self.stats.snapshot();
+        let mut stats = self.core.stats().snapshot();
         stats.cursor_rescans = self.ring.rescans();
         stats
     }
 
-    fn lane_stats(&self, lane: usize) -> AgentStats {
-        self.stats.lane_snapshot(lane)
-    }
-
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+        self.core.poison();
         // Unpark masters waiting on buffer space and slaves parked in the
         // look-ahead wait.
         self.ring.events().notify_all();
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    fn set_replication_hook(&self, hook: crate::ReplicationHook) {
-        self.hook.install(hook);
     }
 }
 

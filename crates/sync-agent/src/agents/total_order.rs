@@ -12,13 +12,11 @@
 //! read-write sharing (cache-line ping-pong) the paper identifies as the
 //! scalability limit of this design.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::context::{AgentConfig, SyncContext, VariantRole};
-use crate::guards::{GuardTable, Waiter};
+use crate::guards::GuardTable;
 use crate::ring::{RecordRing, SyncRecord};
-use crate::stats::{AgentStats, SharedStats};
-use crate::SyncAgent;
+use crate::stats::AgentStats;
+use crate::{AgentCore, SyncAgent, SyncStep, WaitSite};
 
 use super::AgentKind;
 
@@ -28,24 +26,17 @@ pub struct TotalOrderAgent {
     config: AgentConfig,
     ring: RecordRing,
     guards: GuardTable,
-    waiter: Waiter,
-    stats: SharedStats,
-    poisoned: AtomicBool,
-    hook: super::HookCell,
+    core: AgentCore,
 }
 
 impl TotalOrderAgent {
     /// Creates a total-order agent for `config.variants` variants.
     pub fn new(config: AgentConfig) -> Self {
-        let readers = config.slave_count();
         let waiter = config.waiter();
         TotalOrderAgent {
-            ring: RecordRing::new(config.buffer_capacity, readers),
+            ring: RecordRing::new(config.buffer_capacity, config.slave_count()),
             guards: GuardTable::with_waiter(config.guard_buckets, waiter),
-            waiter,
-            stats: SharedStats::new(),
-            poisoned: AtomicBool::new(false),
-            hook: super::HookCell::new(),
+            core: AgentCore::new(waiter),
             config,
         }
     }
@@ -64,52 +55,10 @@ impl TotalOrderAgent {
             .unwrap_or(0)
     }
 
-    fn master_before(&self, ctx: &SyncContext, addr: u64) {
-        let bucket = self.guards.bucket_for(addr);
-        if super::push_record_guarded(
-            &self.guards,
-            bucket,
-            &self.ring,
-            &self.waiter,
-            |tally| self.stats.count_master_wait(ctx.thread, tally),
-            || self.is_poisoned(),
-            || SyncRecord::simple(ctx.thread as u32, addr),
-        ) {
-            self.stats.count_record(ctx.thread);
-        }
-    }
-
-    fn master_after(&self, _ctx: &SyncContext, addr: u64) {
-        self.guards.release(self.guards.bucket_for(addr));
-    }
-
     /// Whether the unconsumed head of the recording belongs to `thread`.
     fn head_is_mine(&self, slave: usize, thread: u32) -> bool {
         let pos = self.ring.reader_pos(slave);
         matches!(self.ring.get(pos), Some(rec) if rec.thread == thread)
-    }
-
-    fn slave_before(&self, ctx: &SyncContext, slave: usize) {
-        let my_thread = ctx.thread as u32;
-        // The head moves on a master push or another slave thread's reader
-        // advance; both post the ring's event count.
-        let tally = self.waiter.wait_until_event(self.ring.events(), || {
-            self.is_poisoned() || self.head_is_mine(slave, my_thread)
-        });
-        if !self.head_is_mine(slave, my_thread) {
-            // Poisoned bail-out: nothing was claimed; `slave_after` will see
-            // a foreign (or absent) head record and leave the cursor alone.
-            return;
-        }
-        self.stats.count_slave_wait(ctx.thread, tally);
-        self.stats.count_replay(ctx.thread);
-    }
-
-    fn slave_after(&self, ctx: &SyncContext, slave: usize) {
-        if self.is_poisoned() && !self.head_is_mine(slave, ctx.thread as u32) {
-            return;
-        }
-        self.ring.advance_reader(slave);
     }
 }
 
@@ -118,45 +67,52 @@ impl SyncAgent for TotalOrderAgent {
         AgentKind::TotalOrder
     }
 
-    fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
-        self.hook.sync_op(ctx, &self.stats);
+    fn core(&self) -> &AgentCore {
+        &self.core
+    }
+
+    fn try_before_sync_op(&self, ctx: &SyncContext, addr: u64) -> SyncStep<'_> {
         match ctx.role {
-            VariantRole::Master => self.master_before(ctx, addr),
-            VariantRole::Slave { index } => self.slave_before(ctx, index),
+            VariantRole::Master => super::record_step(
+                &self.core,
+                &self.guards,
+                self.guards.bucket_for(addr),
+                &self.ring,
+                || SyncRecord::simple(ctx.thread as u32, addr),
+            ),
+            // The head moves on a master push or another slave thread's
+            // reader advance; both post the ring's event count.
+            VariantRole::Slave { index } if self.head_is_mine(index, ctx.thread as u32) => {
+                SyncStep::Ready
+            }
+            VariantRole::Slave { .. } => self.core.block(WaitSite::Replay, self.ring.events()),
         }
     }
 
     fn after_sync_op(&self, ctx: &SyncContext, addr: u64) {
         match ctx.role {
-            VariantRole::Master => self.master_after(ctx, addr),
-            VariantRole::Slave { index } => self.slave_after(ctx, index),
+            VariantRole::Master => self.guards.release(self.guards.bucket_for(addr)),
+            // A bailed op claimed nothing: a foreign (or absent) head
+            // record stays where it is.
+            VariantRole::Slave { index } => {
+                if !self.core.is_poisoned() || self.head_is_mine(index, ctx.thread as u32) {
+                    self.ring.advance_reader(index);
+                }
+            }
         }
     }
 
     fn stats(&self) -> AgentStats {
-        let mut stats = self.stats.snapshot();
+        let mut stats = self.core.stats().snapshot();
         stats.cursor_rescans = self.ring.rescans();
         stats
     }
 
-    fn lane_stats(&self, lane: usize) -> AgentStats {
-        self.stats.lane_snapshot(lane)
-    }
-
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+        self.core.poison();
         // Unpark masters waiting on buffer space and slaves waiting for
         // their turn at the head.
         self.ring.events().notify_all();
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    fn set_replication_hook(&self, hook: crate::ReplicationHook) {
-        self.hook.install(hook);
     }
 }
 

@@ -22,14 +22,12 @@
 //! [`AgentStats::clock_collisions`](crate::stats::AgentStats) counter and the
 //! `ablation_clocks` benchmark quantify that effect.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::clockwall::ClockWall;
 use crate::context::{AgentConfig, SyncContext, VariantRole};
-use crate::guards::{GuardTable, Waiter};
+use crate::guards::GuardTable;
 use crate::ring::{RecordRing, SyncRecord};
-use crate::stats::{AgentStats, SharedStats};
-use crate::SyncAgent;
+use crate::stats::AgentStats;
+use crate::{AgentCore, SyncAgent, SyncStep, WaitSite};
 
 use super::AgentKind;
 
@@ -46,10 +44,7 @@ pub struct WallOfClocksAgent {
     /// Per-clock guards that keep "record, execute, tick" atomic on the
     /// master side for ops sharing a clock.
     guards: GuardTable,
-    waiter: Waiter,
-    stats: SharedStats,
-    poisoned: AtomicBool,
-    hook: super::HookCell,
+    core: AgentCore,
 }
 
 impl WallOfClocksAgent {
@@ -61,7 +56,9 @@ impl WallOfClocksAgent {
     /// `ring_for` clamps out-of-range thread indices onto
     /// it, so a misconfigured run (more live threads than
     /// `config.threads`) funnels several producers into that ring and it
-    /// must stay multi-producer-safe.
+    /// must stay multi-producer-safe.  Its slaves replay it like the
+    /// total-order agent's shared ring: a thread waits until the record at
+    /// the cursor is its own.
     pub fn new(config: AgentConfig) -> Self {
         let readers = config.slave_count();
         let waiter = config.waiter();
@@ -81,10 +78,7 @@ impl WallOfClocksAgent {
                 .collect(),
             // One guard per clock so the guard index equals the clock index.
             guards: GuardTable::with_waiter(config.clock_count, waiter),
-            waiter,
-            stats: SharedStats::new(),
-            poisoned: AtomicBool::new(false),
-            hook: super::HookCell::new(),
+            core: AgentCore::new(waiter),
             config,
         }
     }
@@ -108,77 +102,45 @@ impl WallOfClocksAgent {
         &self.rings[thread.min(self.rings.len() - 1)]
     }
 
-    fn master_before(&self, ctx: &SyncContext, addr: u64) {
-        let clock = self.master_wall.clock_for(addr);
+    /// The record at `slave`'s cursor on `ctx`'s ring, if it is published
+    /// and `ctx`'s thread's own.
+    fn own_record(&self, ctx: &SyncContext, slave: usize) -> Option<SyncRecord> {
         let ring = self.ring_for(ctx.thread);
-        // The record's time must be read under the clock guard, so the
-        // record is built inside the shared push loop's guarded section.
-        if super::push_record_guarded(
+        ring.get(ring.reader_pos(slave))
+            .filter(|record| record.thread == ctx.thread as u32)
+    }
+
+    fn master_step(&self, ctx: &SyncContext, addr: u64) -> SyncStep<'_> {
+        let clock = self.master_wall.clock_for(addr);
+        // The record's time is read under the clock guard.
+        let step = super::record_step(
+            &self.core,
             &self.guards,
             clock,
-            ring,
-            &self.waiter,
-            |tally| self.stats.count_master_wait(ctx.thread, tally),
-            || self.is_poisoned(),
+            self.ring_for(ctx.thread),
             || {
                 let time = self.master_wall.time(clock);
                 SyncRecord::with_clock(ctx.thread as u32, addr, clock as u32, time)
             },
-        ) {
-            if self.master_wall.note_address(clock, addr) {
-                self.stats.count_clock_collision(ctx.thread);
-            }
-            self.stats.count_record(ctx.thread);
+        );
+        if matches!(step, SyncStep::Ready) && self.master_wall.note_address(clock, addr) {
+            self.core.stats().count_clock_collision(ctx.thread);
         }
+        step
     }
 
-    fn master_after(&self, _ctx: &SyncContext, addr: u64) {
-        let clock = self.master_wall.clock_for(addr);
-        self.master_wall.tick(clock);
-        self.guards.release(clock);
-    }
-
-    fn slave_before(&self, ctx: &SyncContext, slave: usize) {
+    fn slave_step(&self, ctx: &SyncContext, slave: usize) -> SyncStep<'_> {
+        // Publication posts the ring's event count, a slave tick the wall's.
         let ring = self.ring_for(ctx.thread);
-        let pos = ring.reader_pos(slave);
-        // Wait 1: the master publishes the record (ring pushes post the
-        // ring's event count).
-        let waited_publish = self.waiter.wait_until_event(ring.events(), || {
-            self.is_poisoned() || ring.get(pos).is_some()
-        });
-        let Some(record) = ring.get(pos) else {
-            // Poisoned bail-out: the master stopped recording; `slave_after`
-            // sees the absent record and leaves the replay state untouched.
-            return;
+        let Some(record) = self.own_record(ctx, slave) else {
+            return self.core.block(WaitSite::Replay, ring.events());
         };
-        let clock = record.clock as usize;
-        // Wait 2: this variant's clock copy reaches the recorded time
-        // (slave ticks post the wall's event count).
         let wall = &self.slave_walls[slave];
-        let waited_clock = self.waiter.wait_until_event(wall.events(), || {
-            self.is_poisoned() || wall.time(clock) >= record.time
-        });
-        let mut tally = waited_publish;
-        tally.merge(waited_clock);
-        self.stats.count_slave_wait(ctx.thread, tally);
-        self.stats.count_replay(ctx.thread);
-    }
-
-    fn slave_after(&self, ctx: &SyncContext, slave: usize) {
-        let ring = self.ring_for(ctx.thread);
-        let pos = ring.reader_pos(slave);
-        let record = match ring.get(pos) {
-            Some(record) => record,
-            None => {
-                debug_assert!(
-                    self.is_poisoned(),
-                    "after_sync_op called without a pending record"
-                );
-                return;
-            }
-        };
-        self.slave_walls[slave].tick(record.clock as usize);
-        ring.advance_reader(slave);
+        if wall.time(record.clock as usize) >= record.time {
+            SyncStep::Ready
+        } else {
+            self.core.block(WaitSite::Replay, wall.events())
+        }
     }
 }
 
@@ -187,51 +149,53 @@ impl SyncAgent for WallOfClocksAgent {
         AgentKind::WallOfClocks
     }
 
-    fn before_sync_op(&self, ctx: &SyncContext, addr: u64) {
-        // Replication point: flush deferred work before any guard is taken.
-        self.hook.sync_op(ctx, &self.stats);
+    fn core(&self) -> &AgentCore {
+        &self.core
+    }
+
+    fn try_before_sync_op(&self, ctx: &SyncContext, addr: u64) -> SyncStep<'_> {
         match ctx.role {
-            VariantRole::Master => self.master_before(ctx, addr),
-            VariantRole::Slave { index } => self.slave_before(ctx, index),
+            VariantRole::Master => self.master_step(ctx, addr),
+            VariantRole::Slave { index } => self.slave_step(ctx, index),
         }
     }
 
     fn after_sync_op(&self, ctx: &SyncContext, addr: u64) {
         match ctx.role {
-            VariantRole::Master => self.master_after(ctx, addr),
-            VariantRole::Slave { index } => self.slave_after(ctx, index),
+            VariantRole::Master => {
+                let clock = self.master_wall.clock_for(addr);
+                self.master_wall.tick(clock);
+                self.guards.release(clock);
+            }
+            VariantRole::Slave { index } => match self.own_record(ctx, index) {
+                Some(record) => {
+                    self.slave_walls[index].tick(record.clock as usize);
+                    self.ring_for(ctx.thread).advance_reader(index);
+                }
+                None => debug_assert!(
+                    self.core.is_poisoned(),
+                    "after_sync_op called without a pending record"
+                ),
+            },
         }
     }
 
     fn stats(&self) -> AgentStats {
-        let mut stats = self.stats.snapshot();
+        let mut stats = self.core.stats().snapshot();
         stats.cursor_rescans = self.rings.iter().map(RecordRing::rescans).sum();
         stats
     }
 
-    fn lane_stats(&self, lane: usize) -> AgentStats {
-        self.stats.lane_snapshot(lane)
-    }
-
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+        self.core.poison();
         // Unpark every parked waiter (masters on full rings,
-        // slaves on publication or clock waits) so the bail-out conditions
-        // are re-checked promptly.
+        // slaves on publication or clock waits) so they re-step and bail.
         for ring in &self.rings {
             ring.events().notify_all();
         }
         for wall in &self.slave_walls {
             wall.events().notify_all();
         }
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    fn set_replication_hook(&self, hook: crate::ReplicationHook) {
-        self.hook.install(hook);
     }
 }
 
@@ -346,6 +310,43 @@ mod tests {
         assert_eq!(t0.join().unwrap(), 0);
         assert_eq!(t1.join().unwrap(), 1);
         assert!(agent.stats().slave_stalls >= 1);
+    }
+
+    #[test]
+    fn a_clamped_thread_waits_for_its_own_record_on_the_shared_ring() {
+        // Two configured threads: thread 2 clamps onto thread 1's ring.
+        // Master threads 1 then 2 take one lock; in the slave, thread 2
+        // arrives first and must wait for thread 1 instead of replaying
+        // thread 1's record as its own.
+        let agent = Arc::new(WallOfClocksAgent::new(config()));
+        let m1 = SyncContext::new(VariantRole::Master, 1);
+        let m2 = SyncContext::new(VariantRole::Master, 2);
+        let lock = 0xC000u64;
+        with_sync_op(agent.as_ref(), &m1, lock, || {});
+        with_sync_op(agent.as_ref(), &m2, lock, || {});
+
+        let order = Arc::new(AtomicU64::new(0));
+        let a2 = Arc::clone(&agent);
+        let o2 = Arc::clone(&order);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let t2 = std::thread::spawn(move || {
+            let ctx = SyncContext::new(VariantRole::Slave { index: 0 }, 2);
+            started_tx.send(()).unwrap();
+            with_sync_op(a2.as_ref(), &ctx, 0xCC00, || {
+                o2.fetch_add(1, Ordering::SeqCst)
+            })
+        });
+        started.recv().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(order.load(Ordering::SeqCst), 0, "slave thread 2 must stall");
+
+        let ctx1 = SyncContext::new(VariantRole::Slave { index: 0 }, 1);
+        let first = with_sync_op(agent.as_ref(), &ctx1, 0xCC00, || {
+            order.fetch_add(1, Ordering::SeqCst)
+        });
+        assert_eq!(first, 0, "thread 1 replays first");
+        assert_eq!(t2.join().unwrap(), 1, "thread 2 replays second");
+        assert_eq!(agent.stats().ops_replayed, 2);
     }
 
     #[test]

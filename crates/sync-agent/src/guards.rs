@@ -159,8 +159,8 @@ impl WaitTally {
         self.spins + self.yields + self.parks
     }
 
-    /// Folds another tally into this one (a wait made of several phases,
-    /// e.g. the wall-of-clocks publish wait followed by its clock wait).
+    /// Folds another tally into this one (an op that waited at several
+    /// sites, e.g. a wall-of-clocks slave on publication, then its clock).
     pub fn merge(&mut self, other: WaitTally) {
         self.spins += other.spins;
         self.yields += other.yields;
@@ -362,27 +362,36 @@ impl GuardTable {
         (fnv1a_u64(aligned) % self.guards.len() as u64) as usize
     }
 
+    /// The table's parking target: posted on every release.
+    pub fn events(&self) -> &EventCount {
+        &self.events
+    }
+
+    /// Takes the guard for `bucket` if it is free.  Test-and-test-and-set:
+    /// a guard that looks held costs one read-only load, so pollers of a
+    /// contended bucket keep its cache line shared.
+    pub fn try_acquire(&self, bucket: usize) -> bool {
+        let guard = &self.guards[bucket];
+        !guard.load(Ordering::Relaxed)
+            && guard
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+    }
+
     /// Acquires the guard for `bucket`, waiting until it is free.
     /// Returns the wait's tally, broken down by phase (all-zero on the
     /// uncontended fast path) — spins, yields and parks are kept separate
     /// because they are not time-commensurable (see [`WaitTally::total`]).
     pub fn acquire(&self, bucket: usize) -> WaitTally {
-        let guard = &self.guards[bucket];
         // Uncontended fast path: one compare-exchange.
-        if guard
+        if self.guards[bucket]
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
             return WaitTally::default();
         }
-        self.waiter.wait_until_event(&self.events, || {
-            // Test-and-test-and-set: read-only poll until the guard
-            // looks free, then try to claim it.
-            !guard.load(Ordering::Relaxed)
-                && guard
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-        })
+        self.waiter
+            .wait_until_event(&self.events, || self.try_acquire(bucket))
     }
 
     /// Releases the guard for `bucket`.

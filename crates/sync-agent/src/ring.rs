@@ -34,13 +34,14 @@
 //! are written, and readers check it with `Acquire` before trusting the
 //! fields (the usual Lamport/Vyukov bounded-queue publication scheme).
 //! Every cursor advance posts the ring's [`EventCount`] so adaptively
-//! parked waiters (see [`Waiter`]) are woken promptly.
+//! parked waiters (see [`Waiter`](crate::guards::Waiter)) are woken
+//! promptly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use crate::guards::{EventCount, WaitTally, Waiter};
+use crate::guards::EventCount;
 
 /// One recorded synchronization operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -235,9 +236,14 @@ impl RecordRing {
             .unwrap_or_else(|| self.write_pos())
     }
 
-    /// Whether at least one slot is free for the next push.
+    /// Whether at least one slot is free for the next push.  Consults the
+    /// cached minimum reader first (a lower bound, so its "free" verdict is
+    /// exact) and scans the real cursors only when it says "full"; unlike a
+    /// push, that scan neither refreshes the cache nor counts as a rescan.
     pub fn has_space(&self) -> bool {
-        self.write_pos() - self.min_reader_pos() < self.capacity
+        let pos = self.write_pos();
+        pos.wrapping_sub(self.cached_min_reader.0.load(Ordering::Relaxed)) < self.capacity
+            || pos.saturating_sub(self.min_reader_pos()) < self.capacity
     }
 
     /// Whether the slot at `pos` is free, consulting the cached minimum
@@ -303,24 +309,6 @@ impl RecordRing {
         slot.seq.store(pos + 1, Ordering::Release);
     }
 
-    /// Appends `record`, waiting (with the supplied waiter, parked on the
-    /// ring's event count) while the ring is full.  Returns the position and
-    /// the accumulated wait tally, with spins, yields and parks reported
-    /// separately (they are not time-commensurable; see
-    /// [`WaitTally::total`]).
-    pub fn push_blocking(&self, record: SyncRecord, waiter: &Waiter) -> (u64, WaitTally) {
-        let mut tally = WaitTally::default();
-        loop {
-            match self.try_push(record) {
-                PushOutcome::Stored(pos) => return (pos, tally),
-                PushOutcome::Full => {
-                    tally.merge(waiter.wait_until_event(&self.events, || self.has_space()));
-                    // Retry the push; another producer may have raced us.
-                }
-            }
-        }
-    }
-
     /// Reads the record at `pos` if it has been published.
     pub fn get(&self, pos: u64) -> Option<SyncRecord> {
         let slot = &self.slots[(pos % self.capacity) as usize];
@@ -333,19 +321,6 @@ impl RecordRing {
             clock: slot.clock.load(Ordering::Relaxed) as u32,
             time: slot.time.load(Ordering::Relaxed),
         })
-    }
-
-    /// Blocks until the record at `pos` is published, then returns it along
-    /// with the accumulated wait tally (spin/yield/park split, as for
-    /// [`push_blocking`](Self::push_blocking)).
-    pub fn get_blocking(&self, pos: u64, waiter: &Waiter) -> (SyncRecord, WaitTally) {
-        let mut tally = WaitTally::default();
-        loop {
-            if let Some(r) = self.get(pos) {
-                return (r, tally);
-            }
-            tally.merge(waiter.wait_until_event(&self.events, || self.get(pos).is_some()));
-        }
     }
 
     /// Advances reader `reader` by one position.
@@ -379,10 +354,21 @@ impl RecordRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guards::Waiter;
     use std::sync::Arc;
 
-    fn waiter() -> Waiter {
-        Waiter::new(16)
+    /// Appends `record`, parked on the ring's event count while it is full.
+    fn push_waiting(ring: &RecordRing, record: SyncRecord) {
+        while ring.try_push(record) == PushOutcome::Full {
+            Waiter::new(16).wait_until_event(ring.events(), || ring.has_space());
+        }
+    }
+
+    /// The record at `pos`, parked on the ring's event count until it is
+    /// published.
+    fn get_waiting(ring: &RecordRing, pos: u64) -> SyncRecord {
+        Waiter::new(16).wait_until_event(ring.events(), || ring.get(pos).is_some());
+        ring.get(pos).expect("published")
     }
 
     /// Every test body runs against both ring flavours where the scenario
@@ -508,37 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn get_blocking_waits_for_publication() {
-        for (i, ring) in both_rings(8, 1).into_iter().enumerate() {
-            let ring = Arc::new(ring);
-            let r2 = Arc::clone(&ring);
-            let handle = std::thread::spawn(move || r2.get_blocking(0, &waiter()).0);
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            ring.try_push(SyncRecord::simple(5, 0x42 + i as u64));
-            let rec = handle.join().unwrap();
-            assert_eq!(rec.thread, 5);
-            assert_eq!(rec.addr, 0x42 + i as u64);
-        }
-    }
-
-    #[test]
-    fn push_blocking_waits_for_reader() {
-        for ring in both_rings(2, 1) {
-            let ring = Arc::new(ring);
-            ring.try_push(SyncRecord::simple(0, 0));
-            ring.try_push(SyncRecord::simple(0, 1));
-            let r2 = Arc::clone(&ring);
-            let handle = std::thread::spawn(move || {
-                let (pos, _stalls) = r2.push_blocking(SyncRecord::simple(0, 2), &waiter());
-                pos
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            ring.advance_reader(0);
-            assert_eq!(handle.join().unwrap(), 2);
-        }
-    }
-
-    #[test]
     fn concurrent_producers_do_not_lose_records() {
         let ring = Arc::new(RecordRing::new(1024, 1));
         let mut handles = Vec::new();
@@ -546,7 +501,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    ring.push_blocking(SyncRecord::simple(t, i), &waiter());
+                    push_waiting(&ring, SyncRecord::simple(t, i));
                 }
             }));
         }
@@ -576,7 +531,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    ring.push_blocking(SyncRecord::simple(0, i), &waiter());
+                    push_waiting(&ring, SyncRecord::simple(0, i));
                 }
             })
         };
@@ -585,8 +540,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut sum = 0u64;
                 for pos in 0..500u64 {
-                    let (rec, _) = ring.get_blocking(pos, &waiter());
-                    sum += rec.addr;
+                    sum += get_waiting(&ring, pos).addr;
                     ring.advance_reader(0);
                 }
                 sum

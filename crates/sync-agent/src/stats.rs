@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use crate::context::VariantRole;
 use crate::guards::WaitTally;
 
 /// Default number of counter lanes; matches the monitor's default shard
@@ -194,71 +195,41 @@ impl SharedStats {
         &self.lanes[lane % self.lanes.len()]
     }
 
-    /// Counts one recorded op.
-    pub fn count_record(&self, lane: usize) {
-        self.lane(lane).ops_recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one replayed op.
-    pub fn count_replay(&self, lane: usize) {
-        self.lane(lane).ops_replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one slave stall (a wait that did not succeed immediately).
-    pub fn count_slave_stall(&self, lane: usize) {
-        self.lane(lane).slave_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one master stall (buffer full).
-    pub fn count_master_stall(&self, lane: usize) {
-        self.lane(lane)
-            .master_stalls
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` spin iterations to the slave spin counter.
-    pub fn add_spin_iterations(&self, lane: usize, n: u64) {
-        self.lane(lane)
-            .slave_spin_iterations
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Folds a slave-side [`WaitTally`] into the stall taxonomy and, when
-    /// the wait did not succeed immediately, counts one slave stall.
-    pub fn count_slave_wait(&self, lane: usize, tally: WaitTally) {
+    /// Counts one op that went ahead — recorded by the master, replayed by
+    /// a slave — and, when its [`WaitTally`] shows it waited, one stall of
+    /// that role with the wait's spin/yield/park split.
+    pub fn count_op(&self, lane: usize, role: VariantRole, tally: WaitTally) {
+        let lane = self.lane(lane);
+        let [ops, stalls, spins, yields, parks] = if role.is_master() {
+            [
+                &lane.ops_recorded,
+                &lane.master_stalls,
+                &lane.master_spin_iterations,
+                &lane.master_yields,
+                &lane.master_parks,
+            ]
+        } else {
+            [
+                &lane.ops_replayed,
+                &lane.slave_stalls,
+                &lane.slave_spin_iterations,
+                &lane.slave_yields,
+                &lane.slave_parks,
+            ]
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
         if !tally.stalled() {
             return;
         }
-        let lane = self.lane(lane);
-        lane.slave_stalls.fetch_add(1, Ordering::Relaxed);
-        if tally.spins > 0 {
-            lane.slave_spin_iterations
-                .fetch_add(tally.spins, Ordering::Relaxed);
-        }
-        if tally.yields > 0 {
-            lane.slave_yields.fetch_add(tally.yields, Ordering::Relaxed);
-        }
-        if tally.parks > 0 {
-            lane.slave_parks.fetch_add(tally.parks, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one master stall (buffer full) and folds its [`WaitTally`]
-    /// into the master side of the stall taxonomy — the same
-    /// spin/yield/park split the slave side gets.
-    pub fn count_master_wait(&self, lane: usize, tally: WaitTally) {
-        let lane = self.lane(lane);
-        lane.master_stalls.fetch_add(1, Ordering::Relaxed);
-        if tally.spins > 0 {
-            lane.master_spin_iterations
-                .fetch_add(tally.spins, Ordering::Relaxed);
-        }
-        if tally.yields > 0 {
-            lane.master_yields
-                .fetch_add(tally.yields, Ordering::Relaxed);
-        }
-        if tally.parks > 0 {
-            lane.master_parks.fetch_add(tally.parks, Ordering::Relaxed);
+        stalls.fetch_add(1, Ordering::Relaxed);
+        for (counter, n) in [
+            (spins, tally.spins),
+            (yields, tally.yields),
+            (parks, tally.parks),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -297,15 +268,15 @@ impl SharedStats {
 mod tests {
     use super::*;
 
+    const MASTER: VariantRole = VariantRole::Master;
+    const SLAVE: VariantRole = VariantRole::Slave { index: 0 };
+
     #[test]
     fn counters_accumulate_into_snapshot() {
         let s = SharedStats::new();
-        s.count_record(0);
-        s.count_record(0);
-        s.count_replay(1);
-        s.count_slave_stall(2);
-        s.count_master_stall(3);
-        s.add_spin_iterations(4, 10);
+        s.count_op(0, MASTER, WaitTally::default());
+        s.count_op(0, MASTER, WaitTally::default());
+        s.count_op(1, SLAVE, WaitTally::default());
         s.count_clock_collision(5);
         s.count_replication_point(6);
         s.count_replication_point(6);
@@ -313,9 +284,8 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.ops_recorded, 2);
         assert_eq!(snap.ops_replayed, 1);
-        assert_eq!(snap.slave_stalls, 1);
-        assert_eq!(snap.master_stalls, 1);
-        assert_eq!(snap.slave_spin_iterations, 10);
+        assert_eq!(snap.slave_stalls, 0);
+        assert_eq!(snap.master_stalls, 0);
         assert_eq!(snap.clock_collisions, 1);
         assert_eq!(snap.replication_points, 3);
     }
@@ -324,9 +294,10 @@ mod tests {
     fn lanes_isolate_updates_and_sum_globally() {
         let s = SharedStats::with_lanes(4);
         assert_eq!(s.lane_count(), 4);
-        s.count_record(0);
-        s.count_record(1);
-        s.count_record(5); // lane 5 % 4 == 1
+        for lane in [0, 1, 5] {
+            // Lane 5 % 4 == 1.
+            s.count_op(lane, MASTER, WaitTally::default());
+        }
         assert_eq!(s.lane_snapshot(0).ops_recorded, 1);
         assert_eq!(s.lane_snapshot(1).ops_recorded, 2);
         assert_eq!(s.lane_snapshot(2).ops_recorded, 0);
@@ -336,18 +307,20 @@ mod tests {
     #[test]
     fn wait_tallies_feed_the_stall_taxonomy() {
         let s = SharedStats::with_lanes(2);
-        s.count_slave_wait(
+        s.count_op(
             0,
+            SLAVE,
             WaitTally {
                 spins: 10,
                 yields: 3,
                 parks: 2,
             },
         );
-        // An immediate wait counts nothing, not even a stall.
-        s.count_slave_wait(0, WaitTally::default());
-        s.count_master_wait(
+        // An op that did not wait counts no stall.
+        s.count_op(0, SLAVE, WaitTally::default());
+        s.count_op(
             1,
+            MASTER,
             WaitTally {
                 spins: 5,
                 yields: 0,
@@ -355,10 +328,12 @@ mod tests {
             },
         );
         let snap = s.snapshot();
+        assert_eq!(snap.ops_replayed, 2);
         assert_eq!(snap.slave_stalls, 1);
         assert_eq!(snap.slave_spin_iterations, 10);
         assert_eq!(snap.slave_yields, 3);
         assert_eq!(snap.slave_parks, 2);
+        assert_eq!(snap.ops_recorded, 1);
         assert_eq!(snap.master_stalls, 1);
         assert_eq!(snap.master_spin_iterations, 5);
         assert_eq!(snap.master_yields, 0);

@@ -208,3 +208,34 @@ fn parked_woc_slave_wakes_on_clock_tick() {
     );
     assert_eq!(agent.stats().ops_replayed, 2);
 }
+
+/// The wall-of-clocks slave parked on a clock must wake on poison and bail
+/// out like every other wait site: no replay counted for it.
+#[test]
+fn parked_woc_slave_on_a_clock_wakes_on_poison_and_counts_no_replay() {
+    let agent: Arc<Box<dyn SyncAgent>> =
+        Arc::new(build_agent(AgentKind::WallOfClocks, parky_config(2)));
+    let m0 = SyncContext::new(VariantRole::Master, 0);
+    let m1 = SyncContext::new(VariantRole::Master, 1);
+    agent.before_sync_op(&m0, 0xC000);
+    agent.after_sync_op(&m0, 0xC000);
+    agent.before_sync_op(&m1, 0xC000);
+    agent.after_sync_op(&m1, 0xC000);
+
+    let slave_agent = Arc::clone(&agent);
+    assert_wakes(
+        "WallOfClocks slave/clock-poison",
+        move || {
+            // Its record is published; slave thread 0 never ticks the clock.
+            let ctx = SyncContext::new(VariantRole::Slave { index: 0 }, 1);
+            slave_agent.before_sync_op(&ctx, 0xCC00);
+            slave_agent.after_sync_op(&ctx, 0xCC00);
+        },
+        || agent.poison(),
+    );
+    assert_eq!(
+        agent.stats().ops_replayed,
+        0,
+        "a poisoned bail-out must not count as a replay"
+    );
+}
