@@ -365,6 +365,11 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// The bytes not read yet.
+    pub fn remaining(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
     /// Asserts the body was consumed exactly.
     pub fn finish(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {

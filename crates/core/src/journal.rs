@@ -39,13 +39,42 @@
 //! ports and the polling pools funnel
 //! through the same [`crate::monitor::Monitor`]/[`crate::lockstep`] choke
 //! points, so every transport emits an identical stream for the same
-//! schedule.  [`replay`] consumes the bytes, re-derives the monitor
-//! statistics and — for a divergent run — re-runs the verdict over the
-//! recorded arrival keys via [`first_mismatch`], checking the re-derived
-//! first-mismatch slot and variant against the recorded report field by
-//! field.  No live variants are involved.
+//! schedule.
+//!
+//! The read side is one walk, one body parser and one fold, each with
+//! several users:
+//!
+//! * **The walk** is the only salvage loop.  It splits off CRC-verified
+//!   frames, parses each body and stops at the first damage or at the
+//!   `End` trailer.  [`Journal::decode`] and [`Journal::recover_from_bytes`]
+//!   run it with a sink that builds owned [`JournalRecord`]s, in a vector
+//!   sized up front from the frames' length prefixes.  [`replay`] and
+//!   [`recover_replay`] run it with the fold as the sink and build no
+//!   record at all.
+//! * **The parser** reads each body once, whatever it builds: an owned
+//!   record, or an in-place view whose arrival key and published payload
+//!   stay in the body.
+//! * **The fold** re-derives the monitor statistics and checks the
+//!   schedule (arrival order, variant range, duplicate deposits).  Per
+//!   rendezvous slot it keeps only which variants deposited, sized by the
+//!   deposits and never by the header's variant count, and it clones no
+//!   key.  For a divergent run it re-runs the verdict over the keys at the
+//!   report's two candidate slots via [`first_mismatch`], and the
+//!   re-derived first-mismatch slot and variant must match the recorded
+//!   report field by field.  Those keys come from the records after the
+//!   report, as the fold meets them, and from a second pass over only the
+//!   records between the slots' first deposit and the report.
+//!   [`replay_journal`] runs the fold over decoded records.
+//!
+//! A respawn runs [`recover_replay`] over the live recorder's stream in
+//! place, under the journal lock: no copy, no decoded record.  No live
+//! variant takes part in any replay.
 
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -55,6 +84,7 @@ use mvee_kernel::syscall::{ComparisonKey, SyscallArg, SyscallOutcome, Sysno};
 
 use crate::divergence::{first_mismatch, DivergenceKind, DivergenceReport};
 use crate::frame::{next_frame, push_frame_with, FrameError, Reader, FRAME_OVERHEAD};
+use crate::lockstep::SlotKey;
 use crate::monitor::{MonitorStats, DEFERRED_SEQ_BIT};
 
 pub use crate::frame::crc32;
@@ -355,20 +385,44 @@ fn encode_arg(buf: &mut Vec<u8>, arg: &SyscallArg) {
     }
 }
 
-fn decode_arg(r: &mut Reader<'_>) -> Result<SyscallArg, String> {
+/// A parsed argument that still borrows its body: a path stays the checked
+/// `&str` it was read as until [`to_arg`](ArgView::to_arg) copies it.
+#[derive(Clone, Copy)]
+enum ArgView<'a> {
+    Int(i64),
+    Fd(i32),
+    Flags(u64),
+    Pointer(u64),
+    Path(&'a str),
+    BufLen(u64),
+}
+
+impl ArgView<'_> {
+    fn to_arg(self) -> SyscallArg {
+        match self {
+            ArgView::Int(v) => SyscallArg::Int(v),
+            ArgView::Fd(v) => SyscallArg::Fd(v),
+            ArgView::Flags(v) => SyscallArg::Flags(v),
+            ArgView::Pointer(v) => SyscallArg::Pointer(v),
+            ArgView::Path(path) => SyscallArg::Path(path.to_string()),
+            ArgView::BufLen(v) => SyscallArg::BufLen(v as usize),
+        }
+    }
+}
+
+fn parse_arg<'a>(r: &mut Reader<'a>) -> Result<ArgView<'a>, String> {
     Ok(match r.u8()? {
-        ARG_INT => SyscallArg::Int(r.i64()?),
-        ARG_FD => SyscallArg::Fd(r.i32()?),
-        ARG_FLAGS => SyscallArg::Flags(r.u64()?),
-        ARG_POINTER => SyscallArg::Pointer(r.u64()?),
+        ARG_INT => ArgView::Int(r.i64()?),
+        ARG_FD => ArgView::Fd(r.i32()?),
+        ARG_FLAGS => ArgView::Flags(r.u64()?),
+        ARG_POINTER => ArgView::Pointer(r.u64()?),
         ARG_PATH => {
             let len = r.u32()? as usize;
-            let bytes = r.take(len)?;
-            SyscallArg::Path(
-                String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 path arg".to_string())?,
+            ArgView::Path(
+                std::str::from_utf8(r.take(len)?).map_err(|_| "non-UTF-8 path arg".to_string())?,
             )
         }
-        ARG_BUF_LEN => SyscallArg::BufLen(r.u64()? as usize),
+        ARG_BUF_LEN => ArgView::BufLen(r.u64()?),
         t => return Err(format!("bad arg tag {t}")),
     })
 }
@@ -383,19 +437,68 @@ pub(crate) fn encode_cmp(buf: &mut Vec<u8>, cmp: &ComparisonKey) {
     buf.extend_from_slice(&(cmp.payload_len as u64).to_le_bytes());
 }
 
-pub(crate) fn decode_cmp(r: &mut Reader<'_>) -> Result<ComparisonKey, String> {
-    let no = decode_sysno(r)?;
-    let nargs = r.u16()? as usize;
-    let mut args = Vec::with_capacity(nargs.min(64));
-    for _ in 0..nargs {
-        args.push(decode_arg(r)?);
+/// What [`parse_cmp`] does with the arguments it checks: the owned key
+/// keeps them, a key left encoded in place (`()`) drops them.
+trait Args<'a> {
+    fn with_capacity(nargs: u16) -> Self;
+    fn push(&mut self, arg: ArgView<'a>);
+}
+
+impl<'a> Args<'a> for Vec<SyscallArg> {
+    fn with_capacity(nargs: u16) -> Self {
+        Vec::with_capacity(usize::from(nargs).min(64))
     }
+
+    #[inline]
+    fn push(&mut self, arg: ArgView<'a>) {
+        Vec::push(self, arg.to_arg());
+    }
+}
+
+impl<'a> Args<'a> for () {
+    fn with_capacity(_: u16) -> Self {}
+
+    fn push(&mut self, _: ArgView<'a>) {}
+}
+
+/// The one comparison-key parser.  Returns the call, the arguments as `A`
+/// keeps them, the payload digest and the payload length.
+fn parse_cmp<'a, A: Args<'a>>(r: &mut Reader<'a>) -> Result<(Sysno, A, u64, u64), String> {
+    let no = decode_sysno(r)?;
+    let nargs = r.u16()?;
+    let mut args = A::with_capacity(nargs);
+    for _ in 0..nargs {
+        args.push(parse_arg(r)?);
+    }
+    Ok((no, args, r.u64()?, r.u64()?))
+}
+
+pub(crate) fn decode_cmp(r: &mut Reader<'_>) -> Result<ComparisonKey, String> {
+    let (no, args, payload_digest, payload_len) = parse_cmp(r)?;
     Ok(ComparisonKey {
         no,
         args,
-        payload_digest: r.u64()?,
-        payload_len: r.u64()? as usize,
+        payload_digest,
+        payload_len: payload_len as usize,
     })
+}
+
+/// A comparison key checked in place: its encoded bytes, which
+/// [`to_key`](KeyView::to_key) decodes when the key itself is wanted.
+#[derive(Clone, Copy)]
+struct KeyView<'a>(&'a [u8]);
+
+impl<'a> KeyView<'a> {
+    fn parse(r: &mut Reader<'a>) -> Result<Self, String> {
+        let from = r.remaining();
+        parse_cmp::<()>(r)?;
+        Ok(KeyView(&from[..from.len() - r.remaining().len()]))
+    }
+
+    fn to_key(self) -> Option<ComparisonKey> {
+        // The same parser already accepted these bytes.
+        decode_cmp(&mut Reader::new(self.0)).ok()
+    }
 }
 
 pub(crate) fn encode_outcome(buf: &mut Vec<u8>, outcome: &SyscallOutcome) {
@@ -414,7 +517,24 @@ pub(crate) fn encode_outcome(buf: &mut Vec<u8>, outcome: &SyscallOutcome) {
     buf.extend_from_slice(&outcome.payload);
 }
 
-pub(crate) fn decode_outcome(r: &mut Reader<'_>) -> Result<SyscallOutcome, String> {
+/// An outcome parsed in place: the payload stays in the body.
+#[derive(Clone, Copy)]
+struct OutcomeView<'a> {
+    result: Result<i64, Errno>,
+    payload: &'a [u8],
+}
+
+impl OutcomeView<'_> {
+    fn to_outcome(self) -> SyscallOutcome {
+        SyscallOutcome {
+            result: self.result,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+/// The one outcome parser; allocates nothing.
+fn parse_outcome<'a>(r: &mut Reader<'a>) -> Result<OutcomeView<'a>, String> {
     let result = match r.u8()? {
         0 => Ok(r.i64()?),
         1 => {
@@ -425,8 +545,12 @@ pub(crate) fn decode_outcome(r: &mut Reader<'_>) -> Result<SyscallOutcome, Strin
         t => return Err(format!("bad outcome tag {t}")),
     };
     let len = r.u32()? as usize;
-    let payload = r.take(len)?.to_vec();
-    Ok(SyscallOutcome { result, payload })
+    let payload = r.take(len)?;
+    Ok(OutcomeView { result, payload })
+}
+
+pub(crate) fn decode_outcome(r: &mut Reader<'_>) -> Result<SyscallOutcome, String> {
+    parse_outcome(r).map(OutcomeView::to_outcome)
 }
 
 const KIND_MISMATCH: u8 = 0;
@@ -605,60 +729,231 @@ impl JournalRecord {
     /// human-readable reason, wrapped into [`JournalError::Malformed`] by
     /// the stream decoder.
     pub fn decode_body(body: &[u8]) -> Result<JournalRecord, String> {
-        let mut r = Reader::new(body);
-        let record = match r.u8()? {
-            TAG_ENTER => JournalRecord::Enter {
-                variant: r.u16()?,
-                thread: r.u32()?,
-                lane: r.u16()?,
-                self_aware: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(format!("bad self_aware flag {b}")),
-                },
+        parse_body::<Owned>(body)
+    }
+
+    /// What the replay fold reads of this record.
+    fn fact(&self) -> Fact<'_> {
+        match *self {
+            JournalRecord::Enter { self_aware, .. } => Fact::Enter { self_aware },
+            JournalRecord::Class { kind, .. } => Fact::Class(kind),
+            JournalRecord::Arrival {
+                variant,
+                thread,
+                seq,
+                order,
+                ref cmp,
+                ..
+            } => Fact::Arrival {
+                variant,
+                slot: (thread as usize, seq),
+                order,
+                cmp: KeyRef::Owned(cmp),
             },
-            TAG_CLASS => JournalRecord::Class {
-                kind: {
-                    let raw = r.u8()?;
-                    ClassKind::from_wire(raw).ok_or_else(|| format!("bad class kind {raw}"))?
-                },
-                lane: r.u16()?,
+            JournalRecord::Publish { .. } => Fact::Publish,
+            JournalRecord::Diverge { ref report } => Fact::Diverge(report),
+            JournalRecord::SyncOp { .. } => Fact::SyncOp,
+            JournalRecord::End { .. } => Fact::End,
+        }
+    }
+}
+
+/// A record as the replay fold needs it, parsed in place: the arrival's
+/// key and the publication's outcome stay in the frame body they came
+/// from.
+enum RecordView<'a> {
+    /// `Enter`, `Class`, `Diverge`, `SyncOp` or `End`.
+    Whole(JournalRecord),
+    Arrival {
+        variant: u16,
+        slot: SlotKey,
+        order: u64,
+        cmp: KeyView<'a>,
+    },
+    Publish,
+}
+
+impl RecordView<'_> {
+    /// What the replay fold reads of this record.
+    fn fact(&self) -> Fact<'_> {
+        match *self {
+            RecordView::Whole(ref record) => record.fact(),
+            RecordView::Arrival {
+                variant,
+                slot,
+                order,
+                cmp,
+            } => Fact::Arrival {
+                variant,
+                slot,
+                order,
+                cmp: KeyRef::Encoded(cmp),
             },
-            TAG_ARRIVAL => JournalRecord::Arrival {
+            RecordView::Publish => Fact::Publish,
+        }
+    }
+}
+
+/// The fixed fields of an `Arrival`, ahead of its key.
+struct ArrivalHead {
+    variant: u16,
+    thread: u32,
+    seq: u64,
+    shard: u16,
+    order: u64,
+}
+
+/// What [`parse_body`] builds: the owned [`JournalRecord`] ([`Owned`]) or
+/// the fold's [`RecordView`] ([`InPlace`]).  Records without a
+/// variable-length part on every call are built owned either way.
+trait Form<'a> {
+    type Record;
+    fn whole(record: JournalRecord) -> Self::Record;
+    fn arrival(head: ArrivalHead, r: &mut Reader<'a>) -> Result<Self::Record, String>;
+    fn publish(
+        thread: u32,
+        seq: u64,
+        timestamp: Option<u64>,
+        outcome: OutcomeView<'a>,
+    ) -> Self::Record;
+    /// The record count an `End` trailer carries; `None` for any other
+    /// record.
+    fn end(record: &Self::Record) -> Option<u64>;
+}
+
+/// Parses records into owned [`JournalRecord`]s.
+struct Owned;
+
+impl<'a> Form<'a> for Owned {
+    type Record = JournalRecord;
+
+    fn whole(record: JournalRecord) -> JournalRecord {
+        record
+    }
+
+    fn arrival(head: ArrivalHead, r: &mut Reader<'a>) -> Result<JournalRecord, String> {
+        Ok(JournalRecord::Arrival {
+            variant: head.variant,
+            thread: head.thread,
+            seq: head.seq,
+            shard: head.shard,
+            order: head.order,
+            cmp: decode_cmp(r)?,
+        })
+    }
+
+    fn publish(
+        thread: u32,
+        seq: u64,
+        timestamp: Option<u64>,
+        outcome: OutcomeView<'a>,
+    ) -> JournalRecord {
+        JournalRecord::Publish {
+            thread,
+            seq,
+            timestamp,
+            outcome: outcome.to_outcome(),
+        }
+    }
+
+    fn end(record: &JournalRecord) -> Option<u64> {
+        match *record {
+            JournalRecord::End { records } => Some(records),
+            _ => None,
+        }
+    }
+}
+
+/// Parses records into [`RecordView`]s, allocating nothing unless the
+/// record is a `Diverge` naming arrived variants.
+struct InPlace;
+
+impl<'a> Form<'a> for InPlace {
+    type Record = RecordView<'a>;
+
+    fn whole(record: JournalRecord) -> RecordView<'a> {
+        RecordView::Whole(record)
+    }
+
+    fn arrival(head: ArrivalHead, r: &mut Reader<'a>) -> Result<RecordView<'a>, String> {
+        Ok(RecordView::Arrival {
+            variant: head.variant,
+            slot: (head.thread as usize, head.seq),
+            order: head.order,
+            cmp: KeyView::parse(r)?,
+        })
+    }
+
+    fn publish(_: u32, _: u64, _: Option<u64>, _: OutcomeView<'a>) -> RecordView<'a> {
+        RecordView::Publish
+    }
+
+    fn end(record: &RecordView<'a>) -> Option<u64> {
+        match record {
+            RecordView::Whole(record) => Owned::end(record),
+            _ => None,
+        }
+    }
+}
+
+/// The one record-body parser: every field is checked, whatever `F`
+/// builds.
+fn parse_body<'a, F: Form<'a>>(body: &'a [u8]) -> Result<F::Record, String> {
+    let mut r = Reader::new(body);
+    let record = match r.u8()? {
+        TAG_ENTER => F::whole(JournalRecord::Enter {
+            variant: r.u16()?,
+            thread: r.u32()?,
+            lane: r.u16()?,
+            self_aware: match r.u8()? {
+                0 => false,
+                1 => true,
+                b => return Err(format!("bad self_aware flag {b}")),
+            },
+        }),
+        TAG_CLASS => F::whole(JournalRecord::Class {
+            kind: {
+                let raw = r.u8()?;
+                ClassKind::from_wire(raw).ok_or_else(|| format!("bad class kind {raw}"))?
+            },
+            lane: r.u16()?,
+        }),
+        TAG_ARRIVAL => {
+            let head = ArrivalHead {
                 variant: r.u16()?,
                 thread: r.u32()?,
                 seq: r.u64()?,
                 shard: r.u16()?,
                 order: r.u64()?,
-                cmp: decode_cmp(&mut r)?,
-            },
-            TAG_PUBLISH => JournalRecord::Publish {
-                thread: r.u32()?,
-                seq: r.u64()?,
-                timestamp: {
-                    let has = r.u8()?;
-                    let ts = r.u64()?;
-                    match has {
-                        0 => None,
-                        1 => Some(ts),
-                        b => return Err(format!("bad timestamp flag {b}")),
-                    }
-                },
-                outcome: decode_outcome(&mut r)?,
-            },
-            TAG_DIVERGE => JournalRecord::Diverge {
-                report: decode_report(&mut r)?,
-            },
-            TAG_SYNC_OP => JournalRecord::SyncOp {
-                variant: r.u16()?,
-                thread: r.u32()?,
-            },
-            TAG_END => JournalRecord::End { records: r.u64()? },
-            t => return Err(format!("unknown record tag {t}")),
-        };
-        r.finish()?;
-        Ok(record)
-    }
+            };
+            F::arrival(head, &mut r)?
+        }
+        TAG_PUBLISH => {
+            let thread = r.u32()?;
+            let seq = r.u64()?;
+            let timestamp = {
+                let has = r.u8()?;
+                let ts = r.u64()?;
+                match has {
+                    0 => None,
+                    1 => Some(ts),
+                    b => return Err(format!("bad timestamp flag {b}")),
+                }
+            };
+            F::publish(thread, seq, timestamp, parse_outcome(&mut r)?)
+        }
+        TAG_DIVERGE => F::whole(JournalRecord::Diverge {
+            report: decode_report(&mut r)?,
+        }),
+        TAG_SYNC_OP => F::whole(JournalRecord::SyncOp {
+            variant: r.u16()?,
+            thread: r.u32()?,
+        }),
+        TAG_END => F::whole(JournalRecord::End { records: r.u64()? }),
+        t => return Err(format!("unknown record tag {t}")),
+    };
+    r.finish()?;
+    Ok(record)
 }
 
 /// Why a journal byte stream could not be decoded.
@@ -779,6 +1074,94 @@ fn decode_header(bytes: &[u8]) -> Result<JournalHeader, JournalError> {
     Ok(header)
 }
 
+/// The whole frames after the header, counted by their length prefixes
+/// alone (no CRC, no parse): the most records a walk can salvage, plus the
+/// trailer.  Every frame is at least [`FRAME_OVERHEAD`] bytes long, so the
+/// count never exceeds `bytes.len() / FRAME_OVERHEAD`.
+fn frames_after_header(bytes: &[u8]) -> usize {
+    let mut offset = JOURNAL_HEADER_LEN;
+    let mut frames = 0;
+    while let Some(&[a, b, c, d]) = bytes.get(offset..offset + 4) {
+        let body_len = u32::from_le_bytes([a, b, c, d]) as usize;
+        match (offset + FRAME_OVERHEAD).checked_add(body_len) {
+            Some(next) if next <= bytes.len() => offset = next,
+            _ => break,
+        }
+        frames += 1;
+    }
+    frames
+}
+
+/// How far a [`walk`] got.
+struct Walked {
+    /// Records handed to the sink (the `End` trailer is not one).
+    records: u64,
+    /// What stopped the walk; `None` only when a valid `End` trailer closed
+    /// the stream.
+    damage: Option<JournalError>,
+    /// Bytes covered by the header, the salvaged records and (when it was
+    /// valid) the trailer.
+    consumed: usize,
+}
+
+/// The one salvage loop.  Walks the records from byte `from` (just past
+/// the already-checked header, or a frame boundary a previous walk
+/// reported), hands each CRC-verified, parsed record to `sink` with its
+/// frame offset and stops at the first damage or at the `End` trailer,
+/// which it checks and does not hand on.  Record indices (in errors and
+/// against the trailer's count) count from `from`.  [`Journal::decode`],
+/// [`Journal::recover_from_bytes`], [`replay`] and [`recover_replay`] are
+/// this walk with different sinks.
+fn walk<'a, F: Form<'a>>(
+    bytes: &'a [u8],
+    from: usize,
+    mut sink: impl FnMut(usize, F::Record),
+) -> Walked {
+    let mut offset = from;
+    let mut index = 0u64;
+    // `offset` always sits just past the last salvaged record here, so a
+    // damaged stream reports it as the consumed length.
+    let damage = loop {
+        let (body, next) = match next_frame(bytes, offset) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break JournalError::MissingEnd,
+            Err(FrameError::Truncated { offset: at }) => {
+                break JournalError::Truncated { offset: at }
+            }
+            Err(FrameError::Corrupt { offset: at }) => {
+                break JournalError::CorruptRecord { index, offset: at }
+            }
+        };
+        let record = match parse_body::<F>(body) {
+            Ok(record) => record,
+            Err(reason) => break JournalError::Malformed { index, reason },
+        };
+        if let Some(count) = F::end(&record) {
+            if count != index {
+                break JournalError::Malformed {
+                    index,
+                    reason: format!("End trailer claims {count} records, stream has {index}"),
+                };
+            }
+            let damage =
+                (next != bytes.len()).then_some(JournalError::TrailingData { offset: next });
+            return Walked {
+                records: index,
+                damage,
+                consumed: next,
+            };
+        }
+        sink(offset, record);
+        offset = next;
+        index += 1;
+    };
+    Walked {
+        records: index,
+        damage: Some(damage),
+        consumed: offset,
+    }
+}
+
 impl Journal {
     /// Strictly decodes a journal: every record must frame and parse, the
     /// `End` trailer must be present, carry the right count and be last.
@@ -792,8 +1175,9 @@ impl Journal {
     /// Crash-recovery entry point: salvages the longest valid record prefix
     /// of a possibly torn journal and accounts for what was lost.
     ///
-    /// This is what a respawn reads after a variant died mid-run — possibly
-    /// mid-write — so unlike [`decode`](Self::decode) it treats a torn,
+    /// This is the salvage a respawn relies on after a variant died mid-run
+    /// — possibly mid-write — ([`recover_replay`] is the same walk, fused
+    /// with the replay), so unlike [`decode`](Self::decode) it treats a torn,
     /// corrupt or trailer-less stream as data, not as failure: the damage
     /// becomes [`RecoveredJournal::damage`] and the unsalvageable suffix
     /// length becomes [`RecoveredJournal::dropped_bytes`].  Only header
@@ -809,58 +1193,13 @@ impl Journal {
         })
     }
 
-    /// Walks the record stream.  The third element of the success tuple is
-    /// the byte offset consumed into salvaged records (header included) —
-    /// what [`recover_from_bytes`](Self::recover_from_bytes) subtracts from
-    /// the stream length to report the dropped suffix.
+    /// The walk with a sink that builds the owned records, in a vector
+    /// sized up front from the frames' length prefixes.
     fn decode_inner(bytes: &[u8]) -> Result<(Journal, Option<JournalError>, usize), JournalError> {
         let header = decode_header(bytes)?;
-        let mut records = Vec::new();
-        let mut offset = JOURNAL_HEADER_LEN;
-        let mut index = 0u64;
-        let journal = |records: Vec<JournalRecord>| Journal { header, records };
-        loop {
-            // `offset` always sits just past the last salvaged record here,
-            // so every early return reports it as the consumed length.
-            let (body, next) = match next_frame(bytes, offset) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    return Ok((journal(records), Some(JournalError::MissingEnd), offset));
-                }
-                Err(FrameError::Truncated { offset: at }) => {
-                    let err = JournalError::Truncated { offset: at };
-                    return Ok((journal(records), Some(err), offset));
-                }
-                Err(FrameError::Corrupt { offset: at }) => {
-                    let err = JournalError::CorruptRecord { index, offset: at };
-                    return Ok((journal(records), Some(err), offset));
-                }
-            };
-            let record = match JournalRecord::decode_body(body) {
-                Ok(record) => record,
-                Err(reason) => {
-                    let err = JournalError::Malformed { index, reason };
-                    return Ok((journal(records), Some(err), offset));
-                }
-            };
-            if let JournalRecord::End { records: count } = record {
-                if count != index {
-                    let err = JournalError::Malformed {
-                        index,
-                        reason: format!("End trailer claims {count} records, stream has {index}"),
-                    };
-                    return Ok((journal(records), Some(err), offset));
-                }
-                if next != bytes.len() {
-                    let err = JournalError::TrailingData { offset: next };
-                    return Ok((journal(records), Some(err), next));
-                }
-                return Ok((journal(records), None, next));
-            }
-            offset = next;
-            records.push(record);
-            index += 1;
-        }
+        let mut records = Vec::with_capacity(frames_after_header(bytes));
+        let walked = walk::<Owned>(bytes, JOURNAL_HEADER_LEN, |_, record| records.push(record));
+        Ok((Journal { header, records }, walked.damage, walked.consumed))
     }
 
     /// Re-encodes the journal to bytes (header, records, `End` trailer).
@@ -1067,6 +1406,14 @@ impl JournalRecorder {
         push_frame_with(&mut buf, |body| encode_end(body, inner.records));
         buf
     }
+
+    /// [`recover_replay`] over the stream recorded so far, read in place
+    /// under the journal lock: no copy, no trailer, no decoded records.
+    /// The stream has no `End` trailer yet, so an intact one reports
+    /// [`JournalError::MissingEnd`] as its damage and drops no bytes.
+    pub(crate) fn recover_replay(&self) -> Result<RecoveredRun, JournalError> {
+        recover_replay(&self.inner.lock().buf)
+    }
 }
 
 impl Default for JournalRecorder {
@@ -1158,10 +1505,17 @@ pub struct ReplayedRun {
     pub divergence: Option<DivergenceReport>,
 }
 
-/// Decodes and replays a journal byte stream.  See [`replay_journal`].
+/// Replays a journal byte stream: [`Journal::decode`] followed by
+/// [`replay_journal`], computed in one streaming pass — the walk feeds the
+/// fold straight from the frame bodies and no record is decoded into an
+/// owned [`JournalRecord`].  Any damage to the stream is the error, ahead
+/// of whatever the fold found.
 pub fn replay(bytes: &[u8]) -> Result<ReplayedRun, ReplayError> {
-    let journal = Journal::decode(bytes)?;
-    replay_journal(&journal)
+    let run = recover_replay(bytes)?;
+    match run.damage {
+        Some(damage) => Err(damage.into()),
+        None => run.replay,
+    }
 }
 
 /// Replays a decoded journal: re-derives the monitor statistics from the
@@ -1170,179 +1524,457 @@ pub fn replay(bytes: &[u8]) -> Result<ReplayedRun, ReplayError> {
 /// must reproduce the recorded report field by field, else
 /// [`ReplayError::VerdictMismatch`].
 pub fn replay_journal(journal: &Journal) -> Result<ReplayedRun, ReplayError> {
-    use std::collections::BTreeMap;
-
-    let variants = journal.header.variants as usize;
-    let mut stats = MonitorStats::default();
-    let mut slots: BTreeMap<(u32, u64), Vec<Option<ComparisonKey>>> = BTreeMap::new();
-    let mut arrivals = 0u64;
-    let mut publishes = 0u64;
-    let mut sync_ops = 0u64;
-    let mut last_order: Option<u64> = None;
-    let mut divergence: Option<DivergenceReport> = None;
-
+    let mut fold = Fold::new(journal.header);
+    // A slot holds at most one deposit per variant, so a journal that
+    // replays has at least this many slots: the table is sized once, never
+    // past what the fold fills.
+    let arrivals = journal
+        .records
+        .iter()
+        .filter(|record| matches!(record, JournalRecord::Arrival { .. }))
+        .count();
+    let variants = usize::from(journal.header.variants.max(1));
+    fold.slots.reserve(arrivals.div_ceil(variants));
     for (index, record) in journal.records.iter().enumerate() {
-        let index = index as u64;
-        match record {
-            JournalRecord::Enter { self_aware, .. } => {
-                stats.total_syscalls += 1;
-                if *self_aware {
-                    stats.self_aware_queries += 1;
-                }
-            }
-            JournalRecord::Class { kind, .. } => match kind {
-                ClassKind::Lockstep => stats.lockstep_syscalls += 1,
-                ClassKind::Batched => stats.batched_comparisons += 1,
-                ClassKind::Replicated => stats.replicated_syscalls += 1,
-                ClassKind::Ordered => stats.ordered_syscalls += 1,
-                ClassKind::BatchFlush => stats.batch_flushes += 1,
-            },
-            JournalRecord::Arrival {
-                variant,
-                thread,
-                seq,
-                order,
-                cmp,
-                ..
-            } => {
-                let variant = *variant as usize;
-                if variant >= variants {
-                    return Err(ReplayError::InconsistentSchedule {
-                        index,
-                        reason: format!(
-                            "arrival from variant {variant} but the header declares {variants}"
-                        ),
-                    });
-                }
-                if last_order.is_some_and(|prev| *order <= prev) {
-                    return Err(ReplayError::InconsistentSchedule {
-                        index,
-                        reason: format!(
-                            "arrival order {} not after predecessor {}",
-                            order,
-                            last_order.unwrap()
-                        ),
-                    });
-                }
-                last_order = Some(*order);
-                let keys = slots
-                    .entry((*thread, *seq))
-                    .or_insert_with(|| vec![None; variants]);
-                if keys[variant].is_some() {
-                    return Err(ReplayError::InconsistentSchedule {
-                        index,
-                        reason: format!(
-                            "duplicate deposit by variant {variant} at slot ({thread}, {seq:#x})"
-                        ),
-                    });
-                }
-                keys[variant] = Some(cmp.clone());
-                arrivals += 1;
-            }
-            JournalRecord::Publish { .. } => publishes += 1,
-            JournalRecord::Diverge { report } => {
-                stats.divergences += 1;
-                if divergence.is_none() {
-                    divergence = Some(report.clone());
-                }
-            }
-            JournalRecord::SyncOp { .. } => sync_ops += 1,
-            JournalRecord::End { .. } => {
-                return Err(ReplayError::InconsistentSchedule {
-                    index,
-                    reason: "End trailer inside the record stream".to_string(),
-                });
-            }
+        fold.step(index, record.fact());
+    }
+    fold.finish(|range, candidates| {
+        for record in &journal.records[range] {
+            candidates.offer(&record.fact());
         }
-    }
-
-    if let Some(report) = &divergence {
-        verify_report(report, &slots)?;
-    }
-
-    Ok(ReplayedRun {
-        header: journal.header,
-        stats,
-        slots: slots.len(),
-        arrivals,
-        publishes,
-        sync_ops,
-        divergence,
     })
 }
 
-/// Re-derives the verdict for `report` from the recorded arrival keys.
-///
-/// Reports strip [`DEFERRED_SEQ_BIT`] from the sequence, so both candidate
-/// slots — the direct one and the deferred one — are consulted.
-fn verify_report(
-    report: &DivergenceReport,
-    slots: &std::collections::BTreeMap<(u32, u64), Vec<Option<ComparisonKey>>>,
-) -> Result<(), ReplayError> {
-    let thread = report.thread as u32;
-    let candidates = [
-        (thread, report.sequence),
-        (thread, report.sequence | DEFERRED_SEQ_BIT),
-    ];
-    match &report.kind {
-        DivergenceKind::SyscallMismatch { master, variant } => {
-            for key in candidates {
-                let Some(keys) = slots.get(&key) else {
-                    continue;
-                };
-                if let Some((v, master_key, variant_key)) = first_mismatch(keys) {
-                    if v == report.variant && master_key.no == *master && variant_key.no == *variant
-                    {
-                        return Ok(());
+/// What [`recover_replay`] salvaged from a possibly torn stream and what
+/// the salvaged records replay to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveredRun {
+    /// Records salvaged: as many as [`Journal::recover_from_bytes`] decodes
+    /// from the same bytes.
+    pub records: u64,
+    /// What stopped the walk, as [`RecoveredJournal::damage`].
+    pub damage: Option<JournalError>,
+    /// Bytes past the last salvaged record, as
+    /// [`RecoveredJournal::dropped_bytes`].
+    pub dropped_bytes: usize,
+    /// The salvaged records replayed, as [`replay_journal`] replays the
+    /// [`RecoveredJournal::journal`] the same bytes salvage to.
+    pub replay: Result<ReplayedRun, ReplayError>,
+}
+
+/// Salvages and replays a possibly torn journal in one pass, without
+/// decoding a record into an owned [`JournalRecord`]: the walk of
+/// [`Journal::recover_from_bytes`] feeding the fold of [`replay_journal`].
+/// As there, only header damage is an error.  This is what a respawn reads
+/// the live recorder's stream with.
+pub fn recover_replay(bytes: &[u8]) -> Result<RecoveredRun, JournalError> {
+    let header = decode_header(bytes)?;
+    let mut fold = Fold::new(header);
+    let walked = walk::<InPlace>(bytes, JOURNAL_HEADER_LEN, |at, record| {
+        fold.step(at, record.fact())
+    });
+    let replay = fold.finish(|range, candidates| {
+        walk::<InPlace>(&bytes[..range.end], range.start, |_, record| {
+            candidates.offer(&record.fact())
+        });
+    });
+    Ok(RecoveredRun {
+        records: walked.records,
+        damage: walked.damage,
+        dropped_bytes: bytes.len() - walked.consumed,
+        replay,
+    })
+}
+
+/// An arrival's comparison key as the fold meets it: in a decoded record,
+/// or still encoded in a frame body.
+#[derive(Clone, Copy)]
+enum KeyRef<'r> {
+    Owned(&'r ComparisonKey),
+    Encoded(KeyView<'r>),
+}
+
+impl KeyRef<'_> {
+    fn to_key(self) -> Option<ComparisonKey> {
+        match self {
+            KeyRef::Owned(key) => Some(key.clone()),
+            KeyRef::Encoded(view) => view.to_key(),
+        }
+    }
+}
+
+/// What the replay fold reads of one record.
+enum Fact<'r> {
+    Enter {
+        self_aware: bool,
+    },
+    Class(ClassKind),
+    Arrival {
+        variant: u16,
+        slot: SlotKey,
+        order: u64,
+        cmp: KeyRef<'r>,
+    },
+    Publish,
+    Diverge(&'r DivergenceReport),
+    SyncOp,
+    End,
+}
+
+/// One slot as the fold keeps it: which of variants 0–63 deposited, a bit
+/// each, and where the first deposit was.  Deposits by variants 64 and up
+/// (only a header declaring more than 64 variants admits any) are kept in
+/// [`Fold::wide`], so a slot is sized by neither the header nor the
+/// deposits.
+struct Slot {
+    low: u64,
+    /// Position of the slot's first `Arrival` (see [`Fold::step`]).
+    first: usize,
+}
+
+/// The fold's slot-map hasher.  The slots come from a journal, input from
+/// outside the program, so the hash is keyed once per fold from
+/// [`RandomState`] and every key word goes through a full-avalanche
+/// finalizer: which slots share a bucket depends on the key, and a journal
+/// cannot pick colliding slots without it.  The default SipHash made the
+/// whole fold about 1.5 times as slow on a recorded-shape journal.
+#[derive(Clone, Copy)]
+struct SlotHash(u64);
+
+impl SlotHash {
+    fn new() -> Self {
+        SlotHash(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for SlotHash {
+    type Hasher = SlotHasher;
+
+    fn build_hasher(&self) -> SlotHasher {
+        SlotHasher(self.0)
+    }
+}
+
+/// A [`SlotKey`] hashes as its thread (`write_usize`), then its sequence
+/// number (`write_u64`); each word is folded in by MurmurHash3's 64-bit
+/// finalizer, a bijection in which every input bit flips every output bit
+/// about half the time.
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    fn mix(&mut self, word: u64) {
+        let mut x = self.0 ^ word;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        self.0 = x ^ (x >> 33);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, thread: usize) {
+        self.mix(thread as u64);
+    }
+
+    fn write_u64(&mut self, seq: u64) {
+        self.mix(seq);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The one replay fold behind [`replay_journal`], [`recover_replay`] and
+/// so [`replay`].  It takes the records one at a time, keeps per slot only
+/// which variants deposited, and clones a key only at the slots a recorded
+/// mismatch names.  The first inconsistency is kept and every later record
+/// ignored.
+struct Fold {
+    header: JournalHeader,
+    /// Records stepped so far: the next record's index.
+    records: u64,
+    stats: MonitorStats,
+    slots: HashMap<SlotKey, Slot, SlotHash>,
+    /// Deposits by variants 64 and up (see [`Slot`]).
+    wide: BTreeSet<(SlotKey, u16)>,
+    arrivals: u64,
+    publishes: u64,
+    sync_ops: u64,
+    last_order: Option<u64>,
+    /// The first `Diverge` record's report and position.
+    divergence: Option<(DivergenceReport, usize)>,
+    /// For a mismatch report, the keys at its candidate slots deposited
+    /// after it; [`finish`](Fold::finish) gathers the earlier ones.
+    candidates: Option<Candidates>,
+    error: Option<ReplayError>,
+}
+
+impl Fold {
+    fn new(header: JournalHeader) -> Self {
+        Fold {
+            header,
+            records: 0,
+            stats: MonitorStats::default(),
+            slots: HashMap::with_hasher(SlotHash::new()),
+            wide: BTreeSet::new(),
+            arrivals: 0,
+            publishes: 0,
+            sync_ops: 0,
+            last_order: None,
+            divergence: None,
+            candidates: None,
+            error: None,
+        }
+    }
+
+    /// Folds in the next record.  `at` is its position in the stream —
+    /// the record index for decoded records, the frame offset for encoded
+    /// ones — increasing from record to record; the second pass of
+    /// [`finish`](Fold::finish) is handed a range of these.
+    fn step(&mut self, at: usize, fact: Fact<'_>) {
+        let index = self.records;
+        self.records += 1;
+        if self.error.is_some() {
+            return;
+        }
+        if let Some(candidates) = &mut self.candidates {
+            // An arrival that turns out inconsistent below ends the replay
+            // with an error, so offering it first changes nothing.
+            candidates.offer(&fact);
+        }
+        let reason = match fact {
+            Fact::Enter { self_aware } => {
+                self.stats.total_syscalls += 1;
+                self.stats.self_aware_queries += u64::from(self_aware);
+                return;
+            }
+            Fact::Class(kind) => {
+                *match kind {
+                    ClassKind::Lockstep => &mut self.stats.lockstep_syscalls,
+                    ClassKind::Batched => &mut self.stats.batched_comparisons,
+                    ClassKind::Replicated => &mut self.stats.replicated_syscalls,
+                    ClassKind::Ordered => &mut self.stats.ordered_syscalls,
+                    ClassKind::BatchFlush => &mut self.stats.batch_flushes,
+                } += 1;
+                return;
+            }
+            Fact::Arrival {
+                variant,
+                slot,
+                order,
+                ..
+            } => {
+                let variants = self.header.variants;
+                if variant >= variants {
+                    format!("arrival from variant {variant} but the header declares {variants}")
+                } else if let Some(prev) = self.last_order.filter(|&prev| order <= prev) {
+                    format!("arrival order {order} not after predecessor {prev}")
+                } else if self.deposit(slot, variant, at) {
+                    self.last_order = Some(order);
+                    self.arrivals += 1;
+                    return;
+                } else {
+                    format!(
+                        "duplicate deposit by variant {variant} at slot ({}, {:#x})",
+                        slot.0, slot.1
+                    )
+                }
+            }
+            Fact::Publish => {
+                self.publishes += 1;
+                return;
+            }
+            Fact::Diverge(report) => {
+                self.stats.divergences += 1;
+                if self.divergence.is_none() {
+                    if let DivergenceKind::SyscallMismatch { .. } = report.kind {
+                        self.candidates = Some(Candidates::new(report));
                     }
-                    return Err(ReplayError::VerdictMismatch {
-                        recorded: report.clone(),
-                        reason: format!(
-                            "re-derived mismatch blames variant {v} ({} vs {}), \
-                             report blames variant {} ({} vs {})",
-                            master_key.no.name(),
-                            variant_key.no.name(),
-                            report.variant,
-                            master.name(),
-                            variant.name()
-                        ),
-                    });
+                    self.divergence = Some((report.clone(), at));
                 }
+                return;
             }
-            Err(ReplayError::VerdictMismatch {
-                recorded: report.clone(),
-                reason: "no recorded slot re-derives the mismatch".to_string(),
-            })
+            Fact::SyncOp => {
+                self.sync_ops += 1;
+                return;
+            }
+            Fact::End => "End trailer inside the record stream".to_string(),
+        };
+        self.error = Some(ReplayError::InconsistentSchedule { index, reason });
+    }
+
+    /// Marks `variant` as deposited at `slot`; `false` if it already was.
+    fn deposit(&mut self, slot: SlotKey, variant: u16, at: usize) -> bool {
+        let entry = self.slots.entry(slot).or_insert(Slot { low: 0, first: at });
+        if variant < 64 {
+            let fresh = entry.low & (1 << variant) == 0;
+            entry.low |= 1 << variant;
+            fresh
+        } else {
+            self.wide.insert((slot, variant))
         }
-        DivergenceKind::RendezvousTimeout { arrived }
-        | DivergenceKind::ReplicationTimeout { arrived, .. } => {
-            // Ordered-turn waits and replication-only slots fabricate their
-            // arrived set without any table deposit; a report over a slot
-            // with zero recorded arrivals is accepted as-is.
-            let deposited: Vec<&Vec<Option<ComparisonKey>>> =
-                candidates.iter().filter_map(|k| slots.get(k)).collect();
-            if deposited.is_empty() {
-                return Ok(());
-            }
-            for &v in arrived {
-                let seen = deposited
+    }
+
+    /// The replayed run, or the first error.  `gather` is the second pass,
+    /// run only to re-derive a recorded mismatch: it must offer the records
+    /// whose positions fall in the range it is given — from the first
+    /// deposit at a candidate slot up to the first `Diverge` record — to
+    /// the candidates.
+    fn finish(
+        mut self,
+        gather: impl FnOnce(Range<usize>, &mut Candidates),
+    ) -> Result<ReplayedRun, ReplayError> {
+        if let Some(err) = self.error.take() {
+            return Err(err);
+        }
+        if let Some((report, at)) = &self.divergence {
+            let mut candidates = self.candidates.take();
+            if let Some(candidates) = &mut candidates {
+                let first = candidates
+                    .slots
                     .iter()
-                    .any(|keys| keys.get(v).map(Option::is_some).unwrap_or(false));
-                if !seen {
-                    return Err(ReplayError::VerdictMismatch {
-                        recorded: report.clone(),
-                        reason: format!(
-                            "report lists variant {v} as arrived but the journal has no \
-                             deposit from it at that slot"
-                        ),
-                    });
+                    .filter_map(|slot| self.slots.get(slot))
+                    .map(|slot| slot.first)
+                    .min();
+                if let Some(first) = first.filter(|first| first < at) {
+                    gather(first..*at, candidates);
                 }
             }
-            Ok(())
+            self.verify(report, candidates)?;
         }
-        // The gate denies a forbidden call before any deposit; there is no
-        // schedule to cross-check.
-        DivergenceKind::PolicyViolation { .. } => Ok(()),
+        Ok(ReplayedRun {
+            header: self.header,
+            stats: self.stats,
+            slots: self.slots.len(),
+            arrivals: self.arrivals,
+            publishes: self.publishes,
+            sync_ops: self.sync_ops,
+            divergence: self.divergence.map(|(report, _)| report),
+        })
+    }
+
+    /// Whether `variant` deposited at `slot`.
+    fn deposited(&self, slot: SlotKey, variant: usize) -> bool {
+        match (self.slots.get(&slot), u16::try_from(variant)) {
+            (Some(s), Ok(v @ 0..=63)) => s.low & (1 << v) != 0,
+            (Some(_), Ok(v)) => self.wide.contains(&(slot, v)),
+            _ => false,
+        }
+    }
+
+    /// Re-derives the verdict for `report` from the recorded deposits and,
+    /// for a mismatch, the keys deposited at its candidate slots.
+    fn verify(
+        &self,
+        report: &DivergenceReport,
+        candidates: Option<Candidates>,
+    ) -> Result<(), ReplayError> {
+        match &report.kind {
+            DivergenceKind::SyscallMismatch { master, variant } => {
+                let keys = candidates.map_or_else(Default::default, |c| c.keys);
+                for mut deposited in keys {
+                    // The live vote scans a slot in variant order.
+                    deposited.sort_unstable_by_key(|&(v, _)| v);
+                    let (variants, keys): (Vec<u16>, Vec<Option<ComparisonKey>>) =
+                        deposited.into_iter().map(|(v, key)| (v, Some(key))).unzip();
+                    if let Some((i, master_key, variant_key)) = first_mismatch(&keys) {
+                        let v = variants[i] as usize;
+                        if v == report.variant
+                            && master_key.no == *master
+                            && variant_key.no == *variant
+                        {
+                            return Ok(());
+                        }
+                        return Err(ReplayError::VerdictMismatch {
+                            recorded: report.clone(),
+                            reason: format!(
+                                "re-derived mismatch blames variant {v} ({} vs {}), \
+                                 report blames variant {} ({} vs {})",
+                                master_key.no.name(),
+                                variant_key.no.name(),
+                                report.variant,
+                                master.name(),
+                                variant.name()
+                            ),
+                        });
+                    }
+                }
+                Err(ReplayError::VerdictMismatch {
+                    recorded: report.clone(),
+                    reason: "no recorded slot re-derives the mismatch".to_string(),
+                })
+            }
+            DivergenceKind::RendezvousTimeout { arrived }
+            | DivergenceKind::ReplicationTimeout { arrived, .. } => {
+                // Ordered-turn waits and replication-only slots fabricate their
+                // arrived set without any table deposit; a report over a slot
+                // with zero recorded arrivals is accepted as-is.
+                let candidates = Candidates::new(report).slots;
+                if !candidates.iter().any(|slot| self.slots.contains_key(slot)) {
+                    return Ok(());
+                }
+                for &v in arrived {
+                    if !candidates.iter().any(|&slot| self.deposited(slot, v)) {
+                        return Err(ReplayError::VerdictMismatch {
+                            recorded: report.clone(),
+                            reason: format!(
+                                "report lists variant {v} as arrived but the journal has no \
+                                 deposit from it at that slot"
+                            ),
+                        });
+                    }
+                }
+                Ok(())
+            }
+            // The gate denies a forbidden call before any deposit; there is no
+            // schedule to cross-check.
+            DivergenceKind::PolicyViolation { .. } => Ok(()),
+        }
+    }
+}
+
+/// The keys deposited at a mismatch report's two candidate slots:
+/// `(variant, key)`, in the order they were offered.
+struct Candidates {
+    slots: [SlotKey; 2],
+    keys: [Vec<(u16, ComparisonKey)>; 2],
+}
+
+impl Candidates {
+    /// Reports strip [`DEFERRED_SEQ_BIT`] from the sequence, so both
+    /// candidate slots — the direct one and the deferred one — are
+    /// consulted.
+    fn new(report: &DivergenceReport) -> Self {
+        // Record fields are 32-bit; a report's thread is compared as one.
+        let thread = report.thread as u32 as usize;
+        Candidates {
+            slots: [
+                (thread, report.sequence),
+                (thread, report.sequence | DEFERRED_SEQ_BIT),
+            ],
+            keys: Default::default(),
+        }
+    }
+
+    fn offer(&mut self, fact: &Fact<'_>) {
+        if let Fact::Arrival {
+            variant, slot, cmp, ..
+        } = *fact
+        {
+            for (at, keys) in self.slots.iter().zip(&mut self.keys) {
+                if *at == slot {
+                    keys.extend(cmp.to_key().map(|key| (variant, key)));
+                }
+            }
+        }
     }
 }
 
@@ -1853,6 +2485,124 @@ mod tests {
         assert!(matches!(
             replay(&rec.finish()),
             Err(ReplayError::InconsistentSchedule { index: 0, .. })
+        ));
+    }
+
+    /// The pre-walk that sizes `decode`'s vector counts every frame of a
+    /// valid stream (records plus trailer) and, on any bytes, never more
+    /// than a frame per [`FRAME_OVERHEAD`] bytes.
+    #[test]
+    fn the_capacity_pre_walk_is_exact_on_valid_streams_and_bounded_on_any() {
+        let rec = JournalRecorder::with_header(header());
+        for i in 0..5 {
+            rec.record_arrival(0, 0, i, 0, &cmp(Sysno::Brk));
+        }
+        let bytes = rec.finish();
+        assert_eq!(frames_after_header(&bytes), 6);
+        for cut in 0..bytes.len() {
+            assert!(frames_after_header(&bytes[..cut]) <= 5, "cut at {cut}");
+        }
+        let zeros = [0u8; 1000];
+        assert_eq!(
+            frames_after_header(&zeros),
+            (zeros.len() - JOURNAL_HEADER_LEN) / FRAME_OVERHEAD
+        );
+        let mut huge = bytes[..JOURNAL_HEADER_LEN].to_vec();
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge.extend_from_slice(&[0; 12]);
+        assert_eq!(frames_after_header(&huge), 0);
+    }
+
+    /// A verdict re-derives from keys deposited on both sides of the
+    /// report: here the blamed variant's key lands after the `Diverge`
+    /// record, which the fold collects as it goes, while the others come
+    /// from the second pass.  Both replays agree on both outcomes.
+    #[test]
+    fn a_mismatch_re_derives_from_keys_deposited_after_its_report() {
+        let three = JournalHeader {
+            variants: 3,
+            ..header()
+        };
+        let report = DivergenceReport {
+            kind: DivergenceKind::SyscallMismatch {
+                master: Sysno::Brk,
+                variant: Sysno::Mmap,
+            },
+            thread: 1,
+            sequence: 4,
+            variant: 2,
+        };
+        for (late, verdict_holds) in [(Sysno::Mmap, true), (Sysno::Brk, false)] {
+            let rec = JournalRecorder::with_header(three);
+            rec.record_arrival(0, 1, 4, 1, &cmp(Sysno::Brk));
+            rec.record_arrival(0, 0, 9, 0, &cmp(Sysno::Brk));
+            rec.record_arrival(1, 1, 4, 1, &cmp(Sysno::Brk));
+            rec.record_diverge(&report);
+            rec.record_arrival(2, 1, 4, 1, &cmp(late));
+            let bytes = rec.finish();
+            let streamed = replay(&bytes);
+            assert_eq!(streamed, replay_journal(&Journal::decode(&bytes).unwrap()));
+            match streamed {
+                Ok(run) => {
+                    assert!(verdict_holds);
+                    assert_eq!(run.divergence, Some(report.clone()));
+                    assert_eq!((run.slots, run.arrivals), (2, 4));
+                }
+                Err(err) => {
+                    assert!(!verdict_holds);
+                    assert!(matches!(err, ReplayError::VerdictMismatch { .. }));
+                }
+            }
+        }
+    }
+
+    /// Variants past 64 are tracked apart from the per-slot bits: their
+    /// duplicates are caught and a timeout report naming them verifies.
+    #[test]
+    fn deposits_by_variants_past_64_are_tracked_exactly() {
+        let wide = JournalHeader {
+            variants: 300,
+            ..header()
+        };
+        let rec = JournalRecorder::with_header(wide);
+        rec.record_arrival(200, 0, 5, 0, &cmp(Sysno::Brk));
+        rec.record_arrival(3, 0, 5, 0, &cmp(Sysno::Brk));
+        rec.record_diverge(&DivergenceReport {
+            kind: DivergenceKind::RendezvousTimeout {
+                arrived: vec![3, 200],
+            },
+            thread: 0,
+            sequence: 5,
+            variant: 0,
+        });
+        let run = replay(&rec.finish()).expect("every listed variant deposited");
+        assert_eq!((run.slots, run.arrivals), (1, 2));
+
+        rec.record_diverge(&DivergenceReport {
+            kind: DivergenceKind::RendezvousTimeout { arrived: vec![] },
+            thread: 0,
+            sequence: 6,
+            variant: 0,
+        });
+        rec.record_arrival(200, 0, 5, 0, &cmp(Sysno::Brk));
+        assert!(matches!(
+            replay(&rec.finish()),
+            Err(ReplayError::InconsistentSchedule { index: 4, .. })
+        ));
+
+        let rec = JournalRecorder::with_header(wide);
+        rec.record_arrival(3, 0, 5, 0, &cmp(Sysno::Brk));
+        rec.record_diverge(&DivergenceReport {
+            kind: DivergenceKind::RendezvousTimeout {
+                arrived: vec![3, 201],
+            },
+            thread: 0,
+            sequence: 5,
+            variant: 0,
+        });
+        assert!(matches!(
+            replay(&rec.finish()),
+            Err(ReplayError::VerdictMismatch { .. })
         ));
     }
 

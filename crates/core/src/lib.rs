@@ -95,7 +95,8 @@ pub use async_port::{AsyncThreadPort, SubmitOutcome, Ticket};
 pub use config::{MveeConfig, Placement, Pollers, RecoveryPolicy, RemoteChannel, Transport};
 pub use divergence::{DivergenceKind, DivergenceReport};
 pub use journal::{
-    Journal, JournalError, JournalMode, JournalRecorder, RecoveredJournal, ReplayError, ReplayedRun,
+    Journal, JournalError, JournalMode, JournalRecorder, RecoveredJournal, RecoveredRun,
+    ReplayError, ReplayedRun,
 };
 pub use monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
 pub use mvee::{Mvee, MveeBuilder, RespawnError, RespawnReport, VariantGateway};

@@ -19,7 +19,7 @@ use mvee_sync_agent::{AgentStats, SyncAgent};
 use crate::async_port::AsyncThreadPort;
 use crate::config::{MveeConfig, Placement, RecoveryPolicy, Transport};
 use crate::divergence::DivergenceReport;
-use crate::journal::{Journal, JournalError, ReplayError};
+use crate::journal::{JournalError, ReplayError};
 use crate::monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
 use crate::policy::MonitoringPolicy;
 use crate::poller::PollerPool;
@@ -164,7 +164,7 @@ impl MveeBuilder {
     /// [`JournalMode::Off`](crate::journal::JournalMode::Off) (the default),
     /// `Record` to stream the run's schedule and outcomes into a
     /// [`JournalRecorder`](crate::journal::JournalRecorder), or `Replay` to
-    /// carry a decoded [`Journal`] for
+    /// carry a decoded [`Journal`](crate::journal::Journal) for
     /// [`Mvee::replay_recorded`].
     pub fn journal(mut self, journal: crate::journal::JournalMode) -> Self {
         self.config = self.config.with_journal(journal);
@@ -639,11 +639,15 @@ impl Mvee {
     ///    taken; otherwise the variant keeps its state as of the
     ///    quarantine, which for this emulated kernel is the state the
     ///    survivors agreed on up to the divergent call).
-    /// 2. **Replay** — when the run records a journal, the journal is
-    ///    salvaged ([`Journal::recover_from_bytes`] — the variant may have
-    ///    died mid-write) and re-validated through the replay machinery;
-    ///    the suffix past the snapshot's journal position is what catches
-    ///    the variant up to the survivors' frontier.
+    /// 2. **Replay** — when the run records a journal, one pass over the
+    ///    recorder's stream salvages the longest valid record prefix (the
+    ///    variant may have died mid-write) and re-validates it through the
+    ///    replay fold ([`recover_replay`](crate::journal::recover_replay)).
+    ///    The pass reads the stream in place, holding the recorder's lock
+    ///    throughout (an append would wait; under the quiescence contract
+    ///    below none is due), and makes no copy of it and no decoded
+    ///    record.  The suffix past the snapshot's journal position is
+    ///    what catches the variant up to the survivors' frontier.
     /// 3. **Re-admit** — the variant's sequence counters and ordering
     ///    clocks fast-forward to the survivors' frontier and it rejoins
     ///    the lockstep expected-arrival set; subsequent calls compare
@@ -669,15 +673,14 @@ impl Mvee {
         let mut replayed_records = 0;
         let mut dropped_bytes = 0;
         if let Some(recorder) = self.journal.recorder() {
-            let bytes = recorder.finish();
-            let recovered = Journal::recover_from_bytes(&bytes).map_err(RespawnError::Journal)?;
+            let recovered = recorder.recover_replay().map_err(RespawnError::Journal)?;
             dropped_bytes = recovered.dropped_bytes;
             // Validate the full salvaged history (the verdicts must
             // re-derive), then count the suffix past the snapshot as the
             // catch-up work.
-            crate::journal::replay_journal(&recovered.journal).map_err(RespawnError::Replay)?;
+            recovered.replay.map_err(RespawnError::Replay)?;
             let from = snapshot.as_ref().map_or(0, |s| s.journal_records);
-            replayed_records = (recovered.journal.records.len() as u64).saturating_sub(from);
+            replayed_records = recovered.records.saturating_sub(from);
         }
         self.monitor.readmit_variant(variant);
         Ok(RespawnReport {
