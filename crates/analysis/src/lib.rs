@@ -27,7 +27,7 @@
 //!   clang-style diagnostics.
 //! * [`instrument`] — inserting the `before_sync_op` / `after_sync_op` calls.
 //! * [`corpus`] — synthetic corpora modelled after the libraries and binaries
-//!   of Table 3, used by the `table3` benchmark harness.
+//!   of Table 3, used by the `paper` bench binary's `table3` rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 //!   of the paper's agents and work across diversified variants because they
 //!   do not depend on progress counters ([`rr`]).
 //!
-//! The `dmt_comparison` benchmark binary uses these implementations to
+//! The `paper` bench binary's `dmt` rows use these implementations to
 //! reproduce the paper's argument quantitatively: under instruction-count
 //! skew the DMT schedules of two variants diverge while the order-based
 //! replay (and the paper's agents) stay consistent.

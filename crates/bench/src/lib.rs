@@ -1,32 +1,28 @@
-//! Shared harness code for the benchmark binaries and Criterion benches.
+//! The reproduction scoreboard behind the `paper` binary.
 //!
-//! Every table and figure of the paper's evaluation has a corresponding
-//! `cargo run --bin <name> -p mvee-bench` binary (quick, human-readable
-//! output) and, where meaningful, a Criterion bench under `benches/`.
-//! This library holds the pieces they share: running one benchmark spec
-//! natively and under the MVEE, computing slowdowns, and formatting aligned
-//! text tables.
+//! Every claim of the paper's evaluation that this repository reproduces is
+//! one [`Row`]: the artefact it belongs to, the paper's value, ours (as a
+//! [`Spread`] over repeated runs where timing is involved), the relation
+//! between them and whether that relation is enforced ([`Gate`]).  The
+//! `paper` binary measures the rows and [`render`]s them as the markdown of
+//! `REPRODUCTION.md`.
 //!
 //! The synthetic workloads are scaled-down versions of the paper's (seconds
 //! become milliseconds); the `MVEE_BENCH_SCALE` environment variable
-//! overrides the default scale for longer, more stable runs.
+//! overrides the default scale for longer, more stable runs.  It is the
+//! only knob.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Duration;
-
-use mvee_sync_agent::agents::AgentKind;
-use mvee_variant::diversity::DiversityProfile;
-use mvee_variant::runner::{run_mvee, run_native, RunConfig};
-use mvee_workloads::catalog::BenchmarkSpec;
+use std::fmt;
 
 /// Default scale factor applied to the paper's native run times.
 ///
 /// `3e-6` turns an 80-second benchmark into a ~0.25 ms synthetic run; small
-/// enough that the full Figure 5 sweep (25 benchmarks × 3 agents × 3 variant
-/// counts) finishes in minutes, large enough that each run still executes
-/// hundreds to thousands of sync ops.
+/// enough that the full Figure 5 sweep (27 benchmarks × 3 agents × 3 variant
+/// counts × 5 runs) finishes in a minute, large enough that each run still
+/// executes hundreds to thousands of sync ops.
 pub const DEFAULT_SCALE: f64 = 3e-6;
 
 /// Returns the workload scale, honouring `MVEE_BENCH_SCALE`.
@@ -37,110 +33,54 @@ pub fn workload_scale() -> f64 {
         .unwrap_or(DEFAULT_SCALE)
 }
 
-/// The variant counts the paper's tables sweep (2–4).
-pub const DEFAULT_VARIANT_COUNTS: [usize; 3] = [2, 3, 4];
-
-/// Parses a comma-separated env list of positive integers, keeping the
-/// values `keep` accepts; `None` when the variable is unset or nothing
-/// survives.
-fn env_usize_list(var: &str, keep: impl Fn(&usize) -> bool) -> Option<Vec<usize>> {
-    std::env::var(var)
-        .ok()
-        .map(|raw| {
-            raw.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(&keep)
-                .collect::<Vec<_>>()
-        })
-        .filter(|values| !values.is_empty())
+/// Median, minimum and maximum of `n` samples of one cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The median (the mean of the two middle samples for even `n`).
+    pub median: f64,
+    /// The smallest sample.
+    pub min: f64,
+    /// The largest sample.
+    pub max: f64,
+    /// How many samples.
+    pub n: usize,
 }
 
-/// Returns the variant counts to sweep, honouring `MVEE_BENCH_VARIANTS`
-/// (a comma-separated list such as `2,8,16` for the many-variant scaling
-/// runs recorded in `BASELINES.md`).  Counts outside 1..=16 are dropped.
-pub fn variant_counts() -> Vec<usize> {
-    env_usize_list("MVEE_BENCH_VARIANTS", |n| (1..=16).contains(n))
-        .unwrap_or_else(|| DEFAULT_VARIANT_COUNTS.to_vec())
-}
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice: a cell is measured at least once.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs a sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        Spread {
+            median: (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0,
+            min: sorted[0],
+            max: sorted[n - 1],
+            n,
+        }
+    }
 
-/// Returns the comparison batch sizes to sweep, honouring
-/// `MVEE_BENCH_BATCH` (a comma-separated list such as `1,8,64`; values
-/// outside 1..=1024 are dropped).  Defaults to `[1]` — the unbatched
-/// monitor — so the paper-shaped tables stay untouched unless a batching
-/// sweep is requested.
-pub fn comparison_batches() -> Vec<usize> {
-    env_usize_list("MVEE_BENCH_BATCH", |n| (1..=1024).contains(n)).unwrap_or_else(|| vec![1])
-}
-
-/// The result of measuring one benchmark under one configuration.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Agent used.
-    pub agent: AgentKind,
-    /// Number of variants.
-    pub variants: usize,
-    /// Native (single instance, unmonitored) duration.
-    pub native: Duration,
-    /// Duration under the MVEE.
-    pub mvee: Duration,
-    /// Relative slowdown (mvee / native).
-    pub slowdown: f64,
-    /// Whether the run completed without divergence.
-    pub clean: bool,
-    /// Sync ops recorded by the master variant.
-    pub sync_ops: u64,
-    /// System calls that entered the monitor.
-    pub syscalls: u64,
-}
-
-/// Runs `spec` natively and under the MVEE with the given agent and variant
-/// count, and returns the measurement.
-pub fn measure(spec: &BenchmarkSpec, agent: AgentKind, variants: usize, scale: f64) -> Measurement {
-    measure_batched(spec, agent, variants, scale, 1)
-}
-
-/// [`measure`] with an explicit comparison batch size (`1` = the unbatched
-/// per-call rendezvous), for the `MVEE_BENCH_BATCH` sweeps.
-pub fn measure_batched(
-    spec: &BenchmarkSpec,
-    agent: AgentKind,
-    variants: usize,
-    scale: f64,
-    batch: usize,
-) -> Measurement {
-    let program = spec.paper_program(scale);
-    let native = run_native(&program);
-    let config = RunConfig::new(variants, agent).with_batch(batch);
-    let report = run_mvee(&program, &config);
-    Measurement {
-        benchmark: spec.name,
-        agent,
-        variants,
-        native: native.duration,
-        mvee: report.duration,
-        slowdown: report.slowdown_vs(&native),
-        clean: report.completed_cleanly(),
-        sync_ops: report.agent_stats.ops_recorded,
-        syscalls: report.monitor.total_syscalls,
+    /// Whether the slowest sample is within `factor` × the fastest.
+    pub fn tail_within(&self, factor: f64) -> bool {
+        self.max <= factor * self.min
     }
 }
 
-/// Runs `spec` under the MVEE with full diversity enabled (the §5.1
-/// correctness configuration) and reports whether the run stayed divergence
-/// free.
-pub fn measure_with_diversity(
-    spec: &BenchmarkSpec,
-    agent: AgentKind,
-    variants: usize,
-    scale: f64,
-    seed: u64,
-) -> bool {
-    let program = spec.paper_program(scale);
-    let config = RunConfig::new(variants, agent).with_diversity(DiversityProfile::full(seed));
-    let report = run_mvee(&program, &config);
-    report.completed_cleanly()
+impl fmt::Display for Spread {
+    /// `median [min, max] ×n`, each with the caller's precision (default 2).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = f.precision().unwrap_or(2);
+        write!(
+            f,
+            "{:.p$} [{:.p$}, {:.p$}] ×{}",
+            self.median, self.min, self.max, self.n
+        )
+    }
 }
 
 /// Geometric mean of a slice of ratios (the aggregation Table 1 uses).
@@ -152,116 +92,161 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Arithmetic mean.
-pub fn arithmetic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
+/// Whether a row's relation is enforced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// The `paper` binary exits non-zero when the relation fails.
+    Gated,
+    /// Reported only; names the metric that would have to move to close
+    /// the gap.
+    Gap(&'static str),
 }
 
-/// Formats a table row with fixed-width columns.
-pub fn format_row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{:>width$}", c, width = w))
-        .collect::<Vec<_>>()
-        .join("  ")
+/// One checked claim.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// The artefact of the paper the claim belongs to (`Table 1`, `§5.5`).
+    pub artefact: &'static str,
+    /// What is claimed.
+    pub claim: String,
+    /// The paper's value.
+    pub paper: String,
+    /// Ours.
+    pub ours: String,
+    /// The relation that must hold between them.
+    pub relation: String,
+    /// Whether it held in this run.
+    pub met: bool,
+    /// Whether it is enforced.
+    pub gate: Gate,
 }
 
-/// Prints the header of a table whose middle columns are one "`N` variants"
-/// column per swept variant count (the layout `table1` and `figure5` share),
-/// and returns the column widths for formatting the data rows.
-pub fn print_variant_table_header(
-    title: &str,
-    prefix: &[(&str, usize)],
-    counts: &[usize],
-    suffix: &[(&str, usize)],
-) -> Vec<usize> {
-    let mut columns: Vec<String> = prefix.iter().map(|(c, _)| c.to_string()).collect();
-    let mut widths: Vec<usize> = prefix.iter().map(|(_, w)| *w).collect();
-    for v in counts {
-        columns.push(format!("{v} variants"));
-        widths.push(12);
+impl Row {
+    /// Whether this row fails the run: a gated relation that did not hold.
+    pub fn fails(&self) -> bool {
+        self.gate == Gate::Gated && !self.met
     }
-    for (c, w) in suffix {
-        columns.push(c.to_string());
-        widths.push(*w);
+
+    /// `holds`, `FAILS`, or `gap` with whether it was met in this run and
+    /// the metric that would close it.
+    pub fn status(&self) -> String {
+        let run = if self.met { "met" } else { "unmet" };
+        match self.gate {
+            Gate::Gated if self.met => "holds".into(),
+            Gate::Gated => "**FAILS**".into(),
+            Gate::Gap(metric) => format!("gap, {run}; closes with {metric}"),
+        }
     }
-    let refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    print_table_header(title, &refs, &widths);
-    widths
 }
 
-/// Prints a header line and a separator for a table.
-pub fn print_table_header(title: &str, columns: &[&str], widths: &[usize]) {
-    println!("\n=== {title} ===");
-    let cells: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
-    println!("{}", format_row(&cells, widths));
-    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    println!("{}", "-".repeat(total));
+/// The rows of one artefact, in order.
+#[derive(Debug)]
+pub struct Sheet {
+    artefact: &'static str,
+    /// The rows added so far.
+    pub rows: Vec<Row>,
+}
+
+impl Sheet {
+    /// An empty sheet for `artefact`.
+    pub fn new(artefact: &'static str) -> Sheet {
+        let rows = Vec::new();
+        Sheet { artefact, rows }
+    }
+
+    /// Adds a row whose `relation` was `met` (or not) in this run.
+    pub fn add(
+        &mut self,
+        claim: impl Into<String>,
+        paper: impl Into<String>,
+        ours: impl Into<String>,
+        relation: impl Into<String>,
+        met: bool,
+        gate: Gate,
+    ) {
+        self.rows.push(Row {
+            artefact: self.artefact,
+            claim: claim.into(),
+            paper: paper.into(),
+            ours: ours.into(),
+            relation: relation.into(),
+            met,
+            gate,
+        });
+    }
+}
+
+/// Renders `rows` as markdown under `preamble`: a summary line, then one
+/// table per run of rows of one artefact, in order.
+pub fn render(preamble: &str, rows: &[Row]) -> String {
+    let count = |keep: fn(&Row) -> bool| rows.iter().filter(|r| keep(r)).count();
+    let (gated, failing) = (count(|r| r.gate == Gate::Gated), count(Row::fails));
+    let (gaps, met) = (
+        rows.len() - gated,
+        count(|r| r.gate != Gate::Gated && r.met),
+    );
+    let total = rows.len();
+    let mut out = format!("{preamble}\n**{total} rows:** {gated} gated ({failing} failing), ");
+    out += &format!("{gaps} gaps ({met} met this run).\n");
+    // An artefact's rows are contiguous: each subcommand adds its own.
+    let mut artefacts: Vec<&str> = rows.iter().map(|r| r.artefact).collect();
+    artefacts.dedup();
+    for artefact in artefacts {
+        out += &format!(
+            "\n## {artefact}\n\n| claim | paper | ours | relation | status |\n|---|---|---|---|---|\n"
+        );
+        for r in rows.iter().filter(|r| r.artefact == artefact) {
+            let (claim, paper, ours, relation) = (&r.claim, &r.paper, &r.ours, &r.relation);
+            out += &format!(
+                "| {claim} | {paper} | {ours} | {relation} | {} |\n",
+                r.status()
+            );
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvee_workloads::catalog::BenchmarkSpec;
 
     #[test]
     fn geometric_mean_of_constant_is_constant() {
         assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-9);
+        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert_eq!(geometric_mean(&[]), 0.0);
     }
 
     #[test]
-    fn arithmetic_mean_basics() {
-        assert!((arithmetic_mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(arithmetic_mean(&[]), 0.0);
+    fn spread_takes_median_min_and_max() {
+        let s = Spread::of(&[5.0, 1.0, 3.0]);
+        assert_eq!((s.median, s.min, s.max, s.n), (3.0, 1.0, 5.0, 3));
+        assert_eq!(Spread::of(&[4.0, 1.0, 2.0, 3.0]).median, 2.5);
+        assert_eq!(format!("{:.1}", s), "3.0 [1.0, 5.0] ×3");
+        assert!(s.tail_within(5.0));
+        assert!(!s.tail_within(4.9));
     }
 
     #[test]
-    fn format_row_pads_columns() {
-        let row = format_row(&["a".into(), "bb".into()], &[3, 4]);
-        assert_eq!(row, "  a    bb");
-    }
-
-    #[test]
-    fn measure_produces_a_clean_run_for_a_small_benchmark() {
-        let spec = BenchmarkSpec::by_name("fft").unwrap();
-        let m = measure(spec, AgentKind::WallOfClocks, 2, 2e-6);
-        assert!(m.clean, "fft under WoC must not diverge");
-        assert!(m.slowdown > 0.0);
-        assert!(m.syscalls > 0);
+    fn only_a_failed_gated_row_fails() {
+        let row = |met, gate| {
+            let mut sheet = Sheet::new("Table 3");
+            sheet.add("c", "1", "1", "=", met, gate);
+            sheet.rows.remove(0)
+        };
+        assert!(row(false, Gate::Gated).fails());
+        assert!(!row(true, Gate::Gated).fails());
+        assert!(!row(false, Gate::Gap("m")).fails());
+        let rows = [row(true, Gate::Gated), row(false, Gate::Gap("m"))];
+        let md = render("# t\n", &rows);
+        assert!(md.contains("**2 rows:** 1 gated (0 failing), 1 gaps (0 met this run)"));
+        assert!(md.contains("## Table 3"));
+        assert!(md.contains("| c | 1 | 1 | = | holds |"));
+        assert!(md.contains("gap, unmet; closes with m"));
     }
 
     #[test]
     fn default_scale_is_used_without_env_override() {
-        // Not setting the variable in the test environment.
-        let s = workload_scale();
-        assert!(s > 0.0);
-    }
-
-    #[test]
-    fn default_variant_counts_match_the_paper() {
-        // Without the env override the sweep is the paper's 2–4 range.
-        if std::env::var("MVEE_BENCH_VARIANTS").is_err() {
-            assert_eq!(variant_counts(), vec![2, 3, 4]);
-        }
-    }
-
-    #[test]
-    fn default_batch_sweep_is_unbatched() {
-        if std::env::var("MVEE_BENCH_BATCH").is_err() {
-            assert_eq!(comparison_batches(), vec![1]);
-        }
-    }
-
-    #[test]
-    fn batched_measurement_is_clean_for_a_small_benchmark() {
-        let spec = BenchmarkSpec::by_name("fft").unwrap();
-        let m = measure_batched(spec, AgentKind::WallOfClocks, 2, 2e-6, 8);
-        assert!(m.clean, "fft under a batch-8 monitor must not diverge");
-        assert!(m.slowdown > 0.0);
+        assert!(workload_scale() > 0.0);
     }
 }

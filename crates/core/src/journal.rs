@@ -1074,24 +1074,6 @@ fn decode_header(bytes: &[u8]) -> Result<JournalHeader, JournalError> {
     Ok(header)
 }
 
-/// The whole frames after the header, counted by their length prefixes
-/// alone (no CRC, no parse): the most records a walk can salvage, plus the
-/// trailer.  Every frame is at least [`FRAME_OVERHEAD`] bytes long, so the
-/// count never exceeds `bytes.len() / FRAME_OVERHEAD`.
-fn frames_after_header(bytes: &[u8]) -> usize {
-    let mut offset = JOURNAL_HEADER_LEN;
-    let mut frames = 0;
-    while let Some(&[a, b, c, d]) = bytes.get(offset..offset + 4) {
-        let body_len = u32::from_le_bytes([a, b, c, d]) as usize;
-        match (offset + FRAME_OVERHEAD).checked_add(body_len) {
-            Some(next) if next <= bytes.len() => offset = next,
-            _ => break,
-        }
-        frames += 1;
-    }
-    frames
-}
-
 /// How far a [`walk`] got.
 struct Walked {
     /// Records handed to the sink (the `End` trailer is not one).
@@ -1193,11 +1175,10 @@ impl Journal {
         })
     }
 
-    /// The walk with a sink that builds the owned records, in a vector
-    /// sized up front from the frames' length prefixes.
+    /// The walk with a sink that builds the owned records.
     fn decode_inner(bytes: &[u8]) -> Result<(Journal, Option<JournalError>, usize), JournalError> {
         let header = decode_header(bytes)?;
-        let mut records = Vec::with_capacity(frames_after_header(bytes));
+        let mut records = Vec::new();
         let walked = walk::<Owned>(bytes, JOURNAL_HEADER_LEN, |_, record| records.push(record));
         Ok((Journal { header, records }, walked.damage, walked.consumed))
     }
@@ -2486,31 +2467,6 @@ mod tests {
             replay(&rec.finish()),
             Err(ReplayError::InconsistentSchedule { index: 0, .. })
         ));
-    }
-
-    /// The pre-walk that sizes `decode`'s vector counts every frame of a
-    /// valid stream (records plus trailer) and, on any bytes, never more
-    /// than a frame per [`FRAME_OVERHEAD`] bytes.
-    #[test]
-    fn the_capacity_pre_walk_is_exact_on_valid_streams_and_bounded_on_any() {
-        let rec = JournalRecorder::with_header(header());
-        for i in 0..5 {
-            rec.record_arrival(0, 0, i, 0, &cmp(Sysno::Brk));
-        }
-        let bytes = rec.finish();
-        assert_eq!(frames_after_header(&bytes), 6);
-        for cut in 0..bytes.len() {
-            assert!(frames_after_header(&bytes[..cut]) <= 5, "cut at {cut}");
-        }
-        let zeros = [0u8; 1000];
-        assert_eq!(
-            frames_after_header(&zeros),
-            (zeros.len() - JOURNAL_HEADER_LEN) / FRAME_OVERHEAD
-        );
-        let mut huge = bytes[..JOURNAL_HEADER_LEN].to_vec();
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        huge.extend_from_slice(&[0; 12]);
-        assert_eq!(frames_after_header(&huge), 0);
     }
 
     /// A verdict re-derives from keys deposited on both sides of the

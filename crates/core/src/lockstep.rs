@@ -7,11 +7,11 @@
 //!
 //! * **Lockstep comparison** — under a lockstep policy, no variant may
 //!   proceed past the call until all variants have arrived at the same slot
-//!   with an equivalent call ([`LockstepTable::arrive`]).
+//!   with an equivalent call ([`LockstepTable::try_arrive`]).
 //! * **Result replication** — for I/O calls the master executes the call once
 //!   and publishes the outcome into the slot
-//!   ([`LockstepTable::publish_outcome`]); slave variants block until the
-//!   outcome is available ([`LockstepTable::wait_outcome`]).
+//!   ([`LockstepTable::publish_outcome`]); slave variants wait until the
+//!   outcome is available ([`LockstepTable::try_wait_outcome`]).
 //!
 //! # Sharding
 //!
@@ -24,8 +24,8 @@
 //! same lock, which is what lets the monitor scale to many-variant (8–16),
 //! many-thread runs instead of funnelling every compared call through one
 //! global lock.  `shards = 1` reproduces the original single-table behaviour
-//! exactly and is kept for apples-to-apples ablations (`ablation_sharding`
-//! bench).
+//! exactly (`tests/sharding_equivalence.rs` holds the two to the same
+//! verdicts).
 //!
 //! A shard's map hashes a key with one multiply-xorshift instead of the
 //! standard library's SipHash, which would run several times per compared
@@ -57,13 +57,11 @@
 //! peer that is already running makes a futex sleep unnecessary — and only
 //! then a park on the shard's event count, with the condition re-evaluated
 //! on every wake.  The blocking port waits there with its call machine's
-//! next step as the condition; [`LockstepTable::arrive`],
-//! [`LockstepTable::arrive_batch`] and [`LockstepTable::wait_outcome`] are
-//! thin conveniences (`try_*`, then `wait_on` over the matching `poll_*`)
-//! for table-level tests and ablations.  Every state change (deposit,
-//! publication, poison, quarantine, re-admission) posts the event count,
-//! whose no-sleeper path is a fence and a load: a run in which nobody has
-//! fallen asleep makes no futex syscall on the hand-off path at all.
+//! next step as the condition; the table has no blocking `pub fn` of its
+//! own.  Every state change (deposit, publication, poison, quarantine,
+//! re-admission) posts the event count, whose no-sleeper path is a fence
+//! and a load: a run in which nobody has fallen asleep makes no futex
+//! syscall on the hand-off path at all.
 //!
 //! # Poisoning
 //!
@@ -77,16 +75,16 @@
 //!
 //! The per-call rendezvous cost is one shard-lock acquisition plus one wait
 //! per compared call.  For syscall-dense phases the monitor amortizes that
-//! cost with [`LockstepTable::arrive_batch`]: a variant thread deposits a
+//! cost with [`LockstepTable::try_arrive_batch`]: a variant thread deposits a
 //! bounded block of pending ([`SlotKey`], [`ComparisonKey`]) pairs — a
 //! [`BatchArrival`] each — under a *single* shard-lock acquisition and
 //! resolves them as a unit.  Every key still gets its own
 //! [`ArrivalResult`], so a mismatch in the middle of a batch reports the
 //! exact offending slot, and the other keys of the batch resolve
-//! independently, exactly as a sequence of single [`LockstepTable::arrive`]
-//! calls would.  All keys of a batch must belong to one logical thread (and
-//! therefore one shard); this is what a per-thread deferred-comparison queue
-//! produces naturally.
+//! independently, exactly as a sequence of single
+//! [`LockstepTable::try_arrive`] calls would.  All keys of a batch must
+//! belong to one logical thread (and therefore one shard); this is what a
+//! per-thread deferred-comparison queue produces naturally.
 //!
 //! # Slot lifetime
 //!
@@ -134,7 +132,7 @@ pub type SlotKey = (usize, u64);
 /// threads) without wasting memory on mostly-empty maps.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Upper bound on the number of keys one [`LockstepTable::arrive_batch`]
+/// Upper bound on the number of keys one [`LockstepTable::try_arrive_batch`]
 /// call may deposit.
 ///
 /// The bound keeps a single shard-lock hold (all deposits happen under one
@@ -191,8 +189,8 @@ struct Slot {
     /// slot before a survivor read its outcome.
     consumed_mask: u64,
     mismatch: bool,
-    /// Number of `arrive` calls currently blocked on this slot.  The slot is
-    /// only reclaimed when this drops to zero (see module docs).
+    /// Number of pending arrival tokens registered on this slot.  The slot
+    /// is only reclaimed when this drops to zero (see module docs).
     waiters: usize,
     /// How many variants this slot waits for: the live-variant count at slot
     /// creation.  Equal to the table's variant count until a quarantine
@@ -571,7 +569,7 @@ impl LockstepTable {
         self.shards.iter().map(|s| s.slots.lock().len()).sum()
     }
 
-    /// Live slot count per shard, for tests and the sharding ablation.
+    /// Live slot count per shard, for tests.
     pub fn live_slots_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.slots.lock().len()).collect()
     }
@@ -766,86 +764,10 @@ impl LockstepTable {
     /// `moved` on every wake.  The condition owns every deadline (a
     /// token's is fixed at deposit time), so a timeout is attributed
     /// exactly as it is to a caller that polls.  The blocking port driver
-    /// waits here with its call machine's next step as the condition; the
-    /// three conveniences below wait with a `poll_*`.
+    /// waits here with its call machine's next step as the condition.
     pub(crate) fn wait_on(&self, thread: usize, moved: impl FnMut() -> bool) {
         let shard = &self.shards[self.shard_of(thread)];
         YIELD_THEN_PARK.wait_until_event(&shard.changed, moved);
-    }
-
-    /// [`wait_on`](Self::wait_on) over a token: re-polls `pending` until it
-    /// resolves.
-    fn wait_resolved<P, T>(
-        &self,
-        thread: usize,
-        pending: P,
-        poll: impl Fn(P) -> Result<T, P>,
-    ) -> T {
-        let mut pending = Some(pending);
-        let mut resolved = None;
-        self.wait_on(thread, || {
-            let token = pending.take().expect("the wait ends at the first Ok poll");
-            match poll(token) {
-                Ok(value) => resolved = Some(value),
-                Err(token) => pending = Some(token),
-            }
-            resolved.is_some()
-        });
-        resolved.expect("the wait returns only once a poll resolved")
-    }
-
-    /// Registers variant `variant`'s arrival at `key` with comparison key
-    /// `cmp` and waits until every expected variant has arrived (lockstep):
-    /// [`try_arrive`](Self::try_arrive), then the shard wait
-    /// over [`poll_arrival`](Self::poll_arrival).
-    pub fn arrive(
-        &self,
-        key: SlotKey,
-        variant: usize,
-        cmp: ComparisonKey,
-        timeout: Duration,
-    ) -> ArrivalResult {
-        match self.try_arrive(key, variant, cmp, timeout) {
-            TryArrive::Ready(result) => result,
-            TryArrive::Pending(token) => self.wait_resolved(key.0, token, |t| self.poll_arrival(t)),
-        }
-    }
-
-    /// Deposits a whole block of pending comparisons under a **single**
-    /// shard-lock acquisition and resolves them as a unit.
-    ///
-    /// Semantically equivalent to calling [`arrive`](Self::arrive) once per
-    /// element of `batch` (each key receives its own [`ArrivalResult`], and a
-    /// mismatch on one key does not disturb the verdicts of the others), but
-    /// the lock/wait cost is paid once per batch instead of once per call
-    /// — the amortization the `ablation_batching` benchmark measures.  The
-    /// one semantic difference is the deadline: the whole batch shares one
-    /// `timeout` instead of each key restarting it, so keys a peer never
-    /// arrives at report [`ArrivalResult::Timeout`] after a single deadline.
-    ///
-    /// Returns one result per batch element, in batch order.  Keys that
-    /// resolve while later ones are still pending keep their verdicts; their
-    /// waiter registrations are released exactly once on exit, never again on
-    /// the timeout path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch exceeds [`MAX_BATCH`], spans more than one shard
-    /// (all keys must share one logical thread's shard — a per-thread
-    /// deferred-comparison queue guarantees this), or contains duplicate
-    /// keys.
-    pub fn arrive_batch(
-        &self,
-        variant: usize,
-        batch: &[BatchArrival],
-        timeout: Duration,
-    ) -> Vec<ArrivalResult> {
-        match self.try_arrive_batch(variant, batch, timeout) {
-            TryBatch::Ready(results) => results,
-            TryBatch::Pending(token) => {
-                self.wait_resolved(batch[0].key.0, token, |t| self.poll_batch(t))
-            }
-        }
     }
 
     /// Publishes the master's outcome (and, for ordered calls, the syscall
@@ -861,22 +783,6 @@ impl LockstepTable {
         slot.timestamp = timestamp;
         drop(slots);
         self.wake(shard);
-    }
-
-    /// Blocks until the master has published an outcome for `key`.
-    ///
-    /// Returns `None` on timeout or when the table is poisoned.
-    pub fn wait_outcome(
-        &self,
-        key: SlotKey,
-        timeout: Duration,
-    ) -> Option<(SyscallOutcome, Option<u64>)> {
-        match self.try_wait_outcome(key, timeout) {
-            TryOutcome::Ready(outcome) => outcome,
-            TryOutcome::Pending(token) => {
-                self.wait_resolved(key.0, token, |t| self.poll_outcome(t))
-            }
-        }
     }
 
     /// Marks `variant`'s use of the slot as finished; the slot is reclaimed
@@ -990,8 +896,8 @@ impl LockstepTable {
     /// Checks a pending arrival without sleeping.
     ///
     /// `Ok` resolves the token (releasing its waiter registration) with the
-    /// same verdict the blocking [`arrive`](Self::arrive) would have
-    /// returned; `Err` hands the still-pending token back.
+    /// verdict the rendezvous reached; `Err` hands the still-pending token
+    /// back.
     pub fn poll_arrival(&self, token: ArrivalToken) -> Result<ArrivalResult, ArrivalToken> {
         let shard = self.shard(token.key);
         let mut slots = shard.slots.lock();
@@ -1023,15 +929,27 @@ impl LockstepTable {
         Err(token)
     }
 
-    /// Deposits a whole block of pending comparisons without blocking: the
-    /// deposit half of [`arrive_batch`](Self::arrive_batch), which
-    /// documents the single-lock deposit, the per-key verdicts and the
-    /// shared batch deadline.
+    /// Deposits a whole block of pending comparisons under a **single**
+    /// shard-lock acquisition, without blocking; poll the token with
+    /// [`poll_batch`](Self::poll_batch).
+    ///
+    /// Each key receives its own [`ArrivalResult`], in batch order, and a
+    /// mismatch on one key does not disturb the verdicts of the others, as
+    /// if each were deposited by [`try_arrive`](Self::try_arrive); the
+    /// lock and wait cost is paid once per batch instead of once per call.
+    /// The one difference is the deadline: the whole batch shares one
+    /// `timeout`, so keys a peer never arrives at report
+    /// [`ArrivalResult::Timeout`] after a single deadline.  Keys that
+    /// resolve while later ones are still pending keep their verdicts;
+    /// their waiter registrations are released exactly once, by the poll
+    /// that completes the batch.
     ///
     /// # Panics
     ///
-    /// As [`arrive_batch`](Self::arrive_batch): oversized, shard-spanning
-    /// or duplicate-key batches panic.
+    /// Panics if the batch exceeds [`MAX_BATCH`], spans more than one shard
+    /// (all keys must share one logical thread's shard — a per-thread
+    /// deferred-comparison queue guarantees this), or contains duplicate
+    /// keys.
     pub fn try_arrive_batch(
         &self,
         variant: usize,
@@ -1175,12 +1093,10 @@ impl LockstepTable {
 
     /// Checks for the master's published outcome without blocking.
     ///
-    /// Mirrors [`wait_outcome`](Self::wait_outcome): `Ready(Some(..))` when
-    /// an outcome is already published, `Ready(None)` when the table is
-    /// poisoned, `Pending` otherwise; poll the token with
-    /// [`poll_outcome`](Self::poll_outcome).  No waiter registration is
-    /// taken — outcome waits never pin a slot, exactly as on the blocking
-    /// path.
+    /// `Ready(Some(..))` when an outcome is already published,
+    /// `Ready(None)` when the table is poisoned, `Pending` otherwise; poll
+    /// the token with [`poll_outcome`](Self::poll_outcome).  No waiter
+    /// registration is taken — outcome waits never pin a slot.
     pub fn try_wait_outcome(&self, key: SlotKey, timeout: Duration) -> TryOutcome {
         let deadline = Instant::now() + timeout;
         let shard = self.shard(key);
@@ -1199,8 +1115,7 @@ impl LockstepTable {
     /// Checks a pending outcome wait without sleeping.
     ///
     /// `Ok(Some(..))` — the outcome arrived; `Ok(None)` — poisoned or the
-    /// deadline passed with nothing published (the verdict blocking
-    /// [`wait_outcome`](Self::wait_outcome) reports as `None`); `Err` —
+    /// deadline passed with nothing published; `Err` —
     /// still pending.
     pub fn poll_outcome(
         &self,
@@ -1309,8 +1224,7 @@ impl BatchToken {
 #[derive(Debug)]
 pub enum TryOutcome {
     /// Resolved: the published outcome (with its ordering timestamp), or
-    /// `None` when the table is poisoned — the same `None` the blocking
-    /// [`LockstepTable::wait_outcome`] reports.
+    /// `None` when the table is poisoned.
     Ready(Option<(SyscallOutcome, Option<u64>)>),
     /// Nothing published yet; poll with [`LockstepTable::poll_outcome`].
     Pending(OutcomeToken),
@@ -1348,10 +1262,93 @@ mod tests {
             .comparison_key()
     }
 
+    /// A deposit followed, when it pends, by [`LockstepTable::wait_on`]
+    /// over the matching poll: the two halves every driver composes, for
+    /// tests that want one verdict per call.
+    trait Settle {
+        fn settle_arrival(
+            &self,
+            key: SlotKey,
+            variant: usize,
+            cmp: ComparisonKey,
+            timeout: Duration,
+        ) -> ArrivalResult;
+        fn settle_batch(
+            &self,
+            variant: usize,
+            batch: &[BatchArrival],
+            timeout: Duration,
+        ) -> Vec<ArrivalResult>;
+        fn settle_outcome(
+            &self,
+            key: SlotKey,
+            timeout: Duration,
+        ) -> Option<(SyscallOutcome, Option<u64>)>;
+    }
+
+    /// Re-polls `pending` on `thread`'s shard until it resolves.
+    fn settled<P, T>(
+        table: &LockstepTable,
+        thread: usize,
+        pending: P,
+        poll: impl Fn(P) -> Result<T, P>,
+    ) -> T {
+        let mut pending = Some(pending);
+        let mut resolved = None;
+        table.wait_on(thread, || {
+            match poll(pending.take().expect("the wait ends at the first Ok")) {
+                Ok(value) => resolved = Some(value),
+                Err(token) => pending = Some(token),
+            }
+            resolved.is_some()
+        });
+        resolved.expect("the wait returns only once a poll resolved")
+    }
+
+    impl Settle for LockstepTable {
+        fn settle_arrival(
+            &self,
+            key: SlotKey,
+            variant: usize,
+            cmp: ComparisonKey,
+            timeout: Duration,
+        ) -> ArrivalResult {
+            match self.try_arrive(key, variant, cmp, timeout) {
+                TryArrive::Ready(result) => result,
+                TryArrive::Pending(token) => settled(self, key.0, token, |t| self.poll_arrival(t)),
+            }
+        }
+
+        fn settle_batch(
+            &self,
+            variant: usize,
+            batch: &[BatchArrival],
+            timeout: Duration,
+        ) -> Vec<ArrivalResult> {
+            match self.try_arrive_batch(variant, batch, timeout) {
+                TryBatch::Ready(results) => results,
+                TryBatch::Pending(token) => {
+                    settled(self, batch[0].key.0, token, |t| self.poll_batch(t))
+                }
+            }
+        }
+
+        fn settle_outcome(
+            &self,
+            key: SlotKey,
+            timeout: Duration,
+        ) -> Option<(SyscallOutcome, Option<u64>)> {
+            match self.try_wait_outcome(key, timeout) {
+                TryOutcome::Ready(outcome) => outcome,
+                TryOutcome::Pending(token) => settled(self, key.0, token, |t| self.poll_outcome(t)),
+            }
+        }
+    }
+
     #[test]
     fn single_variant_arrival_is_immediately_consistent() {
         let table = LockstepTable::new(1);
-        let r = table.arrive(
+        let r = table.settle_arrival(
             (0, 0),
             0,
             cmp(Sysno::Write, b"x"),
@@ -1365,10 +1362,10 @@ mod tests {
         let table = Arc::new(LockstepTable::new(2));
         let t2 = Arc::clone(&table);
         let handle = std::thread::spawn(move || {
-            t2.arrive((0, 0), 1, cmp(Sysno::Open, b""), Duration::from_secs(2))
+            t2.settle_arrival((0, 0), 1, cmp(Sysno::Open, b""), Duration::from_secs(2))
         });
         std::thread::sleep(Duration::from_millis(10));
-        let r0 = table.arrive((0, 0), 0, cmp(Sysno::Open, b""), Duration::from_secs(2));
+        let r0 = table.settle_arrival((0, 0), 0, cmp(Sysno::Open, b""), Duration::from_secs(2));
         let r1 = handle.join().unwrap();
         assert_eq!(r0, ArrivalResult::Consistent);
         assert_eq!(r1, ArrivalResult::Consistent);
@@ -1379,10 +1376,10 @@ mod tests {
         let table = Arc::new(LockstepTable::new(2));
         let t2 = Arc::clone(&table);
         let handle = std::thread::spawn(move || {
-            t2.arrive((0, 0), 1, cmp(Sysno::Mprotect, b""), Duration::from_secs(2))
+            t2.settle_arrival((0, 0), 1, cmp(Sysno::Mprotect, b""), Duration::from_secs(2))
         });
         std::thread::sleep(Duration::from_millis(10));
-        let r0 = table.arrive((0, 0), 0, cmp(Sysno::Write, b"hi"), Duration::from_secs(2));
+        let r0 = table.settle_arrival((0, 0), 0, cmp(Sysno::Write, b"hi"), Duration::from_secs(2));
         let r1 = handle.join().unwrap();
         assert!(matches!(r0, ArrivalResult::Mismatch(1, _, _)));
         assert!(matches!(r1, ArrivalResult::Mismatch(1, _, _)));
@@ -1391,7 +1388,7 @@ mod tests {
     #[test]
     fn missing_variant_causes_timeout_listing_arrivals() {
         let table = LockstepTable::new(2);
-        let r = table.arrive(
+        let r = table.settle_arrival(
             (3, 7),
             0,
             cmp(Sysno::Write, b"x"),
@@ -1404,7 +1401,7 @@ mod tests {
     fn outcome_publication_wakes_waiters() {
         let table = Arc::new(LockstepTable::new(2));
         let t2 = Arc::clone(&table);
-        let handle = std::thread::spawn(move || t2.wait_outcome((1, 5), Duration::from_secs(2)));
+        let handle = std::thread::spawn(move || t2.settle_outcome((1, 5), Duration::from_secs(2)));
         std::thread::sleep(Duration::from_millis(10));
         table.publish_outcome((1, 5), SyscallOutcome::ok(42), Some(9));
         let (outcome, ts) = handle.join().unwrap().unwrap();
@@ -1416,7 +1413,7 @@ mod tests {
     fn wait_outcome_times_out_when_master_never_publishes() {
         let table = LockstepTable::new(2);
         assert!(table
-            .wait_outcome((0, 0), Duration::from_millis(40))
+            .settle_outcome((0, 0), Duration::from_millis(40))
             .is_none());
     }
 
@@ -1436,7 +1433,7 @@ mod tests {
         let table = Arc::new(LockstepTable::new(2));
         let t2 = Arc::clone(&table);
         let handle = std::thread::spawn(move || {
-            t2.arrive((0, 0), 0, cmp(Sysno::Write, b"x"), Duration::from_secs(10))
+            t2.settle_arrival((0, 0), 0, cmp(Sysno::Write, b"x"), Duration::from_secs(10))
         });
         std::thread::sleep(Duration::from_millis(20));
         table.poison();
@@ -1448,7 +1445,7 @@ mod tests {
     fn distinct_slots_do_not_interfere() {
         let table = LockstepTable::new(1);
         assert_eq!(
-            table.arrive(
+            table.settle_arrival(
                 (0, 0),
                 0,
                 cmp(Sysno::Write, b"a"),
@@ -1457,7 +1454,7 @@ mod tests {
             ArrivalResult::Consistent
         );
         assert_eq!(
-            table.arrive((1, 0), 0, cmp(Sysno::Open, b"b"), Duration::from_millis(20)),
+            table.settle_arrival((1, 0), 0, cmp(Sysno::Open, b"b"), Duration::from_millis(20)),
             ArrivalResult::Consistent
         );
         assert_eq!(table.live_slots(), 2);
@@ -1468,7 +1465,7 @@ mod tests {
         let table = LockstepTable::with_shards(1, 4);
         assert_eq!(table.shard_count(), 4);
         for thread in 0..8usize {
-            let _ = table.arrive(
+            let _ = table.settle_arrival(
                 (thread, 0),
                 0,
                 cmp(Sysno::Write, b"s"),
@@ -1487,10 +1484,10 @@ mod tests {
         assert_eq!(table.shard_count(), 1);
         let t2 = Arc::clone(&table);
         let handle = std::thread::spawn(move || {
-            t2.arrive((7, 3), 1, cmp(Sysno::Open, b""), Duration::from_secs(2))
+            t2.settle_arrival((7, 3), 1, cmp(Sysno::Open, b""), Duration::from_secs(2))
         });
         std::thread::sleep(Duration::from_millis(10));
-        let r0 = table.arrive((7, 3), 0, cmp(Sysno::Open, b""), Duration::from_secs(2));
+        let r0 = table.settle_arrival((7, 3), 0, cmp(Sysno::Open, b""), Duration::from_secs(2));
         assert_eq!(r0, ArrivalResult::Consistent);
         assert_eq!(handle.join().unwrap(), ArrivalResult::Consistent);
     }
@@ -1502,7 +1499,7 @@ mod tests {
         for thread in 0..4usize {
             let t = Arc::clone(&table);
             handles.push(std::thread::spawn(move || {
-                t.arrive(
+                t.settle_arrival(
                     (thread, 0),
                     0,
                     cmp(Sysno::Write, b"x"),
@@ -1526,7 +1523,7 @@ mod tests {
         let table = Arc::new(LockstepTable::new(2));
         let t2 = Arc::clone(&table);
         let waiter = std::thread::spawn(move || {
-            t2.arrive(
+            t2.settle_arrival(
                 (0, 0),
                 0,
                 cmp(Sysno::Write, b"x"),
@@ -1552,7 +1549,7 @@ mod tests {
     fn empty_batch_resolves_to_nothing() {
         let table = LockstepTable::new(2);
         assert!(table
-            .arrive_batch(0, &[], Duration::from_millis(10))
+            .settle_batch(0, &[], Duration::from_millis(10))
             .is_empty());
         assert_eq!(table.live_slots(), 0);
     }
@@ -1566,7 +1563,7 @@ mod tests {
                 cmp: cmp(Sysno::Brk, b""),
             })
             .collect();
-        let results = table.arrive_batch(0, &batch, Duration::from_millis(50));
+        let results = table.settle_batch(0, &batch, Duration::from_millis(50));
         assert_eq!(results, vec![ArrivalResult::Consistent; 4]);
         for seq in 0..4u64 {
             table.consume((0, seq), 0);
@@ -1585,9 +1582,9 @@ mod tests {
             .collect();
         let t2 = Arc::clone(&table);
         let b2 = batch.clone();
-        let handle = std::thread::spawn(move || t2.arrive_batch(1, &b2, Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || t2.settle_batch(1, &b2, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(10));
-        let r0 = table.arrive_batch(0, &batch, Duration::from_secs(5));
+        let r0 = table.settle_batch(0, &batch, Duration::from_secs(5));
         let r1 = handle.join().unwrap();
         assert_eq!(r0, vec![ArrivalResult::Consistent; 8]);
         assert_eq!(r1, vec![ArrivalResult::Consistent; 8]);
@@ -1617,9 +1614,9 @@ mod tests {
                 .collect()
         };
         let t2 = Arc::clone(&table);
-        let handle = std::thread::spawn(move || t2.arrive_batch(1, &mk(1), Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || t2.settle_batch(1, &mk(1), Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(10));
-        let r0 = table.arrive_batch(0, &mk(0), Duration::from_secs(5));
+        let r0 = table.settle_batch(0, &mk(0), Duration::from_secs(5));
         let r1 = handle.join().unwrap();
         for results in [&r0, &r1] {
             for (seq, result) in results.iter().enumerate() {
@@ -1651,7 +1648,7 @@ mod tests {
             .collect();
         let t2 = Arc::clone(&table);
         let handle =
-            std::thread::spawn(move || t2.arrive_batch(0, &batch, Duration::from_secs(10)));
+            std::thread::spawn(move || t2.settle_batch(0, &batch, Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(20));
         table.poison();
         assert_eq!(
@@ -1678,9 +1675,9 @@ mod tests {
             .collect();
         let t2 = Arc::clone(&table);
         let batcher =
-            std::thread::spawn(move || t2.arrive_batch(0, &batch, Duration::from_millis(400)));
+            std::thread::spawn(move || t2.settle_batch(0, &batch, Duration::from_millis(400)));
         std::thread::sleep(Duration::from_millis(50));
-        let r1 = table.arrive((7, 0), 1, cmp(Sysno::Brk, &[0]), Duration::from_secs(5));
+        let r1 = table.settle_arrival((7, 0), 1, cmp(Sysno::Brk, &[0]), Duration::from_secs(5));
         assert_eq!(r1, ArrivalResult::Consistent);
         let r0 = batcher.join().unwrap();
         assert_eq!(
@@ -1712,9 +1709,9 @@ mod tests {
             })
             .collect();
         let t2 = Arc::clone(&table);
-        let handle = std::thread::spawn(move || t2.arrive_batch(0, &batch, Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || t2.settle_batch(0, &batch, Duration::from_secs(5)));
         for seq in 0..6u64 {
-            let r = table.arrive(
+            let r = table.settle_arrival(
                 (0, seq),
                 1,
                 cmp(Sysno::Brk, &[seq as u8]),
@@ -1744,7 +1741,7 @@ mod tests {
                 cmp: cmp(Sysno::Brk, b""),
             },
         ];
-        let _ = table.arrive_batch(0, &batch, Duration::from_millis(10));
+        let _ = table.settle_batch(0, &batch, Duration::from_millis(10));
     }
 
     #[test]
@@ -1917,7 +1914,7 @@ mod tests {
         const LONG: Duration = Duration::from_secs(10);
         let key = (0, 0);
         let fresh = || Arc::new(LockstepTable::new(2));
-        let arrival = move |t: &LockstepTable| t.arrive(key, 0, cmp(Sysno::Brk, b""), LONG);
+        let arrival = move |t: &LockstepTable| t.settle_arrival(key, 0, cmp(Sysno::Brk, b""), LONG);
 
         let table = fresh();
         let result = woken(parked(&table, key, arrival), || {
@@ -1937,7 +1934,7 @@ mod tests {
         assert_eq!(result, ArrivalResult::Consistent, "quarantine");
 
         let table = fresh();
-        let waiter = parked(&table, key, move |t| t.wait_outcome(key, LONG));
+        let waiter = parked(&table, key, move |t| t.settle_outcome(key, LONG));
         let result = woken(waiter, || {
             table.publish_outcome(key, SyscallOutcome::ok(7), None)
         });
@@ -1963,9 +1960,9 @@ mod tests {
             })
             .collect();
         let blocking = LockstepTable::new(3);
-        let arrived = blocking.arrive(single, 1, key.clone(), short);
-        let batched = blocking.arrive_batch(1, &batch, short);
-        let published = blocking.wait_outcome(single, short);
+        let arrived = blocking.settle_arrival(single, 1, key.clone(), short);
+        let batched = blocking.settle_batch(1, &batch, short);
+        let published = blocking.settle_outcome(single, short);
         assert_eq!(arrived, ArrivalResult::Timeout(vec![1]));
 
         let polling = LockstepTable::new(3);
@@ -1997,7 +1994,7 @@ mod tests {
             })
             .collect();
         let waiter = parked(&table, (0, 0), move |t| {
-            t.arrive_batch(0, &batch, Duration::from_millis(200))
+            t.settle_batch(0, &batch, Duration::from_millis(200))
         });
         // Fully consumed under the parked waiter: only its registrations
         // keep the slots alive, so a leaked one pins a slot for good and a
@@ -2169,7 +2166,7 @@ mod tests {
                 let t = Arc::clone(&table);
                 handles.push(std::thread::spawn(move || {
                     for seq in 0..OPS {
-                        let r = t.arrive(
+                        let r = t.settle_arrival(
                             (thread, seq),
                             variant,
                             cmp(Sysno::Brk, b""),

@@ -43,8 +43,8 @@
 //! past a replication point — the flush-before-synchronous rule means no
 //! externally visible I/O happens while a deferred comparison is pending.
 //! `batch = 1` disables deferral and reproduces the per-call rendezvous
-//! exactly, which is what the `ablation_batching` benchmark compares
-//! against.  Deferral decisions are a pure function of the call stream
+//! exactly; the `paper` bench binary's Table 1b rows put batch 8 beside it
+//! on the allocator-churn workloads.  Deferral decisions are a pure function of the call stream
 //! (policy disposition plus the batch counter), so non-divergent variants
 //! always flush at the same per-thread call positions and their batches
 //! meet; a variant whose *structure* diverges (it defers where the others

@@ -56,15 +56,15 @@ pub enum Topology {
     /// Allocator churn: the syscall stream is dominated by address-space
     /// calls — thread 0 grows the (process-shared) break, workers map
     /// anonymous memory — the compare-only class whose comparisons the
-    /// batched monitor defers.  Not a paper topology; added so the
-    /// `MVEE_BENCH_BATCH` sweep moves on the paper-shaped tables instead of
-    /// only on `ablation_batching`.
+    /// batched monitor defers.  Not a paper topology; added so batching
+    /// moves something on the paper-shaped tables (the `paper` bench
+    /// binary's Table 1b, batch 1 against batch 8).
     AllocatorChurn,
     /// Lock-heavy contention: every thread hammers a *small shared* set of
     /// locks with almost no compute between acquisitions, so nearly all
     /// run time is spent inside the agents' record/replay waits.  Not a
-    /// paper topology; added so the `ablation_agents` lockheavy sweep
-    /// measures the agent hot path instead of the workload around it.
+    /// paper topology; added so the `paper` bench binary's `many-variants`
+    /// cells measure the agent hot path instead of the workload around it.
     LockHeavy,
 }
 
@@ -297,8 +297,9 @@ pub const CATALOG: &[BenchmarkSpec] = &[
 /// construction.  These two synthetic specs put the monitor's deferred-
 /// comparison path on the paper-shaped tables: `memchurn` models a
 /// glibc-malloc-style mixed brk/mmap allocator under load, `mmapstorm` a
-/// mmap-per-allocation arena (jemalloc-style chunk churn).  `table1` and
-/// `figure5` sweep them alongside the paper catalog.
+/// mmap-per-allocation arena (jemalloc-style chunk churn).  The `paper`
+/// bench binary's Table 1b and Figure 5 sweep them alongside the paper
+/// catalog.
 pub const CHURN_CATALOG: &[BenchmarkSpec] = &[
     BenchmarkSpec {
         name: "memchurn",
@@ -324,10 +325,9 @@ pub const CHURN_CATALOG: &[BenchmarkSpec] = &[
 /// of *shared* locks: every acquisition is a record (master) or an ordered
 /// replay wait (slave), which makes it the workload where the agents' wait
 /// discipline (spin → yield → park) dominates end-to-end time.  The
-/// `ablation_agents` benchmark sweeps it across agent kinds and thread
-/// counts; like the churn
-/// catalog it stays out of [`CATALOG`] so the paper-shaped aggregates
-/// remain comparable.
+/// `paper` bench binary's `many-variants` cells sweep it across agent
+/// kinds, variant and thread counts; like the churn catalog it stays out
+/// of [`CATALOG`] so the paper-shaped aggregates remain comparable.
 pub const CONTENTION_CATALOG: &[BenchmarkSpec] = &[BenchmarkSpec {
     name: "lockheavy",
     suite: Suite::Synthetic,
@@ -337,8 +337,8 @@ pub const CONTENTION_CATALOG: &[BenchmarkSpec] = &[BenchmarkSpec {
     topology: Topology::LockHeavy,
 }];
 
-/// The full benchmark sweep the `table1`/`figure5` binaries run: the
-/// paper's Table 2 catalog plus the allocator-churn additions.
+/// The full benchmark sweep of Figure 5: the paper's Table 2 catalog plus
+/// the allocator-churn additions.
 pub fn sweep_catalog() -> impl Iterator<Item = &'static BenchmarkSpec> {
     CATALOG.iter().chain(CHURN_CATALOG.iter())
 }

@@ -1,5 +1,7 @@
-//! Property tests: the batched rendezvous (`arrive_batch`) is
-//! observationally equivalent to the per-call rendezvous (`arrive`).
+//! Property tests: the batched rendezvous (`try_arrive_batch`) is
+//! observationally equivalent to the per-call rendezvous (`try_arrive`).
+//! Each thread polls its pending tokens to a verdict (`poll_arrival`,
+//! `poll_batch`), yielding between polls.
 //!
 //! For randomized per-thread call plans — including injected divergences —
 //! and batch sizes swept over {1, 2, 8, 64}, every (variant, thread) must
@@ -16,8 +18,49 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mvee::core::lockstep::{ArrivalResult, BatchArrival, LockstepTable};
+use mvee::core::lockstep::{
+    ArrivalResult, BatchArrival, LockstepTable, SlotKey, TryArrive, TryBatch,
+};
 use mvee::kernel::syscall::{ComparisonKey, SyscallRequest, Sysno};
+
+/// Deposits `variant`'s arrival at `key` and polls it to its verdict.
+fn arrival(
+    table: &LockstepTable,
+    key: SlotKey,
+    variant: usize,
+    cmp: ComparisonKey,
+) -> ArrivalResult {
+    let mut token = match table.try_arrive(key, variant, cmp, Duration::from_secs(10)) {
+        TryArrive::Ready(result) => return result,
+        TryArrive::Pending(token) => token,
+    };
+    loop {
+        match table.poll_arrival(token) {
+            Ok(result) => return result,
+            Err(pending) => token = pending,
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Deposits `variant`'s block and polls it until every key has a verdict.
+fn batch_arrival(
+    table: &LockstepTable,
+    variant: usize,
+    block: &[BatchArrival],
+) -> Vec<ArrivalResult> {
+    let mut token = match table.try_arrive_batch(variant, block, Duration::from_secs(10)) {
+        TryBatch::Ready(results) => return results,
+        TryBatch::Pending(token) => token,
+    };
+    loop {
+        match table.poll_batch(token) {
+            Ok(results) => return results,
+            Err(pending) => token = pending,
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// The batch sizes the equivalence sweep covers; index 0 is the unbatched
 /// baseline the others are compared against.
@@ -34,9 +77,9 @@ fn key_for(tag: u8, thread: usize, seq: usize, variant: usize, variants: usize) 
 }
 
 /// Runs `plan` (one op-tag vector per logical thread) through a table, all
-/// variants' threads as real OS threads.  `batch == 1` uses the per-call
-/// `arrive` hot path; larger sizes deposit the plan in `arrive_batch` blocks
-/// of up to `batch` keys.  Returns the per-(variant, thread) sequences of
+/// variants' threads as real OS threads.  `batch == 1` deposits call by
+/// call; larger sizes deposit the plan in `try_arrive_batch` blocks of up
+/// to `batch` keys.  Returns the per-(variant, thread) sequences of
 /// arrival results, with every slot consumed by every variant on the way
 /// out (the "drain").
 fn run_plan(batch: usize, variants: usize, plan: &[Vec<u8>]) -> Vec<Vec<ArrivalResult>> {
@@ -56,7 +99,7 @@ fn run_plan(batch: usize, variants: usize, plan: &[Vec<u8>]) -> Vec<Vec<ArrivalR
                         let seq = chunk_start;
                         let key = (thread, seq as u64);
                         let cmp = key_for(chunk[0], thread, seq, variant, variants);
-                        results.push(table.arrive(key, variant, cmp, Duration::from_secs(10)));
+                        results.push(arrival(&table, key, variant, cmp));
                         table.consume(key, variant);
                     } else {
                         let block: Vec<BatchArrival> = chunk
@@ -70,11 +113,7 @@ fn run_plan(batch: usize, variants: usize, plan: &[Vec<u8>]) -> Vec<Vec<ArrivalR
                                 }
                             })
                             .collect();
-                        results.extend(table.arrive_batch(
-                            variant,
-                            &block,
-                            Duration::from_secs(10),
-                        ));
+                        results.extend(batch_arrival(&table, variant, &block));
                         for arrival in &block {
                             table.consume(arrival.key, variant);
                         }

@@ -5,15 +5,52 @@
 //! every (variant, thread) must observe the *same sequence* of
 //! [`ArrivalResult`]s from a sharded table as from an unsharded one, even
 //! though real OS threads race through the rendezvous in both cases.  The
-//! same holds for the replication path (`publish_outcome`/`wait_outcome`).
+//! same holds for the replication path (`publish_outcome` /
+//! `try_wait_outcome`).  Each thread polls its pending tokens to a verdict
+//! (`poll_arrival`, `poll_outcome`), yielding between polls.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mvee::core::lockstep::{ArrivalResult, LockstepTable};
+use mvee::core::lockstep::{ArrivalResult, LockstepTable, SlotKey, TryArrive, TryOutcome};
 use mvee::kernel::syscall::{ComparisonKey, SyscallOutcome, SyscallRequest, Sysno};
+
+/// Deposits `variant`'s arrival at `key` and polls it to its verdict.
+fn arrival(
+    table: &LockstepTable,
+    key: SlotKey,
+    variant: usize,
+    cmp: ComparisonKey,
+) -> ArrivalResult {
+    let mut token = match table.try_arrive(key, variant, cmp, Duration::from_secs(10)) {
+        TryArrive::Ready(result) => return result,
+        TryArrive::Pending(token) => token,
+    };
+    loop {
+        match table.poll_arrival(token) {
+            Ok(result) => return result,
+            Err(pending) => token = pending,
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Polls `key`'s published outcome; `None` on timeout or poison.
+fn outcome(table: &LockstepTable, key: SlotKey) -> Option<(SyscallOutcome, Option<u64>)> {
+    let mut token = match table.try_wait_outcome(key, Duration::from_secs(1)) {
+        TryOutcome::Ready(outcome) => return outcome,
+        TryOutcome::Pending(token) => token,
+    };
+    loop {
+        match table.poll_outcome(token) {
+            Ok(outcome) => return outcome,
+            Err(pending) => token = pending,
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// The comparison key thread `thread` of variant `variant` presents for its
 /// `seq`-th call under op tag `tag`.  Tag 1 makes the *last* variant present
@@ -41,7 +78,7 @@ fn run_plan(shards: usize, variants: usize, plan: &[Vec<u8>]) -> Vec<Vec<Arrival
                 for (seq, &tag) in plan[thread].iter().enumerate() {
                     let key = (thread, seq as u64);
                     let cmp = key_for(tag, thread, seq, variant, variants);
-                    results.push(table.arrive(key, variant, cmp, Duration::from_secs(10)));
+                    results.push(arrival(&table, key, variant, cmp));
                     table.consume(key, variant);
                 }
                 ((variant, thread), results)
@@ -85,7 +122,7 @@ proptest! {
             for (i, &v) in values.iter().enumerate() {
                 let key = (i % threads, (i / threads) as u64);
                 table.publish_outcome(key, SyscallOutcome::ok(v), Some(i as u64));
-                observed.push(table.wait_outcome(key, Duration::from_secs(1)));
+                observed.push(outcome(&table, key));
                 table.consume(key, 0);
                 table.consume(key, 1);
             }
