@@ -156,9 +156,6 @@ pub struct AsyncThreadPort {
     thread: usize,
     submissions: Arc<DescRing<Submission>>,
     completions: Arc<DescRing<Completion>>,
-    /// The reaper's wait discipline: spin → yield → park on the completion
-    /// ring's event count, like the agents.
-    waiter: Waiter,
     /// Next ticket to hand out; plain `Cell`, this port is the only writer.
     next_ticket: Cell<Ticket>,
     /// Tickets submitted but not yet reaped by the caller.
@@ -199,7 +196,6 @@ impl AsyncThreadPort {
         let registration = pool.register(&monitor, variant, thread, depth);
         AsyncThreadPort {
             ctx: SyncContext::new(VariantRole::from_variant_index(variant), thread),
-            waiter: monitor.config().ring_waiter(),
             agent,
             variant,
             thread,
@@ -316,10 +312,9 @@ impl AsyncThreadPort {
                 self.outstanding.set(self.outstanding.get() - 1);
                 return result;
             }
-            self.waiter
-                .wait_until_event(self.completions.ready_events(), || {
-                    !self.completions.is_empty()
-                });
+            Waiter::default().wait_until_event(self.completions.ready_events(), || {
+                !self.completions.is_empty()
+            });
         }
     }
 
@@ -444,10 +439,9 @@ impl AsyncThreadPort {
                 Err(back) => {
                     pending = back;
                     self.drain_completions();
-                    self.waiter
-                        .wait_until_event(self.submissions.space_events(), || {
-                            !self.submissions.is_full() || !self.completions.is_empty()
-                        });
+                    Waiter::default().wait_until_event(self.submissions.space_events(), || {
+                        !self.submissions.is_full() || !self.completions.is_empty()
+                    });
                 }
             }
         }
@@ -479,8 +473,7 @@ impl Drop for AsyncThreadPort {
         // port never races the release.
         self.push_submission(Submission::Close);
         self.waker.raise();
-        self.waiter
-            .wait_until_event(self.done.events(), || self.done.is_finished());
+        Waiter::default().wait_until_event(self.done.events(), || self.done.is_finished());
     }
 }
 

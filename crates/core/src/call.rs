@@ -431,21 +431,6 @@ impl CallMachine {
             State::AwaitTurn { deadline, .. } => Some(*deadline),
         }
     }
-
-    /// Whether a turn wait could move right now (the turn came, or one of
-    /// its bail-outs fired); `false` outside a turn wait.
-    pub(crate) fn turn_ready(&self, monitor: &Monitor) -> bool {
-        match &self.state {
-            State::AwaitTurn { ts, .. } => {
-                monitor.has_diverged()
-                    || monitor.is_quarantined(self.at.variant)
-                    || monitor
-                        .ordering_clock(self.at.variant, self.at.shard)
-                        .try_turn(*ts)
-            }
-            _ => false,
-        }
-    }
 }
 
 /// The request of the call in flight; only flush barriers and closes are
@@ -510,13 +495,6 @@ impl<R: Rendezvous> CallMachine<R> {
     /// Deferred comparisons queued, awaiting the next flush.
     pub(crate) fn pending_comparisons(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Whether the current wait is an ordered slave's turn wait: the one
-    /// wait no event count is posted for (clock advances are silent), so a
-    /// driver must poll it instead of parking on the shard.
-    pub(crate) fn awaits_turn(&self) -> bool {
-        matches!(self.state, State::AwaitTurn { .. })
     }
 
     /// Starts a system call: the gateway prologue, then the comparison
@@ -855,7 +833,7 @@ impl<R: Rendezvous> CallMachine<R> {
         let monitor = R::monitor(cx);
         let (variant, thread) = (self.at.variant, self.at.thread);
         // A poisoned run or a quarantined lane must stop instead of
-        // spinning out a turn that will never come (a quarantined lane's
+        // waiting out a turn that will never come (a quarantined lane's
         // clock never advances again).
         if monitor.has_diverged() || monitor.is_quarantined(variant) {
             return self.shut_down();
@@ -864,6 +842,9 @@ impl<R: Rendezvous> CallMachine<R> {
         if clock.try_turn(ts) {
             let outcome = monitor.execute_kernel(variant, thread, req);
             clock.advance();
+            // The next timestamp may be another thread's turn, parked on
+            // this shard like every other wait.
+            monitor.lockstep().post(thread);
             monitor.lockstep().consume(self.key(call), variant);
             return Step::Done(Ok(outcome));
         }

@@ -404,11 +404,11 @@ struct Shard {
 ///
 /// A poller parks only when every ring it serves is empty and every
 /// in-flight arrival is pending; anything that could change either — a ring
-/// push, a rendezvous deposit, an outcome publication, poison — calls
-/// [`PollWaker::raise`].  The epoch counter lets the poller detect a raise
-/// that lands between its idle check and its park (snapshot the epoch, park
-/// on `epoch changed || work visible`), closing the lost-wakeup window
-/// without holding any lock across the park.
+/// push, a rendezvous deposit, an outcome publication, an ordered slave's
+/// clock advance, poison — calls [`PollWaker::raise`].  The epoch counter
+/// lets the poller detect a raise that lands between its idle check and its
+/// park (snapshot the epoch, park on `epoch changed || work visible`),
+/// closing the lost-wakeup window without holding any lock across the park.
 #[derive(Debug, Default)]
 pub struct PollWaker {
     /// Bumped on every raise; pollers snapshot it before deciding to park.
@@ -615,6 +615,13 @@ impl LockstepTable {
         self.notify_observers();
     }
 
+    /// Posts `thread`'s shard and raises the observers: an ordered slave's
+    /// clock advance, which may be the turn another thread bound to the
+    /// same shard (and so to the same ordering clock) waits on.
+    pub(crate) fn post(&self, thread: usize) {
+        self.wake(&self.shards[self.shard_of(thread)]);
+    }
+
     /// Whether the table has been poisoned.  Lock-free.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
@@ -706,8 +713,9 @@ impl LockstepTable {
     }
 
     /// Registers a polling-shard waker: from now on every deposit, outcome
-    /// publication and poison [`raise`](PollWaker::raise)s it, so a poller
-    /// parked on the waker re-examines its pending arrivals.
+    /// publication, ordered slave's clock advance and poison
+    /// [`raise`](PollWaker::raise)s it, so a poller parked on the waker
+    /// re-examines its pending waits.
     pub fn register_observer(&self, waker: Arc<PollWaker>) {
         self.observers.lock().push(waker);
         self.observed.store(true, Ordering::Release);

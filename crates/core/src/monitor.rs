@@ -60,7 +60,6 @@ use parking_lot::Mutex;
 use mvee_kernel::kernel::Kernel;
 use mvee_kernel::process::Pid;
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
-use mvee_sync_agent::guards::Waiter;
 
 use crate::config::{Placement, RecoveryPolicy, Transport};
 use crate::divergence::{DivergenceKind, DivergenceReport};
@@ -139,15 +138,6 @@ impl Default for MonitorConfig {
             journal: None,
             recovery: RecoveryPolicy::PoisonAll,
         }
-    }
-}
-
-impl MonitorConfig {
-    /// The waiter the async transport's ring loops use (reapers parked on
-    /// completion rings, polling shards parked on their aggregated wakers)
-    /// — the same discipline the agents get from `AgentConfig::waiter`.
-    pub fn ring_waiter(&self) -> Waiter {
-        Waiter::default()
     }
 }
 
@@ -1323,6 +1313,27 @@ mod tests {
         // The cross-shard waiter aborts with ShutDown/Diverged well before
         // its own 500 ms timeout would fire.
         assert!(stuck.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn a_slave_ordered_call_raises_the_poll_observers() {
+        // Under this policy an ordered call makes no deposit, and the
+        // master has already published: the slave's clock advance is the
+        // only thing its call changes that a parked turn wait could be
+        // waiting for, so it alone must raise the observers.
+        let (monitor, _) = make_monitor(2, MonitoringPolicy::NoComparison);
+        let waker = Arc::new(crate::lockstep::PollWaker::new());
+        monitor.lockstep().register_observer(Arc::clone(&waker));
+        let brk = SyscallRequest::new(Sysno::Brk).with_int(0);
+        call(&monitor, 0, 0, &brk).unwrap();
+        let slave = port(&monitor, 1, 0);
+        let before = waker.epoch();
+        slave.syscall(&brk).unwrap();
+        assert!(
+            waker.epoch() > before,
+            "a slave's ordered call must raise the observers"
+        );
+        assert_eq!(monitor.stats().ordered_syscalls, 2);
     }
 
     #[test]

@@ -35,11 +35,11 @@
 //!   property anyway).
 //! * A poller parks on its [`PollWaker`]'s event count only when every
 //!   ring it serves is empty and every machine is blocked.  Ring pushes
-//!   raise the waker directly; rendezvous deposits, outcome publications
-//!   and poison raise it through the lockstep table's observer list;
-//!   ordering-clock turns and expired deadlines are re-checked from the
-//!   park condition (the event count's bounded park turns a missed edge
-//!   into a poll).
+//!   raise the waker directly; rendezvous deposits, outcome publications,
+//!   ordered slaves' clock advances and poison raise it through the
+//!   lockstep table's observer list; expired deadlines are re-checked from
+//!   the park condition (the event count's bounded park turns a passed
+//!   deadline into a poll).
 //!
 //! [`AsyncThreadPort`]: crate::async_port::AsyncThreadPort
 
@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use mvee_sync_agent::guards::EventCount;
+use mvee_sync_agent::guards::{EventCount, Waiter};
 use mvee_sync_agent::spsc::DescRing;
 
 use crate::async_port::{Completion, Submission};
@@ -232,7 +232,6 @@ impl std::fmt::Debug for PollerPool {
 /// each without ever blocking on any one port's progress, parking only
 /// when nothing can move.
 fn serve_shard(monitor: &Arc<Monitor>, intake: &Intake, waker: &PollWaker) {
-    let waiter = monitor.config().ring_waiter();
     let mut tasks: Vec<PortTask> = Vec::new();
     loop {
         // Snapshot the raise epoch *before* looking at any work, so a raise
@@ -265,17 +264,17 @@ fn serve_shard(monitor: &Arc<Monitor>, intake: &Intake, waker: &PollWaker) {
             return;
         }
         // Everything is pending: park until a raise (ring push, rendezvous
-        // deposit/publish, poison, registration, shutdown) or until a
-        // deadline or ordering turn demands another pass.  Turn advances
-        // and passed deadlines raise no event, but the event count's
-        // bounded park re-evaluates this condition periodically, so they
-        // degrade to a poll instead of a hang.
+        // deposit/publish, clock advance, poison, registration, shutdown)
+        // or until a deadline demands another pass.  A passed deadline
+        // raises no event, but the event count's bounded park re-evaluates
+        // this condition periodically, so it degrades to a poll instead of
+        // a hang.
         let deadline = tasks.iter().filter_map(|t| t.machine.wait_deadline()).min();
-        waiter.wait_until_event(waker.events(), || {
+        Waiter::default().wait_until_event(waker.events(), || {
             waker.epoch() != epoch
                 || intake.shutdown.load(Ordering::Acquire)
                 || deadline.is_some_and(|d| Instant::now() >= d)
-                || tasks.iter().any(|t| t.wake_ready(monitor))
+                || tasks.iter().any(PortTask::wake_ready)
         });
     }
 }
@@ -372,11 +371,9 @@ impl PortTask {
 
     /// Whether this task could move right now — the non-edge-triggered half
     /// of the poller's park condition (ring pushes raise the waker, but
-    /// ordering-clock turns and completion-ring drains do not).
-    fn wake_ready(&self, monitor: &Monitor) -> bool {
-        !self.submissions.is_empty()
-            || (!self.outbox.is_empty() && !self.completions.is_full())
-            || self.machine.turn_ready(monitor)
+    /// completion-ring drains do not).
+    fn wake_ready(&self) -> bool {
+        !self.submissions.is_empty() || (!self.outbox.is_empty() && !self.completions.is_full())
     }
 
     /// Starts the next queued submission, or steps the one in flight, and

@@ -48,7 +48,6 @@ use std::sync::Arc;
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
-use mvee_sync_agent::guards::{Waiter, SPIN_BEFORE_YIELD};
 use mvee_sync_agent::SyncAgent;
 
 use crate::call::{CallMachine, Rendezvous, Step};
@@ -205,18 +204,12 @@ impl ThreadPort {
 /// `step` began to completion on the caller's stack.  Whenever the machine
 /// cannot move, the thread waits with the machine's next step as the wake
 /// condition — deadlines, fail-over and the quarantine bail-outs all live
-/// inside that step.  Rendezvous, batch and outcome waits sleep where the
-/// backend says ([`Rendezvous::wait_on`]: in-proc they yield, then park on
-/// the shard's event count, which every deposit, publication, poison,
-/// quarantine and re-admission posts); an ordered slave's turn wait spins
-/// and yields, because nobody posts an event for an ordering-clock advance.
-///
-/// The turn wait keeps the full [`SPIN_BEFORE_YIELD`] budget even on a
-/// one-CPU process, where the default waiter spins 0: with no park phase,
-/// the spin is the only thing spacing its `yield_now` calls, and a zero
-/// budget cost `journal_recover` (two slaves waiting on one master's turn)
-/// 3.5 % of its throughput on `benchmark/` (BASELINES.md, *Spin only where
-/// a peer can run*).
+/// inside that step.  Every wait sleeps where the backend says
+/// ([`Rendezvous::wait_on`]): in-proc it yields, then parks on the shard's
+/// event count, which every deposit, publication, ordered slave's clock
+/// advance, poison, quarantine and re-admission posts; over the wire it
+/// parks on the link's, which every ack, verdict and channel death posts.
+/// A deadline raises no event: the park's 1 ms backstop re-checks it.
 pub(crate) fn drive<R: Rendezvous>(
     cx: &R::Cx,
     machine: &mut CallMachine<R>,
@@ -227,17 +220,11 @@ pub(crate) fn drive<R: Rendezvous>(
         if let Step::Done(result) = step {
             return result;
         }
-        let on_turn = machine.awaits_turn();
         let thread = machine.thread();
-        let moved = || {
+        R::wait_on(cx, thread, || {
             step = machine.step(cx, req);
             !matches!(step, Step::Blocked)
-        };
-        if on_turn {
-            Waiter::new(SPIN_BEFORE_YIELD).wait_until(moved);
-        } else {
-            R::wait_on(cx, thread, moved);
-        }
+        });
     }
 }
 

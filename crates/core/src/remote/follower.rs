@@ -60,6 +60,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use mvee_sync_agent::guards::Waiter;
+
 use crate::call::{ArrivalWait, FlushWait};
 use crate::frame::{FrameReader, ReadFrameError};
 use crate::journal::ClassKind;
@@ -393,7 +395,6 @@ impl Pump {
         self.monitor
             .lockstep()
             .register_observer(Arc::clone(&self.waker));
-        let waiter = self.monitor.config().ring_waiter();
         loop {
             // Snapshot the raise epoch before looking at any work, so a
             // raise racing this pass is caught by the park condition.
@@ -439,13 +440,13 @@ impl Pump {
                 continue;
             }
             let deadline = self.lanes.values().filter_map(Lane::deadline).min();
-            // Turn advances and passed deadlines raise no event, but the
-            // event count's bounded park re-evaluates this condition
-            // periodically, so a missed deadline degrades to a poll.  A new
+            // A passed deadline raises no event, but the event count's
+            // bounded park re-evaluates this condition periodically, so it
+            // degrades to a poll.  A new
             // inbox frame needs no check of its own: the reader raises the
             // waker after every push, and `epoch` predates this pass's
             // `ingest`.
-            waiter.wait_until_event(self.waker.events(), || {
+            Waiter::default().wait_until_event(self.waker.events(), || {
                 self.waker.epoch() != epoch
                     || self.stop.load(Ordering::Acquire)
                     || deadline.is_some_and(|d| Instant::now() >= d)

@@ -28,7 +28,9 @@
 //!   first);
 //! * [`before_sync_op`](LeaderPort::before_sync_op), a full deferred batch,
 //!   port drop and [`shutdown`](RemoteLeader::shutdown);
-//! * the flusher's tick, every eighth of the lockstep timeout.
+//! * the flusher's tick, every eighth of the lockstep timeout (the tick
+//!   paces the flusher only; a waiting port parks on the link's event
+//!   count, see *Waiting*).
 //!
 //! A port's gateway counters travel as one `Counts` record, appended in
 //! place ahead of each `Arrive` or `Batch` the port appends and at each of
@@ -82,11 +84,13 @@
 //! own frame* (its stream index plus one) — never for the count of frames
 //! sent, which may end in a `Counts` record or another thread's frame that
 //! no ack will ever cover.  The wait is a step of the machine like any
-//! in-proc wait: an ack past the frame settles it as consistent, a
-//! `Verdict` naming the call as `Diverged` and any other verdict as
-//! `ShutDown`; a dead channel, or no ack within twice the lockstep timeout
-//! plus a second (the pump resolves every wait within one timeout), as a
-//! typed [`PeerFailure`] naming the follower.
+//! in-proc wait, and it parks the way they do, on an event count: the
+//! link's, which every ack, verdict and channel death posts.  An ack past
+//! the frame settles it as consistent, a `Verdict` naming the call as
+//! `Diverged` and any other verdict as `ShutDown`; a dead channel, or no
+//! ack within twice the lockstep timeout plus a second (the pump resolves
+//! every wait within one timeout, and the park's 1 ms backstop re-checks
+//! the deadline), as a typed [`PeerFailure`] naming the follower.
 //!
 //! Divergence and peer death reach the leader over the channel alone, never
 //! through the shared monitor's flags.  So calls issued between a deferred
@@ -105,6 +109,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
+use mvee_sync_agent::guards::{EventCount, Waiter};
 use mvee_sync_agent::SyncAgent;
 
 use crate::call::{Binding, CallMachine, Gated, Polled, Rendezvous, Settled};
@@ -149,8 +154,6 @@ struct LinkState {
     verdict: Option<DivergenceReport>,
     /// Set when the channel died (EOF, corruption, ack timeout).
     dead: Option<PeerFailure>,
-    /// Bumped on every change above, so a waiter cannot sleep through one.
-    changes: u64,
 }
 
 /// What the leader's threads share: the connection, and the link state the
@@ -161,9 +164,10 @@ struct LinkShared {
     /// flusher stops without waiting out its period.
     closed: Condvar,
     state: Mutex<LinkState>,
-    changed: Condvar,
-    /// An eighth of the lockstep timeout: the flusher's period, and how
-    /// long a waiter sleeps before it re-checks its deadline.
+    /// Posted on every change to `state`: what a waiting leader thread
+    /// parks on.
+    events: EventCount,
+    /// An eighth of the lockstep timeout: the flusher's period.
     tick: Duration,
 }
 
@@ -201,10 +205,8 @@ impl LinkShared {
 
     /// Changes the link state and wakes every waiting leader thread.
     fn update(&self, change: impl FnOnce(&mut LinkState)) {
-        let mut state = self.state.lock();
-        change(&mut state);
-        state.changes += 1;
-        self.changed.notify_all();
+        change(&mut self.state.lock());
+        self.events.notify();
     }
 
     /// Applies a follower → leader `Ack` or `Verdict`.
@@ -254,24 +256,10 @@ impl LinkShared {
             peer: RemotePeer::Follower,
             kind: PeerFailureKind::AckTimeout,
         });
-        state.changes += 1;
-        self.changed.notify_all();
+        drop(state);
+        // The link is dead for every other waiting leader thread too.
+        self.events.notify();
         Some(Err(MonitorError::Peer(failure)))
-    }
-
-    /// Sleeps until `moved` holds, re-checking it whenever the link state
-    /// changes and at least every tick (deadlines raise no event).
-    fn wait_until(&self, mut moved: impl FnMut() -> bool) {
-        loop {
-            let seen = self.state.lock().changes;
-            if moved() {
-                return;
-            }
-            let mut state = self.state.lock();
-            if state.changes == seen {
-                self.changed.wait_for(&mut state, self.tick);
-            }
-        }
     }
 }
 
@@ -305,7 +293,7 @@ impl RemoteLeader {
             conn: Mutex::new(conn),
             closed: Condvar::new(),
             state: Mutex::new(LinkState::default()),
-            changed: Condvar::new(),
+            events: EventCount::new(),
             tick: (monitor.config().lockstep_timeout / 8).max(Duration::from_millis(1)),
         });
         let _ = shared.write(&mut shared.conn.lock());
@@ -679,7 +667,7 @@ impl Rendezvous for Wire {
     }
 
     fn wait_on(link: &RemoteLeader, _: usize, moved: impl FnMut() -> bool) {
-        link.shared.wait_until(moved);
+        Waiter::default().wait_until_event(&link.shared.events, moved);
     }
 }
 

@@ -36,6 +36,11 @@ use crate::guards::GuardTable;
 use crate::ring::{PushOutcome, RecordRing, SyncRecord};
 use crate::{AgentCore, SyncStep, WaitSite};
 
+/// Ordering guard buckets of the total-order and partial-order masters:
+/// ops on variables that hash to one bucket serialize their "record, then
+/// execute" (the wall-of-clocks agent keeps one guard per clock instead).
+const GUARD_BUCKETS: usize = 512;
+
 /// Identifies an agent design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AgentKind {

@@ -89,14 +89,13 @@ impl PartialOrderAgent {
     /// Creates a partial-order agent for `config.variants` variants.
     pub fn new(config: AgentConfig) -> Self {
         let readers = config.slave_count();
-        let waiter = config.waiter();
         PartialOrderAgent {
             ring: RecordRing::new(config.buffer_capacity, readers),
-            guards: GuardTable::with_waiter(config.guard_buckets, waiter),
+            guards: GuardTable::with_waiter(super::GUARD_BUCKETS, config.waiter()),
             slaves: (0..readers)
                 .map(|_| SlaveState::new(config.buffer_capacity))
                 .collect(),
-            core: AgentCore::new(waiter),
+            core: AgentCore::new(),
             config,
         }
     }

@@ -32,11 +32,10 @@ pub struct TotalOrderAgent {
 impl TotalOrderAgent {
     /// Creates a total-order agent for `config.variants` variants.
     pub fn new(config: AgentConfig) -> Self {
-        let waiter = config.waiter();
         TotalOrderAgent {
             ring: RecordRing::new(config.buffer_capacity, config.slave_count()),
-            guards: GuardTable::with_waiter(config.guard_buckets, waiter),
-            core: AgentCore::new(waiter),
+            guards: GuardTable::with_waiter(super::GUARD_BUCKETS, config.waiter()),
+            core: AgentCore::new(),
             config,
         }
     }

@@ -61,7 +61,6 @@ impl WallOfClocksAgent {
     /// the cursor is its own.
     pub fn new(config: AgentConfig) -> Self {
         let readers = config.slave_count();
-        let waiter = config.waiter();
         WallOfClocksAgent {
             rings: (0..config.threads)
                 .map(|t| {
@@ -77,8 +76,8 @@ impl WallOfClocksAgent {
                 .map(|_| ClockWall::new(config.clock_count))
                 .collect(),
             // One guard per clock so the guard index equals the clock index.
-            guards: GuardTable::with_waiter(config.clock_count, waiter),
-            core: AgentCore::new(waiter),
+            guards: GuardTable::with_waiter(config.clock_count, config.waiter()),
+            core: AgentCore::new(),
             config,
         }
     }

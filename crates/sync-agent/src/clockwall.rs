@@ -97,16 +97,6 @@ impl ClockWall {
     pub fn total_ticks(&self) -> u64 {
         self.clocks.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
-
-    /// Resets every clock to zero (between benchmark iterations).
-    pub fn reset(&self) {
-        for c in &self.clocks {
-            c.store(0, Ordering::Release);
-        }
-        for a in &self.last_addr {
-            a.store(0, Ordering::Release);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,17 +158,6 @@ mod tests {
         wall.tick(2);
         handle.join().unwrap();
         assert!(wall.time(2) >= 3);
-    }
-
-    #[test]
-    fn reset_zeroes_all_clocks() {
-        let wall = ClockWall::new(4);
-        wall.tick(0);
-        wall.tick(1);
-        wall.note_address(0, 0x1000);
-        wall.reset();
-        assert_eq!(wall.total_ticks(), 0);
-        assert!(!wall.note_address(0, 0x2000));
     }
 
     #[test]

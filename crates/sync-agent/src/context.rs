@@ -104,8 +104,6 @@ pub struct AgentConfig {
     pub buffer_capacity: usize,
     /// Number of logical clocks in the wall-of-clocks agent.
     pub clock_count: usize,
-    /// Number of ordering guard buckets used on the master side.
-    pub guard_buckets: usize,
     /// Size of the look-ahead window the partial-order agent scans.
     pub lookahead_window: usize,
 }
@@ -117,7 +115,6 @@ impl Default for AgentConfig {
             threads: 4,
             buffer_capacity: 4096,
             clock_count: 512,
-            guard_buckets: 512,
             lookahead_window: 256,
         }
     }

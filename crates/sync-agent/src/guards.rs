@@ -18,8 +18,9 @@
 //! `available_parallelism()` is 1 and [`SPIN_BEFORE_YIELD`] otherwise — the
 //! never-spin-on-a-uniprocessor rule of Go's `canSpin` and glibc's adaptive
 //! mutex.  Explicit budgets ([`Waiter::new`], [`GuardTable::new`]) are kept
-//! as given — among them the one pure spin/yield wait, whose spin is all
-//! that spaces its yields (see [`Waiter::default`]).
+//! as given.  Every wait in the system is [`Waiter::wait_until_event`] over
+//! a named event count; there is no pure spin/yield loop, so every waiter
+//! that outlasts its yield budget parks.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -173,12 +174,11 @@ impl WaitTally {
     }
 }
 
-/// The spin budget every configured waiter gets on a multi-CPU process
-/// (the agents' through `AgentConfig::waiter`, the monitor's ring loops
-/// through `MonitorConfig::ring_waiter`): busy-spin iterations before a
-/// waiting thread starts yielding to the OS scheduler.  A process that may
-/// use one CPU spins 0 instead (see [`spin_budget`]): no peer runs while it
-/// spins.
+/// The spin budget every default waiter gets on a multi-CPU process (the
+/// agents', the monitor's ring and poller loops and the remote leader's
+/// ack wait): busy-spin iterations before a waiting thread starts yielding
+/// to the OS scheduler.  A process that may use one CPU spins 0 instead
+/// (see [`spin_budget`]): no peer runs while it spins.
 pub const SPIN_BEFORE_YIELD: u32 = 64;
 
 /// The default spin budget for a process that may use `cpus` CPUs: 0 on
@@ -212,12 +212,9 @@ pub struct Waiter {
 impl Default for Waiter {
     /// The process's [`spin_budget`]: [`SPIN_BEFORE_YIELD`] where another
     /// CPU can run the peer, 0 on a one-CPU process (read once, at the
-    /// first call — confine the process before it).  Meant for
-    /// [`wait_until_event`](Self::wait_until_event), whose park phase
-    /// bounds the yields; a pure [`wait_until`](Self::wait_until) loop
-    /// has nothing but the spin to space its yields, so the one in
-    /// production (a blocking port's ordering-clock turn wait) names
-    /// its budget explicitly.
+    /// first call — confine the process before it).  The park phase of
+    /// [`wait_until_event`](Self::wait_until_event) bounds the yields, so a
+    /// zero spin budget never turns a wait into a yield loop.
     fn default() -> Self {
         Waiter::new(default_spin_budget())
     }
@@ -227,25 +224,6 @@ impl Waiter {
     /// Creates a waiter with the given spin budget.
     pub const fn new(spin_before_yield: u32) -> Self {
         Waiter { spin_before_yield }
-    }
-
-    /// Spins until `cond` returns `true`; returns the number of wait
-    /// iterations (0 means the condition held immediately).  Pure
-    /// spin/yield — for waits with no event count to park on.
-    pub fn wait_until(&self, mut cond: impl FnMut() -> bool) -> u64 {
-        let mut iterations = 0u64;
-        let mut since_yield = 0u32;
-        while !cond() {
-            iterations += 1;
-            since_yield += 1;
-            if since_yield >= self.spin_before_yield {
-                std::thread::yield_now();
-                since_yield = 0;
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        iterations
     }
 
     /// Waits until `cond` returns `true`, escalating through three phases;
@@ -424,36 +402,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-
-    #[test]
-    fn waiter_returns_zero_when_condition_already_true() {
-        let w = Waiter::new(8);
-        assert_eq!(w.wait_until(|| true), 0);
-    }
-
-    #[test]
-    fn waiter_counts_iterations() {
-        let w = Waiter::new(8);
-        let mut calls = 0;
-        let n = w.wait_until(|| {
-            calls += 1;
-            calls > 5
-        });
-        assert_eq!(n, 5);
-    }
-
-    #[test]
-    fn zero_spin_budget_yields_every_iteration_without_hanging() {
-        let w = Waiter::new(0);
-        let mut calls = 0;
-        assert_eq!(
-            w.wait_until(|| {
-                calls += 1;
-                calls > 2
-            }),
-            2
-        );
-    }
 
     #[test]
     fn spin_budget_is_zero_only_on_one_cpu() {

@@ -133,22 +133,20 @@ pub enum SyncStep<'a> {
     },
 }
 
-/// What every agent shares with the [`before_sync_op`] driver: the waiter,
-/// the lane-striped counters, the poison flag and the replication hook.
+/// What every agent shares with the [`before_sync_op`] driver: the
+/// lane-striped counters, the poison flag and the replication hook.
 ///
 /// [`before_sync_op`]: SyncAgent::before_sync_op
 pub struct AgentCore {
-    waiter: Waiter,
     stats: SharedStats,
     poisoned: AtomicBool,
     hook: OnceLock<ReplicationHook>,
 }
 
 impl AgentCore {
-    /// A core whose driver waits with `waiter`.
-    pub fn new(waiter: Waiter) -> Self {
+    /// A fresh core: zeroed counters, unpoisoned, no hook.
+    pub fn new() -> Self {
         AgentCore {
-            waiter,
             stats: SharedStats::new(),
             poisoned: AtomicBool::new(false),
             hook: OnceLock::new(),
@@ -183,14 +181,13 @@ impl AgentCore {
 
 impl Default for AgentCore {
     fn default() -> Self {
-        Self::new(Waiter::default())
+        Self::new()
     }
 }
 
 impl std::fmt::Debug for AgentCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AgentCore")
-            .field("waiter", &self.waiter)
             .field("stats", &self.stats)
             .field("poisoned", &self.is_poisoned())
             .field("hook", &self.hook.get().map(|_| "installed"))
@@ -251,7 +248,7 @@ pub trait SyncAgent: Send + Sync {
             // waiter's entry check, as a wait that found its condition
             // false would.
             let mut known_blocked = true;
-            let waited = core.waiter.wait_until_event(events, || {
+            let waited = Waiter::default().wait_until_event(events, || {
                 if std::mem::take(&mut known_blocked) {
                     return false;
                 }

@@ -60,11 +60,7 @@ impl Default for RunConfig {
             variants: 2,
             diversity: DiversityProfile::none(),
             mvee: MveeConfig::default()
-                .with_agent_config(
-                    AgentConfig::default()
-                        .with_buffer_capacity(1 << 16)
-                        .with_clock_count(512),
-                )
+                .with_agent_config(AgentConfig::default().with_buffer_capacity(1 << 16))
                 .with_lockstep_timeout(Duration::from_secs(10)),
         }
     }

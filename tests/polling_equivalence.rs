@@ -36,7 +36,7 @@ use mvee::core::monitor::{MonitorError, MonitorStats};
 use mvee::core::mvee::Mvee;
 use mvee::core::port::ThreadPort;
 use mvee::core::{DivergenceKind, DivergenceReport, MonitoringPolicy};
-use mvee::kernel::syscall::{SyscallRequest, Sysno};
+use mvee::kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
 /// The transports under comparison.
@@ -292,6 +292,52 @@ fn replication_timeout_verdicts_are_field_identical() {
     }
 }
 
+const THREAD_A: usize = 0;
+const THREAD_B: usize = 1;
+
+/// A port of either transport, issuing the ordered calls of the tests below.
+enum Port {
+    Sync(ThreadPort),
+    Pool(AsyncThreadPort),
+}
+
+impl Port {
+    fn brk(&self) -> Result<(), MonitorError> {
+        self.brk_outcome().map(|_| ())
+    }
+
+    fn brk_outcome(&self) -> Result<SyscallOutcome, MonitorError> {
+        let req = SyscallRequest::new(Sysno::Brk).with_int(0);
+        match self {
+            Port::Sync(port) => port.syscall(&req),
+            Port::Pool(port) => port.syscall(&req),
+        }
+    }
+}
+
+fn port(mvee: &Mvee, path: Path, variant: usize, thread: usize) -> Port {
+    match path {
+        Path::Sync => Port::Sync(mvee.thread_port(variant, thread)),
+        Path::Pool(_) => Port::Pool(mvee.async_thread_port(variant, thread)),
+    }
+}
+
+/// Threads A and B on one shard, so on one ordering clock; `brk` is ordered
+/// and makes no comparison.
+fn build_ordered(path: Path, variants: usize, recovery: RecoveryPolicy, timeout: Duration) -> Mvee {
+    Mvee::builder()
+        .variants(variants)
+        .threads(2)
+        .shards(1)
+        .agent(AgentKind::Null)
+        .policy(MonitoringPolicy::NoComparison)
+        .recovery(recovery)
+        .transport(transport_for(path))
+        .lockstep_timeout(timeout)
+        .manual_clock(true)
+        .build()
+}
+
 /// An ordered slave whose shard-clock turn never comes, on every transport.
 /// Threads A and B share one ordering clock; the master runs A's `brk`
 /// (timestamp 0) and then B's (timestamp 1), but the last variant only ever
@@ -302,37 +348,8 @@ fn replication_timeout_verdicts_are_field_identical() {
 /// ordered stream carries on.
 #[test]
 fn ordered_turn_timeout_blames_the_stuck_variant_on_every_transport() {
-    const THREAD_A: usize = 0;
-    const THREAD_B: usize = 1;
-    enum Port {
-        Sync(ThreadPort),
-        Pool(AsyncThreadPort),
-    }
-    impl Port {
-        fn brk(&self) -> Result<(), MonitorError> {
-            let req = SyscallRequest::new(Sysno::Brk).with_int(0);
-            match self {
-                Port::Sync(port) => port.syscall(&req).map(|_| ()),
-                Port::Pool(port) => port.syscall(&req).map(|_| ()),
-            }
-        }
-    }
     let build = |path: Path, variants: usize, recovery: RecoveryPolicy| {
-        Mvee::builder()
-            .variants(variants)
-            .threads(2)
-            .shards(1)
-            .agent(AgentKind::Null)
-            .policy(MonitoringPolicy::NoComparison)
-            .recovery(recovery)
-            .transport(transport_for(path))
-            .lockstep_timeout(Duration::from_millis(200))
-            .manual_clock(true)
-            .build()
-    };
-    let port = |mvee: &Mvee, path: Path, variant: usize, thread: usize| match path {
-        Path::Sync => Port::Sync(mvee.thread_port(variant, thread)),
-        Path::Pool(_) => Port::Pool(mvee.async_thread_port(variant, thread)),
+        build_ordered(path, variants, recovery, Duration::from_millis(200))
     };
 
     let mut reports = Vec::new();
@@ -386,6 +403,42 @@ fn ordered_turn_timeout_blames_the_stuck_variant_on_every_transport() {
         }
         let stats = mvee.monitor_stats();
         assert_eq!((stats.quarantines, stats.divergences), (1, 1));
+    }
+}
+
+/// An ordered slave whose turn another of its variant's threads releases,
+/// with the two threads' ports on different pollers of `Pool(2)`.  The
+/// master runs A's `brk` (timestamp 0), then B's (timestamp 1); the slave
+/// issues B's first, so B waits for its turn until A's call advances the
+/// clock.  Ports register round-robin, so the master's A and B land on
+/// pollers 0 and 1 and the slave's B and A on pollers 0 and 1: the advance
+/// on one poller must wake the turn wait parked on the other.  Outcomes,
+/// counters and the (absent) verdict are field-identical to `Sync`.
+#[test]
+fn an_ordered_turn_released_from_another_poller_matches_sync() {
+    let run = |path: Path| {
+        let mvee = build_ordered(path, 2, RecoveryPolicy::PoisonAll, Duration::from_secs(10));
+        let master = [
+            port(&mvee, path, 0, THREAD_A).brk_outcome(),
+            port(&mvee, path, 0, THREAD_B).brk_outcome(),
+        ];
+        let slave_b = port(&mvee, path, 1, THREAD_B);
+        let slave_a = port(&mvee, path, 1, THREAD_A);
+        let (b, a) = std::thread::scope(|scope| {
+            let b = scope.spawn(move || slave_b.brk_outcome());
+            // Long enough for B to reach its turn wait and park.
+            std::thread::sleep(Duration::from_millis(50));
+            let a = slave_a.brk_outcome();
+            (b.join().expect("slave thread B panicked"), a)
+        });
+        (master, [a, b], mvee.monitor_stats(), mvee.divergence())
+    };
+    let sync = run(Path::Sync);
+    assert!(sync.1.iter().all(Result::is_ok), "{:?}", sync.1);
+    assert!(sync.3.is_none());
+    assert_eq!(sync.2.ordered_syscalls, 4);
+    for pool in [1, 2] {
+        assert_eq!(run(Path::Pool(pool)), sync, "Pool({pool}) against Sync");
     }
 }
 
