@@ -94,6 +94,7 @@ use mvee_sync_agent::SyncAgent;
 use crate::lockstep::PollWaker;
 use crate::monitor::{Monitor, MonitorError};
 use crate::poller::{PollerPool, TaskDone};
+use crate::port::ThreadSyscallPort;
 
 /// A completion ticket: identifies one submitted call on its port.
 /// Tickets are per-port and monotonically increasing.
@@ -486,6 +487,32 @@ impl std::fmt::Debug for AsyncThreadPort {
             .field("next_ticket", &self.next_ticket.get())
             .field("outstanding", &self.outstanding.get())
             .finish()
+    }
+}
+
+impl ThreadSyscallPort for AsyncThreadPort {
+    fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
+        AsyncThreadPort::syscall(self, req)
+    }
+
+    fn before_sync_op(&self, addr: u64) {
+        AsyncThreadPort::before_sync_op(self, addr)
+    }
+
+    fn after_sync_op(&self, addr: u64) {
+        AsyncThreadPort::after_sync_op(self, addr)
+    }
+
+    fn variant_index(&self) -> usize {
+        AsyncThreadPort::variant_index(self)
+    }
+
+    fn thread_index(&self) -> usize {
+        AsyncThreadPort::thread_index(self)
+    }
+
+    fn is_shut_down(&self) -> bool {
+        AsyncThreadPort::is_shut_down(self)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The per-call protocol: one non-blocking state machine, three drivers,
+//! The per-call protocol: one non-blocking state machine, two drivers,
 //! two rendezvous backends.
 //!
 //! The paper's monitor does one thing per system call — compare in
@@ -10,22 +10,25 @@
 //! returns a [`Step`], and a wait is a state the next
 //! [`step`](CallMachine::step) re-examines.  Deadlines, the quarantine
 //! bail-outs and master fail-over are all inside `step`, so a driver only
-//! decides *how to wait* for the next one.  Three drivers step it:
+//! decides *how to wait* for the next one.  Two drivers step it:
 //!
 //! * a blocking [`ThreadPort`](crate::port::ThreadPort) steps on the
 //!   variant thread's own stack and, once a step reports
-//!   [`Step::Blocked`], sleeps with the next step as its wake condition;
-//! * a poller ([`crate::poller`]) holds one machine per async port and
-//!   round-robins over them, parking only when every machine is blocked;
-//! * a remote [`LeaderPort`](crate::remote::LeaderPort) is the blocking
-//!   driver again, over the other rendezvous backend.
+//!   [`Step::Blocked`], sleeps with the next step as its wake condition —
+//!   over either backend: the remote
+//!   [`LeaderPort`](crate::remote::LeaderPort) is `ThreadPort<Wire>`;
+//! * a poller ([`crate::poller`]) holds one in-proc machine per async port
+//!   and round-robins over them, parking only when every machine is
+//!   blocked.
 //!
 //! # Two rendezvous backends
 //!
 //! The machine is generic over [`Rendezvous`], *where the rendezvous
 //! lives* — the one thing an in-proc variant and the remote leader do
 //! differently.  Dispatch is static: the in-proc machine carries nothing of
-//! the wire.
+//! the wire.  The trait and the types its methods name are `pub` inside
+//! this private module, so the port can be public and generic over a
+//! backend nobody outside the crate can name, implement or call.
 //!
 //! * [`InProc`] is the monitor's
 //!   [`LockstepTable`](crate::lockstep::LockstepTable), its stat stripes
@@ -71,20 +74,20 @@ pub(crate) enum Step {
 }
 
 /// A settled rendezvous: `Ok`, or the error the call returns.
-pub(crate) type Settled = Result<(), MonitorError>;
+pub type Settled = Result<(), MonitorError>;
 
 /// A rendezvous that settled, or the wait to poll next (the lockstep
 /// table's `poll_*` convention).
-pub(crate) type Polled<W> = Result<Settled, W>;
+pub type Polled<W> = Result<Settled, W>;
 
 /// The entry gate's answer: `Ok(Some(_))` answers a self-awareness query,
 /// which takes no sequence number.
-pub(crate) type Gated = Result<Option<SyscallOutcome>, MonitorError>;
+pub type Gated = Result<Option<SyscallOutcome>, MonitorError>;
 
 /// The (variant, thread) a machine is bound to, and the shard (rendezvous
-/// lock, ordering clock, stat lane) the placement policy resolved for it.
+/// lock, ordering clock, stat lane) it is bound to: `thread % shards`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Binding {
+pub struct Binding {
     pub(crate) variant: usize,
     pub(crate) thread: usize,
     pub(crate) shard: usize,
@@ -97,7 +100,7 @@ pub(crate) struct Binding {
 ///
 /// A deposit and the polls of its wait are one method: `wait` is `None` to
 /// deposit, and the wait the last call handed back to poll it.
-pub(crate) trait Rendezvous: Default + std::fmt::Debug {
+pub trait Rendezvous: Default + std::fmt::Debug {
     /// What the machine is stepped against.
     type Cx;
     /// A synchronous arrival deposited and not yet settled.
@@ -159,6 +162,9 @@ pub(crate) trait Rendezvous: Default + std::fmt::Debug {
     ) -> Settled;
     /// The close-time flush is done; the binding is released next.
     fn close(&mut self, cx: &Self::Cx, at: Binding);
+    /// A replication point: the thread's deferred comparisons are flushed
+    /// and it enters a sync op next.
+    fn sync_op(&mut self, cx: &Self::Cx, at: Binding);
     /// Sleeps until `moved` — the machine's next step — reports progress.
     fn wait_on(cx: &Self::Cx, thread: usize, moved: impl FnMut() -> bool);
 }
@@ -166,7 +172,7 @@ pub(crate) trait Rendezvous: Default + std::fmt::Debug {
 /// The in-proc rendezvous: the monitor's lockstep table, stat stripes and
 /// divergence, quarantine and master state.
 #[derive(Debug, Default)]
-pub(crate) struct InProc;
+pub struct InProc;
 
 impl Rendezvous for InProc {
     type Cx = Monitor;
@@ -257,6 +263,8 @@ impl Rendezvous for InProc {
 
     fn close(&mut self, _: &Monitor, _: Binding) {}
 
+    fn sync_op(&mut self, _: &Monitor, _: Binding) {}
+
     fn wait_on(monitor: &Monitor, thread: usize, moved: impl FnMut() -> bool) {
         monitor.lockstep().wait_on(thread, moved);
     }
@@ -265,7 +273,7 @@ impl Rendezvous for InProc {
 /// A synchronous lockstep arrival deposited in the table, settling its
 /// verdict through the recovery policy.
 #[derive(Debug)]
-pub(crate) struct ArrivalWait(ArrivalToken);
+pub struct ArrivalWait(ArrivalToken);
 
 impl ArrivalWait {
     /// Deposits `variant`'s arrival at `key` — or, given its `wait`, polls
@@ -314,7 +322,7 @@ impl ArrivalWait {
 /// consumed, and re-depositing them could resurrect reclaimed slots the
 /// peers will never revisit).
 #[derive(Debug)]
-pub(crate) struct FlushWait(BatchToken);
+pub struct FlushWait(BatchToken);
 
 impl FlushWait {
     /// Counts the flush in `lane`'s stripe and deposits `batch`, thread
@@ -487,9 +495,20 @@ impl<R: Rendezvous> CallMachine<R> {
         self.at.shard
     }
 
-    /// The backend's per-binding state, for a driver's own push points.
-    pub(crate) fn rendezvous(&mut self) -> (&mut R, Binding) {
-        (&mut self.rv, self.at)
+    /// Whether this binding's variant is the replication master right now.
+    pub(crate) fn is_master(&self, cx: &R::Cx) -> bool {
+        self.rv.is_master(cx, self.at.variant)
+    }
+
+    /// Whether the run is over for this binding: the entry gate would
+    /// refuse the next call.
+    pub(crate) fn is_halted(&self, cx: &R::Cx) -> bool {
+        self.rv.halted(cx).is_err()
+    }
+
+    /// A replication point: the backend learns the thread enters a sync op.
+    pub(crate) fn sync_op(&mut self, cx: &R::Cx) {
+        self.rv.sync_op(cx, self.at);
     }
 
     /// Deferred comparisons queued, awaiting the next flush.

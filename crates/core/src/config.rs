@@ -7,12 +7,10 @@
 //! [`MveeConfig`] is now the single struct all three embed; every front end
 //! forwards it verbatim to [`MveeBuilder::config`](crate::mvee::MveeBuilder).
 //!
-//! It also carries the [`Placement`] policy: how logical threads are bound
-//! to monitor shards (and, optionally, CPU cores).  Placement is resolved
-//! once, at [`ThreadPort`](crate::port::ThreadPort) acquisition time, not on
-//! every call — the port caches its shard binding.
+//! A logical thread's monitor state (rendezvous lock, ordering clock and
+//! stat lane) lives in shard `thread % shards`, in every variant alike;
+//! the port resolves it once, at acquisition time, and caches it.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mvee_sync_agent::agents::AgentKind;
@@ -21,93 +19,6 @@ use mvee_sync_agent::context::AgentConfig;
 use crate::journal::JournalMode;
 use crate::lockstep::DEFAULT_SHARDS;
 use crate::policy::MonitoringPolicy;
-
-/// How logical threads are bound to monitor shards (and CPU cores).
-///
-/// The monitor partitions its rendezvous table, ordering clocks and stat
-/// lanes into [`MveeConfig::shards`] shards.  `Placement` decides which
-/// shard a logical thread's state lives in.  The binding is a pure function
-/// of the logical thread index and the configuration, so it is identical in
-/// every variant — which is what keeps the master's and the slaves' shard
-/// clocks referring to the same state.
-///
-/// On multi-socket hardware the point of `Grouped`/`Pinned` is locality: a
-/// thread group whose threads share a shard (and whose cores share a socket)
-/// keeps its rendezvous lock and stat lane on that socket instead of
-/// bouncing cache lines across the interconnect.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// `thread % shards` — the historical binding: neighbouring threads land
-    /// in different shards, spreading contention evenly.
-    #[default]
-    RoundRobin,
-    /// Contiguous blocks of threads share a shard
-    /// (`thread * shards / threads`, scaled to the *actual* per-variant
-    /// thread count): thread groups that are spawned together — and
-    /// typically scheduled together — stay on one shard.  Scaling to the
-    /// workload's thread count (not the 64-slot table maximum) is what
-    /// keeps an 8-thread run spread over all shards instead of collapsing
-    /// into shard 0.
-    Grouped,
-    /// Explicit per-thread core map: logical thread `t` is pinned to core
-    /// `cores[t % cores.len()]` and its monitor state lives in shard
-    /// `core % shards`, so threads pinned to one core (or socket, with a
-    /// suitable map) share a shard.  The runner issues a (simulated)
-    /// `sched_setaffinity` for each thread at start-up; see
-    /// `mvee_variant::runner`.
-    Pinned(Arc<[usize]>),
-}
-
-impl Placement {
-    /// Builds a [`Placement::Pinned`] from a core map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is empty.
-    pub fn pinned(cores: impl Into<Vec<usize>>) -> Self {
-        let cores = cores.into();
-        assert!(!cores.is_empty(), "a pinned placement needs a core map");
-        Placement::Pinned(cores.into())
-    }
-
-    /// The shard logical thread `thread` is bound to, given the workload's
-    /// per-variant thread count and the monitor's `shards` configuration.
-    /// Always below `shards`.
-    ///
-    /// `threads` must be the number of threads the workload actually uses —
-    /// not the monitor's table capacity — or `Grouped`'s blocks degenerate:
-    /// with 8 live threads scaled against a 64-slot table, every thread
-    /// lands in shard 0.
-    pub fn shard_for(&self, thread: usize, threads: usize, shards: usize) -> usize {
-        let shards = shards.max(1);
-        match self {
-            Placement::RoundRobin => thread % shards,
-            Placement::Grouped => {
-                let threads = threads.max(1);
-                ((thread % threads) * shards / threads).min(shards - 1)
-            }
-            Placement::Pinned(cores) => cores[thread % cores.len()] % shards,
-        }
-    }
-
-    /// The CPU core thread `thread` should be pinned to, if this placement
-    /// prescribes one (`Pinned` only).
-    pub fn core_for(&self, thread: usize) -> Option<usize> {
-        match self {
-            Placement::Pinned(cores) => Some(cores[thread % cores.len()]),
-            _ => None,
-        }
-    }
-
-    /// Short name used in benchmark tables and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Placement::RoundRobin => "round-robin",
-            Placement::Grouped => "grouped",
-            Placement::Pinned(_) => "pinned",
-        }
-    }
-}
 
 /// Default submission/completion ring depth for
 /// [`Transport::AsyncRings`]: deep enough to cover a full comparison batch
@@ -324,8 +235,8 @@ impl RecoveryPolicy {
 /// `MveeBuilder`, `RunConfig` and `NginxServerConfig` all embed an
 /// `MveeConfig` instead of re-declaring these fields.  The defaults
 /// reproduce the behaviour of the unconfigured monitor: strict lockstep,
-/// wall-of-clocks agent, [`DEFAULT_SHARDS`] shards, no comparison batching,
-/// round-robin shard placement.
+/// wall-of-clocks agent, [`DEFAULT_SHARDS`] shards, no comparison
+/// batching.
 #[derive(Debug, Clone)]
 pub struct MveeConfig {
     /// Which system calls are locksteped.
@@ -342,8 +253,6 @@ pub struct MveeConfig {
     /// may accumulate per rendezvous flush.  `1` disables deferral and
     /// reproduces the per-call rendezvous exactly.
     pub batch: usize,
-    /// How logical threads are bound to monitor shards (and cores).
-    pub placement: Placement,
     /// How long a rendezvous or replication wait may take before the monitor
     /// declares divergence.
     pub lockstep_timeout: Duration,
@@ -375,7 +284,6 @@ impl Default for MveeConfig {
             agent_config: AgentConfig::default(),
             shards: DEFAULT_SHARDS,
             batch: 1,
-            placement: Placement::RoundRobin,
             lockstep_timeout: Duration::from_secs(5),
             transport: Transport::Sync,
             journal: JournalMode::Off,
@@ -423,12 +331,6 @@ impl MveeConfig {
     pub fn with_batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "need a comparison batch of at least one");
         self.batch = batch;
-        self
-    }
-
-    /// Sets the shard/core placement policy (builder style).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -505,86 +407,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_robin_matches_the_historical_binding() {
-        let p = Placement::RoundRobin;
-        for thread in 0..64 {
-            assert_eq!(p.shard_for(thread, 64, 8), thread % 8);
-        }
-        assert_eq!(p.core_for(3), None);
-    }
-
-    #[test]
-    fn grouped_keeps_contiguous_threads_on_one_shard() {
-        let p = Placement::Grouped;
-        // 64 threads over 8 shards: blocks of 8.
-        for thread in 0..64 {
-            assert_eq!(p.shard_for(thread, 64, 8), thread / 8);
-        }
-        // Shard index stays in range even for ragged divisions.
-        for thread in 0..64 {
-            assert!(p.shard_for(thread, 64, 7) < 7);
-        }
-        assert_eq!(p.core_for(0), None);
-    }
-
-    #[test]
-    fn grouped_scales_blocks_to_the_actual_thread_count() {
-        let p = Placement::Grouped;
-        // The 8-thread bench shape: with the block size scaled to the
-        // actual thread count, the 8 threads spread over all 8 shards
-        // instead of collapsing into shard 0 (the `max_threads`-scaled
-        // degenerate case this pins down).
-        let shards: Vec<usize> = (0..8).map(|t| p.shard_for(t, 8, 8)).collect();
-        assert_eq!(shards, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        // 8 threads over 4 shards: contiguous pairs share a shard.
-        let shards: Vec<usize> = (0..8).map(|t| p.shard_for(t, 8, 4)).collect();
-        assert_eq!(shards, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        // 4 threads over 8 shards: every thread gets its own shard, all in
-        // range.
-        let shards: Vec<usize> = (0..4).map(|t| p.shard_for(t, 4, 8)).collect();
-        assert_eq!(shards, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn pinned_binds_shards_through_the_core_map() {
-        let p = Placement::pinned(vec![0, 0, 1, 1]);
-        assert_eq!(p.core_for(0), Some(0));
-        assert_eq!(p.core_for(2), Some(1));
-        assert_eq!(p.core_for(4), Some(0), "map wraps around");
-        // Threads sharing a core share a shard.
-        assert_eq!(p.shard_for(0, 64, 8), p.shard_for(1, 64, 8));
-        assert_eq!(p.shard_for(2, 64, 8), p.shard_for(3, 64, 8));
-    }
-
-    #[test]
-    #[should_panic(expected = "core map")]
-    fn empty_core_map_panics() {
-        let _ = Placement::pinned(Vec::new());
-    }
-
-    #[test]
-    fn placements_always_stay_in_shard_range() {
-        for placement in [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![5, 17, 2]),
-        ] {
-            for shards in 1..10 {
-                for thread in 0..70 {
-                    assert!(placement.shard_for(thread, 64, shards) < shards);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn default_config_matches_the_historical_defaults() {
         let c = MveeConfig::default();
         assert_eq!(c.policy, MonitoringPolicy::StrictLockstep);
         assert_eq!(c.agent, AgentKind::WallOfClocks);
         assert_eq!(c.shards, DEFAULT_SHARDS);
         assert_eq!(c.batch, 1);
-        assert_eq!(c.placement, Placement::RoundRobin);
         assert_eq!(c.lockstep_timeout, Duration::from_secs(5));
     }
 
@@ -595,13 +423,11 @@ mod tests {
             .with_agent(AgentKind::TotalOrder)
             .with_shards(3)
             .with_batch(16)
-            .with_placement(Placement::Grouped)
             .with_lockstep_timeout(Duration::from_millis(250));
         assert_eq!(c.policy, MonitoringPolicy::NoComparison);
         assert_eq!(c.agent, AgentKind::TotalOrder);
         assert_eq!(c.shards, 3);
         assert_eq!(c.batch, 16);
-        assert_eq!(c.placement, Placement::Grouped);
         assert_eq!(c.lockstep_timeout, Duration::from_millis(250));
     }
 

@@ -38,13 +38,17 @@
 //! * `call` (crate-private) — the per-call protocol (gate, compare in lockstep, then
 //!   replicate the master's result or replay its order), written once as a
 //!   non-blocking state machine that owns the thread's shard binding
-//!   (resolved through the [`config::Placement`] policy), sequence counter
-//!   and deferred-comparison queue.  It has two drivers:
+//!   (`thread % shards`), sequence counter and deferred-comparison queue,
+//!   generic over where the rendezvous lives (the lockstep table or the
+//!   replication wire).  It has two drivers:
 //! * [`port::ThreadPort`] — the per-(variant, thread) syscall handle:
 //!   acquired once, it holds the agent context and the thread's call
 //!   machine, which it steps on the variant thread's own stack, sleeping
 //!   between steps — thread identity is a type instead of a per-call
-//!   `(variant, thread)` convention.
+//!   `(variant, thread)` convention.  [`port::ThreadSyscallPort`] is the
+//!   one per-thread face every port implements, and
+//!   [`mvee::VariantGateway::port`] hands out the one the transport
+//!   names.
 //! * [`async_port::AsyncThreadPort`] — the asynchronous transport: paired
 //!   per-port submission/completion rings (virtio split-queue style), so a
 //!   variant thread deposits a call descriptor and runs ahead while the
@@ -57,13 +61,14 @@
 //!   each port's call machine in turn, so monitor-side threads number `n`,
 //!   not variants×threads.
 //! * [`config::MveeConfig`] — the one shared tuning block (policy, agent,
-//!   transport, shards, batch, placement, timeout) every front end embeds.
+//!   transport, shards, batch, timeout, ...) every front end embeds.
 //! * [`journal`] — the divergence journal: record a run's rendezvous
 //!   schedule, arrival order and replicated outcomes into a CRC-protected
 //!   binary stream, replay it offline to re-derive the verdict (same
 //!   first-mismatch slot and variant) with zero live variants.
 //! * [`remote`] — the distributed deployment: variant 0 becomes a *leader*
-//!   that executes through a [`remote::LeaderPort`] and streams CRC-framed
+//!   that executes through a [`remote::LeaderPort`] (the blocking port over
+//!   the wire backend) and streams CRC-framed
 //!   monitoring records over a byte channel ([`remote::Duplex`]: in-proc
 //!   pipes, Unix socketpair or TCP loopback) to a *follower* monitor that
 //!   compares asynchronously, acknowledges, and reports field-identical
@@ -92,7 +97,7 @@ pub mod remote;
 pub mod snapshot;
 
 pub use async_port::{AsyncThreadPort, SubmitOutcome, Ticket};
-pub use config::{MveeConfig, Placement, Pollers, RecoveryPolicy, RemoteChannel, Transport};
+pub use config::{MveeConfig, Pollers, RecoveryPolicy, RemoteChannel, Transport};
 pub use divergence::{DivergenceKind, DivergenceReport};
 pub use journal::{
     Journal, JournalError, JournalMode, JournalRecorder, RecoveredJournal, RecoveredRun,
@@ -103,7 +108,7 @@ pub use mvee::{Mvee, MveeBuilder, RespawnError, RespawnReport, VariantGateway};
 pub use ordering::SyscallOrderingClock;
 pub use policy::MonitoringPolicy;
 pub use poller::PollerPool;
-pub use port::ThreadPort;
+pub use port::{ThreadPort, ThreadSyscallPort};
 pub use remote::{
     Duplex, Follower, FollowerHandle, LeaderPort, PeerFailure, PeerFailureKind, RemoteLeader,
     RemotePeer,

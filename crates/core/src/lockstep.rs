@@ -452,10 +452,6 @@ pub struct LockstepTable {
     /// than 64 variants keep the mask saturated and never quarantine.
     active_mask: AtomicU64,
     shards: Box<[Shard]>,
-    /// Optional thread→shard binding map (indexed `thread % len`), supplied
-    /// by the monitor when a non-round-robin placement policy is configured.
-    /// `None` keeps the historical `thread % shards` binding.
-    placement_map: Option<Box<[usize]>>,
     poisoned: AtomicBool,
     /// Registered polling-shard wakers, raised on every deposit, outcome
     /// publication and poison.  Empty (and bypassed via `observed`) unless
@@ -495,7 +491,6 @@ impl LockstepTable {
             variants,
             active_mask: AtomicU64::new(full_mask(variants)),
             shards: (0..shards).map(|_| Shard::default()).collect(),
-            placement_map: None,
             poisoned: AtomicBool::new(false),
             observers: Mutex::new(Vec::new()),
             observed: AtomicBool::new(false),
@@ -519,27 +514,6 @@ impl LockstepTable {
         }
     }
 
-    /// [`with_shards`](Self::with_shards) plus an explicit thread→shard
-    /// binding map: thread `t`'s slots live in shard `map[t % map.len()]`.
-    /// The monitor derives the map from its
-    /// [`Placement`](crate::config::Placement) policy so the rendezvous
-    /// lock, the ordering clock and the stat lane of a thread all share one
-    /// shard binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is empty or names a shard `>= shards`.
-    pub fn with_placement_map(variants: usize, shards: usize, map: Vec<usize>) -> Self {
-        assert!(!map.is_empty(), "placement map must not be empty");
-        assert!(
-            map.iter().all(|&s| s < shards),
-            "placement map names a shard out of range"
-        );
-        let mut table = Self::with_shards(variants, shards);
-        table.placement_map = Some(map.into_boxed_slice());
-        table
-    }
-
     /// Number of variants this table coordinates.
     pub fn variants(&self) -> usize {
         self.variants
@@ -550,13 +524,10 @@ impl LockstepTable {
         self.shards.len()
     }
 
-    /// The shard index a logical thread's slots live in: the placement map
-    /// if one was supplied, `thread % shards` otherwise.
+    /// The shard index a logical thread's slots live in: `thread % shards`,
+    /// the binding its ordering clock and stat lane share.
     pub fn shard_of(&self, thread: usize) -> usize {
-        match &self.placement_map {
-            Some(map) => map[thread % map.len()],
-            None => thread % self.shards.len(),
-        }
+        thread % self.shards.len()
     }
 
     fn shard(&self, key: SlotKey) -> &Shard {

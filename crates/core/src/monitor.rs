@@ -61,7 +61,7 @@ use mvee_kernel::kernel::Kernel;
 use mvee_kernel::process::Pid;
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
 
-use crate::config::{Placement, RecoveryPolicy, Transport};
+use crate::config::{RecoveryPolicy, Transport};
 use crate::divergence::{DivergenceKind, DivergenceReport};
 use crate::journal::{ClassKind, JournalHeader, JournalRecorder, JOURNAL_VERSION};
 use crate::lockstep::{ArrivalResult, BatchArrival, LockstepTable, DEFAULT_SHARDS, MAX_BATCH};
@@ -90,10 +90,8 @@ pub struct MonitorConfig {
     pub lockstep_timeout: Duration,
     /// Maximum number of logical threads per variant.
     pub max_threads: usize,
-    /// Number of threads the workload actually uses (≤ `max_threads`).
-    /// [`Placement::Grouped`] scales its block size to this count: scaling
-    /// against the 64-slot table capacity instead would collapse an
-    /// 8-thread run into one shard.
+    /// Number of threads the workload actually uses (≤ `max_threads`); the
+    /// remote leader's `Hello` carries it to the follower.
     pub workload_threads: usize,
     /// Number of rendezvous/ordering shards the monitor state is partitioned
     /// into (see [`crate::lockstep`]).  `1` reproduces the original global
@@ -104,10 +102,6 @@ pub struct MonitorConfig {
     /// `1` disables deferral and reproduces the per-call rendezvous exactly;
     /// values above [`MAX_BATCH`] are clamped.
     pub batch: usize,
-    /// How logical threads are bound to shards (see
-    /// [`Placement`]).  [`Placement::RoundRobin`]
-    /// reproduces the historical `thread % shards` binding.
-    pub placement: Placement,
     /// How variant threads hand calls to the monitor (see
     /// [`Transport`]): blocking in the pipeline
     /// directly, or through per-port submission/completion rings drained by
@@ -133,7 +127,6 @@ impl Default for MonitorConfig {
             workload_threads: 64,
             shards: DEFAULT_SHARDS,
             batch: 1,
-            placement: Placement::RoundRobin,
             transport: Transport::Sync,
             journal: None,
             recovery: RecoveryPolicy::PoisonAll,
@@ -304,10 +297,6 @@ struct ThreadState {
     /// Next per-thread sequence number for monitored calls, as of the last
     /// port hand-back (a live port counts privately).
     seq: AtomicU64,
-    /// The shard this thread's slots and ordering clock live in; identical
-    /// across variants because it depends only on the logical thread index
-    /// and the (shared) placement policy.
-    shard: usize,
     /// Whether a [`ThreadPort`](crate::port::ThreadPort) currently owns this
     /// (variant, thread)'s gateway state.  At most one port may be live at a
     /// time — the port keeps the sequence counter and deferred queue in
@@ -375,27 +364,15 @@ impl Monitor {
         );
         config.batch = config.batch.clamp(1, MAX_BATCH);
         let shards = config.shards.max(1);
-        // One thread→shard binding, derived from the placement policy once
-        // and shared by the rendezvous table, the ordering clocks and the
-        // stat lanes — a thread's entire monitor footprint lives in one
-        // shard.  Grouped blocks scale to the *workload's* thread count,
-        // not the table capacity.
-        let workload_threads = config.workload_threads.clamp(1, config.max_threads);
-        let placement_map: Vec<usize> = (0..config.max_threads)
-            .map(|t| config.placement.shard_for(t, workload_threads, shards))
-            .collect();
-        // Reuse the shared map for the per-thread state: the lockstep
-        // table's binding and `ThreadState::shard` must never
-        // desynchronize.
+        // A thread's whole monitor footprint — rendezvous lock, ordering
+        // clock and stat lane — lives in shard `thread % shards`.
         let threads = (0..config.variants * config.max_threads)
-            .map(|i| ThreadState {
+            .map(|_| ThreadState {
                 seq: AtomicU64::new(0),
-                shard: placement_map[i % config.max_threads],
                 port_live: AtomicBool::new(false),
             })
             .collect();
-        let mut lockstep =
-            LockstepTable::with_placement_map(config.variants, shards, placement_map);
+        let mut lockstep = LockstepTable::with_shards(config.variants, shards);
         if let Some(recorder) = &config.journal {
             recorder.begin(JournalHeader {
                 version: JOURNAL_VERSION,
@@ -549,8 +526,9 @@ impl Monitor {
         }
         self.quarantined[variant].store(false, Ordering::Release);
         self.lockstep.readmit(variant);
-        let lane = self.thread_state(0, 0).shard;
-        self.lane(lane).respawns.fetch_add(1, Ordering::Relaxed);
+        self.lane(self.lockstep.shard_of(0))
+            .respawns
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(hook) = &*self.lane_hook.lock() {
             hook(variant, true);
         }
@@ -669,7 +647,10 @@ impl Monitor {
             !state.port_live.swap(true, Ordering::AcqRel),
             "a live port already owns (variant {variant}, thread {thread})"
         );
-        (state.seq.load(Ordering::Acquire), state.shard)
+        (
+            state.seq.load(Ordering::Acquire),
+            self.lockstep.shard_of(thread),
+        )
     }
 
     /// Hands a dropped port's sequence counter back so a later port
@@ -708,14 +689,13 @@ impl Monitor {
 
     /// One divergence verdict, fatal or quarantining: counted and journaled
     /// together, so live `divergences` equals the `Diverge` records a
-    /// replay counts.  Returns the diverging thread's own stat lane (the
-    /// shard binding depends only on the thread index, so variant 0's
-    /// state is as good as any), which is where the per-shard `lane_stats`
-    /// view attributes the verdict.
+    /// replay counts.  Returns the diverging thread's own stat lane (its
+    /// shard, the same in every variant), which is where the per-shard
+    /// `lane_stats` view attributes the verdict.
     fn record_verdict(&self, report: &DivergenceReport) -> &StatLane {
         let shard = self
-            .thread_state(0, report.thread % self.config.max_threads)
-            .shard;
+            .lockstep
+            .shard_of(report.thread % self.config.max_threads);
         let lane = self.lane(shard);
         lane.divergences.fetch_add(1, Ordering::Relaxed);
         if let Some(journal) = &self.config.journal {

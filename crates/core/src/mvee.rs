@@ -17,13 +17,13 @@ use mvee_sync_agent::context::AgentConfig;
 use mvee_sync_agent::{AgentStats, SyncAgent};
 
 use crate::async_port::AsyncThreadPort;
-use crate::config::{MveeConfig, Placement, RecoveryPolicy, Transport};
+use crate::config::{MveeConfig, RecoveryPolicy, Transport};
 use crate::divergence::DivergenceReport;
 use crate::journal::{JournalError, ReplayError};
 use crate::monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
 use crate::policy::MonitoringPolicy;
 use crate::poller::PollerPool;
-use crate::port::ThreadPort;
+use crate::port::{ThreadPort, ThreadSyscallPort};
 use crate::snapshot::{SnapshotRecord, SnapshotStore};
 
 /// Per-variant address-space layout (ASLR / DCL diversity).
@@ -47,7 +47,7 @@ impl VariantLayout {
 
 /// Builder for an [`Mvee`].
 ///
-/// The tuning knobs (policy, agent, shards, batch, placement, timeout) all
+/// The tuning knobs (policy, agent, shards, batch, timeout, ...) all
 /// live in one shared [`MveeConfig`]; the builder's setters delegate into
 /// it, and [`MveeBuilder::config`] swaps the whole block in at once — which
 /// is how `RunConfig` and `NginxServerConfig` forward their embedded
@@ -153,13 +153,6 @@ impl MveeBuilder {
         self
     }
 
-    /// Sets the shard/core [`Placement`] policy resolved at
-    /// [`ThreadPort`] acquisition time.
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.config.placement = placement;
-        self
-    }
-
     /// Selects the divergence-journal mode (see [`crate::journal`]):
     /// [`JournalMode::Off`](crate::journal::JournalMode::Off) (the default),
     /// `Record` to stream the run's schedule and outcomes into a
@@ -253,7 +246,6 @@ impl MveeBuilder {
             workload_threads: self.threads.max(1),
             shards: self.config.shards,
             batch: self.config.batch,
-            placement: self.config.placement.clone(),
             transport: self.config.transport,
             journal: self.config.journal.recorder().cloned(),
             recovery: self.config.recovery,
@@ -507,7 +499,7 @@ impl Mvee {
 
     /// Returns the gateway for variant `v`; the variant execution engine
     /// hands one to every variant's OS threads, each of which then acquires
-    /// its own [`ThreadPort`] via [`VariantGateway::thread`].
+    /// its own port via [`VariantGateway::port`].
     pub fn gateway(&self, variant: usize) -> VariantGateway {
         assert!(variant < self.variants, "unknown variant index");
         VariantGateway {
@@ -526,22 +518,23 @@ impl Mvee {
         self.pollers.as_ref().map_or(0, |p| p.worker_count())
     }
 
-    /// Acquires the [`ThreadPort`] for logical thread `thread` of variant
-    /// `variant` — the per-thread syscall handle the redesigned gateway is
-    /// built around.  Shorthand for `mvee.gateway(variant).thread(thread)`.
+    /// Acquires the blocking [`ThreadPort`] for logical thread `thread` of
+    /// variant `variant`, whatever the transport: the typed shorthand for
+    /// what [`VariantGateway::port`] hands out under `Transport::Sync`.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range indices or if a live port already owns this
-    /// (variant, thread).
+    /// Panics on out-of-range indices, if a live port already owns this
+    /// (variant, thread), or for the leader (variant 0) of a distributed
+    /// MVEE (use [`leader_port`](Self::leader_port)).
     pub fn thread_port(&self, variant: usize, thread: usize) -> ThreadPort {
-        self.gateway(variant).thread(thread)
+        self.gateway(variant).blocking_port(thread)
     }
 
     /// Acquires the [`AsyncThreadPort`] for logical thread `thread` of
     /// variant `variant`: the ring-based transport, with the depth taken
-    /// from the configured [`Transport`].  Shorthand for
-    /// `mvee.gateway(variant).async_thread(thread)`.
+    /// from the configured [`Transport`]: the typed shorthand for what
+    /// [`VariantGateway::port`] hands out under `Transport::AsyncRings`.
     ///
     /// # Panics
     ///
@@ -549,7 +542,7 @@ impl Mvee {
     /// out-of-range indices or if a live port already owns this (variant,
     /// thread).
     pub fn async_thread_port(&self, variant: usize, thread: usize) -> AsyncThreadPort {
-        self.gateway(variant).async_thread(thread)
+        self.gateway(variant).ring_port(thread)
     }
 
     /// Acquires the [`LeaderPort`](crate::remote::LeaderPort) for logical
@@ -738,7 +731,7 @@ impl std::fmt::Display for RespawnError {
 impl std::error::Error for RespawnError {}
 
 /// A per-variant handle: the factory a variant's OS threads draw their
-/// per-thread ports from.
+/// per-thread ports from, one [`port`](Self::port) per logical thread.
 #[derive(Clone)]
 pub struct VariantGateway {
     variant: usize,
@@ -746,9 +739,7 @@ pub struct VariantGateway {
     agent: Arc<dyn SyncAgent>,
     pollers: Option<Arc<PollerPool>>,
     /// The leader front end of a distributed MVEE; `Some` only under
-    /// `Transport::Remote`, where variant 0's ports come from
-    /// [`leader_thread`](Self::leader_thread) instead of the in-proc
-    /// factories.
+    /// `Transport::Remote`, where variant 0's ports are leader ports.
     remote: Option<Arc<crate::remote::RemoteLeader>>,
 }
 
@@ -758,25 +749,38 @@ impl VariantGateway {
         self.variant
     }
 
-    /// Acquires the [`ThreadPort`] for logical thread `thread`: the
-    /// per-thread handle every variant OS thread should issue its monitored
-    /// calls and sync ops through.  The port caches the thread's shard
-    /// binding (resolved via the configured
-    /// [`Placement`]), sequence counter, agent
-    /// context and deferred-comparison queue; see
-    /// [`ThreadPort`].
+    /// Acquires the port for logical thread `thread`: the per-thread handle
+    /// every variant OS thread issues its monitored calls and sync ops
+    /// through, picked by the configured [`Transport`] — the leader's
+    /// [`LeaderPort`](crate::remote::LeaderPort) for variant 0 under
+    /// [`Transport::Remote`], a ring-backed [`AsyncThreadPort`] under
+    /// [`Transport::AsyncRings`], and the blocking [`ThreadPort`]
+    /// otherwise.  Each caches the thread's shard binding, sequence
+    /// counter, agent context and deferred-comparison queue.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range thread index, if a live port already
-    /// owns this (variant, thread), or for the leader (variant 0) of a
-    /// distributed MVEE — its calls travel by wire, so acquire a
-    /// [`leader_thread`](Self::leader_thread) port instead.
-    pub fn thread(&self, thread: usize) -> ThreadPort {
+    /// Panics on an out-of-range thread index or if a live port already
+    /// owns this (variant, thread).
+    pub fn port(&self, thread: usize) -> Box<dyn ThreadSyscallPort> {
+        match (&self.remote, &self.pollers) {
+            (Some(leader), _) if self.variant == 0 => Box::new(leader.port(thread)),
+            (_, Some(_)) => Box::new(self.ring_port(thread)),
+            _ => Box::new(self.blocking_port(thread)),
+        }
+    }
+
+    /// The blocking in-proc port.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the leader (variant 0) of a distributed MVEE — its calls
+    /// travel by wire — and as [`port`](Self::port) does.
+    fn blocking_port(&self, thread: usize) -> ThreadPort {
         assert!(
             !(self.remote.is_some() && self.variant == 0),
             "variant 0 of a distributed MVEE is the remote leader: use \
-             leader_thread / Mvee::leader_port instead of an in-proc port"
+             Mvee::leader_port instead of an in-proc port"
         );
         ThreadPort::new(
             Arc::clone(&self.monitor),
@@ -786,17 +790,16 @@ impl VariantGateway {
         )
     }
 
-    /// Acquires the [`AsyncThreadPort`] for logical thread `thread`: the
-    /// asynchronous ring transport (see the [`async_port`](crate::async_port)
-    /// module docs), at the ring depth of the monitor's configured
-    /// [`Transport`].
+    /// The ring-backed port, at the ring depth of the configured
+    /// [`Transport`] (see the [`async_port`](crate::async_port) module
+    /// docs).
     ///
     /// # Panics
     ///
     /// Panics when the MVEE was not built with [`Transport::AsyncRings`]
-    /// (there is no poller pool to serve the port), on an out-of-range
-    /// thread index or if a live port already owns this (variant, thread).
-    pub fn async_thread(&self, thread: usize) -> AsyncThreadPort {
+    /// (there is no poller pool to serve the port), and as
+    /// [`port`](Self::port) does.
+    fn ring_port(&self, thread: usize) -> AsyncThreadPort {
         let (Some(pool), Some(depth)) = (&self.pollers, self.transport().depth()) else {
             panic!(
                 "async ports need the poller pool of an MVEE built with \
@@ -814,30 +817,8 @@ impl VariantGateway {
         )
     }
 
-    /// Acquires the [`LeaderPort`](crate::remote::LeaderPort) for logical
-    /// thread `thread` — the leader-side syscall handle of a distributed
-    /// MVEE (this gateway must belong to variant 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the MVEE is not remote, when this gateway is not
-    /// variant 0's, on an out-of-range thread index, or if a live port
-    /// already owns (variant 0, thread).
-    pub fn leader_thread(&self, thread: usize) -> crate::remote::LeaderPort {
-        assert!(
-            self.variant == 0,
-            "only variant 0 of a distributed MVEE runs behind the leader port"
-        );
-        let leader = self
-            .remote
-            .as_ref()
-            .expect("leader_thread requires Transport::Remote");
-        leader.port(thread)
-    }
-
-    /// The transport the MVEE was configured with — what
-    /// [`thread_port`](crate::mvee::Mvee::thread_port)-style factories use
-    /// to decide between sync and async ports.
+    /// The transport the MVEE was configured with: what
+    /// [`port`](Self::port) picks the port by.
     pub fn transport(&self) -> Transport {
         self.monitor.config().transport
     }
@@ -941,8 +922,8 @@ mod tests {
     #[test]
     fn gateway_ports_report_roles() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
-        assert!(mvee.gateway(0).thread(0).is_master());
-        let slave = mvee.gateway(1).thread(0);
+        assert!(mvee.thread_port(0, 0).is_master());
+        let slave = mvee.thread_port(1, 0);
         assert!(!slave.is_master());
         assert_eq!(slave.role(), VariantRole::Slave { index: 0 });
     }
@@ -950,7 +931,7 @@ mod tests {
     #[test]
     fn gateway_port_syscall_reaches_the_monitor() {
         let mvee = Mvee::builder().variants(1).manual_clock(true).build();
-        let port = mvee.gateway(0).thread(0);
+        let port = mvee.gateway(0).port(0);
         let out = port.syscall(&SyscallRequest::new(Sysno::Getpid)).unwrap();
         assert!(out.is_ok());
         assert_eq!(mvee.monitor_stats().total_syscalls, 1);
@@ -959,7 +940,7 @@ mod tests {
     #[test]
     fn gateway_port_sync_op_records_in_master() {
         let mvee = Mvee::builder().variants(2).manual_clock(true).build();
-        let port = mvee.gateway(0).thread(0);
+        let port = mvee.thread_port(0, 0);
         let v = port.sync_op(0x1000, || 7);
         assert_eq!(v, 7);
         assert_eq!(mvee.agent_stats().ops_recorded, 1);

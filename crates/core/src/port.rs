@@ -5,27 +5,34 @@
 //! blocking entry into the monitor.
 //!
 //! A port is acquired once per (variant, thread) —
-//! [`VariantGateway::thread`](crate::mvee::VariantGateway::thread) or
-//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) — and is two
+//! [`VariantGateway::port`](crate::mvee::VariantGateway::port), which picks
+//! the port the configured transport names, or the shorthands
+//! [`Mvee::thread_port`](crate::mvee::Mvee::thread_port) and
+//! [`Mvee::leader_port`](crate::mvee::Mvee::leader_port) — and is two
 //! things:
 //!
 //! * the agent [`SyncContext`], built once instead of per sync op;
 //! * a `CallMachine` — the per-call protocol
 //!   (`crate::call`) together with the per-thread state it owns: the
-//!   **shard binding** (rendezvous lock, ordering clock and stat lane),
-//!   resolved through the configured
-//!   [`Placement`](crate::config::Placement) policy at acquisition time;
-//!   the **sequence counter**, a plain integer (no cross-thread
-//!   `fetch_add` traffic); and the **deferred-comparison batch queue**.
+//!   **shard binding** (rendezvous lock, ordering clock and stat lane,
+//!   `thread % shards`); the **sequence counter**, a plain integer (no
+//!   cross-thread `fetch_add` traffic); and the **deferred-comparison
+//!   batch queue**.
 //!
 //! The machine never sleeps; the port is its *blocking driver*: `syscall`,
 //! `flush` and `Drop` start an operation and step it on the caller's own
 //! stack, and whenever a step reports it cannot move they wait with the
-//! next step as the wake condition.  One machine has three drivers: this
-//! port, the poller pool ([`crate::poller`]) and the remote
-//! [`LeaderPort`](crate::remote::LeaderPort), which runs this port's
-//! blocking driver over the machine's second rendezvous backend, the
-//! replication wire.  So no two transports can disagree on a verdict.
+//! next step as the wake condition.  The port is generic over where the
+//! rendezvous lives: `ThreadPort` (the default backend) deposits into the
+//! monitor's lockstep table, and the remote
+//! [`LeaderPort`](crate::remote::LeaderPort) is the same port over the
+//! replication wire.  The poller pool ([`crate::poller`]) is the machine's
+//! other driver.  So no two transports can disagree on a verdict.
+//!
+//! [`ThreadSyscallPort`] is what a variant thread sees of any of them: the
+//! one object-safe per-thread face that the blocking port, the ring-backed
+//! [`AsyncThreadPort`](crate::async_port::AsyncThreadPort) and the
+//! executor's native port implement.
 //!
 //! The machine sits in a [`RefCell`], which is why `ThreadPort` is
 //! deliberately `Send + !Sync`: the handle may move to the OS thread that
@@ -50,30 +57,62 @@ use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest};
 use mvee_sync_agent::context::{SyncContext, VariantRole};
 use mvee_sync_agent::SyncAgent;
 
-use crate::call::{CallMachine, Rendezvous, Step};
+use crate::call::{CallMachine, InProc, Rendezvous, Step};
 use crate::monitor::{Monitor, MonitorError};
 
-/// A per-(variant, thread) syscall handle.
+/// What one variant *thread* calls instead of the kernel: the per-thread
+/// handle a [`VariantGateway::port`](crate::mvee::VariantGateway::port)
+/// hands out, whatever the transport.
 ///
-/// Acquired once (see the [module docs](self)); every monitored call and
-/// sync-op bracket of that logical thread then goes through the port.  The
-/// port is `Send` (move it into the OS thread that runs the logical thread)
-/// but `!Sync` (it owns unsynchronized per-thread state).
+/// Handles are `Send` (acquired by — or moved into — the OS thread that
+/// runs the logical thread) but deliberately not required to be `Sync`:
+/// the MVEE implementations own unsynchronized per-thread state.  `Debug`
+/// names the port type behind the box.
+pub trait ThreadSyscallPort: Send + std::fmt::Debug {
+    /// Issues a system call on behalf of this port's logical thread.
+    fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError>;
+
+    /// Called immediately before a sync op on the variable at `addr`.
+    fn before_sync_op(&self, addr: u64);
+
+    /// Called immediately after the sync op on the variable at `addr`.
+    fn after_sync_op(&self, addr: u64);
+
+    /// The variant index this port belongs to (0 = master / native).
+    fn variant_index(&self) -> usize;
+
+    /// The logical thread index this port is bound to.
+    fn thread_index(&self) -> usize;
+
+    /// Whether the run is over for this port: its next call would be
+    /// refused.
+    fn is_shut_down(&self) -> bool;
+}
+
+/// A per-(variant, thread) syscall handle, generic over where its
+/// rendezvous lives (see the [module docs](self)).
+///
+/// Acquired once; every monitored call and sync-op bracket of that logical
+/// thread then goes through the port.  The port is `Send` (move it into
+/// the OS thread that runs the logical thread) but `!Sync` (it owns
+/// unsynchronized per-thread state).
 ///
 /// Dropping the port releases the (variant, thread) binding and hands the
 /// sequence counter back to the monitor, so ports can be re-acquired across
 /// phases of a workload.
-pub struct ThreadPort {
-    monitor: Arc<Monitor>,
+pub struct ThreadPort<R: Rendezvous = InProc> {
+    /// What the machine is stepped against: the monitor, or the leader's
+    /// link.
+    cx: Arc<R::Cx>,
     agent: Arc<dyn SyncAgent>,
     /// The agent context, built once at acquisition.
     ctx: SyncContext,
     /// The per-call protocol and the per-thread state it owns (see the
     /// module docs); this port is its blocking driver.
-    machine: RefCell<CallMachine>,
+    machine: RefCell<CallMachine<R>>,
 }
 
-impl ThreadPort {
+impl<R: Rendezvous> ThreadPort<R> {
     /// Binds a port to (variant, thread).
     ///
     /// # Panics
@@ -81,7 +120,7 @@ impl ThreadPort {
     /// Panics on out-of-range indices or if a live port already owns this
     /// (variant, thread).
     pub(crate) fn new(
-        monitor: Arc<Monitor>,
+        cx: Arc<R::Cx>,
         agent: Arc<dyn SyncAgent>,
         variant: usize,
         thread: usize,
@@ -89,8 +128,8 @@ impl ThreadPort {
         ThreadPort {
             ctx: SyncContext::new(VariantRole::from_variant_index(variant), thread),
             agent,
-            machine: RefCell::new(CallMachine::new(&*monitor, variant, thread)),
-            monitor,
+            machine: RefCell::new(CallMachine::new(&*cx, variant, thread)),
+            cx,
         }
     }
 
@@ -110,36 +149,17 @@ impl ThreadPort {
         self.machine.borrow().shard()
     }
 
-    /// The variant's replication role.
-    pub fn role(&self) -> VariantRole {
-        self.ctx.role
-    }
-
     /// Whether this port's variant is the replication master right now:
     /// variant 0 until a quarantine fails mastership over to the lowest
-    /// live variant.
+    /// live variant (the remote leader always is).
     pub fn is_master(&self) -> bool {
-        self.monitor.master_variant() == self.variant_index()
+        self.machine.borrow().is_master(&self.cx)
     }
 
-    /// The agent context this port passes on every sync op.
-    pub fn sync_context(&self) -> &SyncContext {
-        &self.ctx
-    }
-
-    /// Direct access to the injected synchronization agent.
-    pub fn agent(&self) -> &Arc<dyn SyncAgent> {
-        &self.agent
-    }
-
-    /// The monitor this port issues calls against.
-    pub fn monitor(&self) -> &Arc<Monitor> {
-        &self.monitor
-    }
-
-    /// Whether the MVEE has shut down due to divergence.
+    /// Whether the run is over: the MVEE diverged (in-proc), or the leader's
+    /// link learnt a verdict or lost its follower.
     pub fn is_shut_down(&self) -> bool {
-        self.monitor.has_diverged()
+        self.machine.borrow().is_halted(&self.cx)
     }
 
     /// Deferred comparisons queued in this port, awaiting the next flush.
@@ -152,8 +172,8 @@ impl ThreadPort {
     /// the variant to terminate.
     pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
         let mut machine = self.machine.borrow_mut();
-        let first = machine.start(&self.monitor, req);
-        drive(&*self.monitor, &mut machine, Some(req), first)
+        let first = machine.start(&self.cx, req);
+        drive(&*self.cx, &mut machine, Some(req), first)
     }
 
     /// Flushes this port's deferred comparisons, if any: deposits them as
@@ -166,13 +186,14 @@ impl ThreadPort {
     /// out-of-band quiescence points can force resolution early.
     pub fn flush(&self) -> Result<(), MonitorError> {
         let mut machine = self.machine.borrow_mut();
-        let first = machine.flush(&self.monitor);
-        drive(&*self.monitor, &mut machine, None, first).map(|_| ())
+        let first = machine.flush(&self.cx);
+        drive(&*self.cx, &mut machine, None, first).map(|_| ())
     }
 
     /// Brackets the *start* of a sync op: flushes this port's deferred
     /// comparisons (a replication point must never overtake a pending
-    /// comparison), then enters the agent.
+    /// comparison) — over the wire, then streams the `SyncOp` progress
+    /// marker — and enters the agent.
     pub fn before_sync_op(&self, addr: u64) {
         if self.pending_comparisons() > 0 {
             // A flush failure has already recorded the divergence and
@@ -180,6 +201,7 @@ impl ThreadPort {
             // monitored call.
             let _ = self.flush();
         }
+        self.machine.borrow_mut().sync_op(&self.cx);
         self.agent.before_sync_op(&self.ctx, addr);
     }
 
@@ -199,18 +221,40 @@ impl ThreadPort {
     }
 }
 
-/// The blocking driver — of a [`ThreadPort`] and of a remote
-/// [`LeaderPort`](crate::remote::LeaderPort) alike: runs the operation
-/// `step` began to completion on the caller's stack.  Whenever the machine
-/// cannot move, the thread waits with the machine's next step as the wake
-/// condition — deadlines, fail-over and the quarantine bail-outs all live
-/// inside that step.  Every wait sleeps where the backend says
-/// ([`Rendezvous::wait_on`]): in-proc it yields, then parks on the shard's
-/// event count, which every deposit, publication, ordered slave's clock
-/// advance, poison, quarantine and re-admission posts; over the wire it
-/// parks on the link's, which every ack, verdict and channel death posts.
-/// A deadline raises no event: the park's 1 ms backstop re-checks it.
-pub(crate) fn drive<R: Rendezvous>(
+impl ThreadPort {
+    /// The variant's replication role.
+    pub fn role(&self) -> VariantRole {
+        self.ctx.role
+    }
+
+    /// The agent context this port passes on every sync op.
+    pub fn sync_context(&self) -> &SyncContext {
+        &self.ctx
+    }
+
+    /// Direct access to the injected synchronization agent.
+    pub fn agent(&self) -> &Arc<dyn SyncAgent> {
+        &self.agent
+    }
+
+    /// The monitor this port issues calls against.
+    pub fn monitor(&self) -> &Arc<Monitor> {
+        &self.cx
+    }
+}
+
+/// The blocking driver of a [`ThreadPort`] over either backend: runs the
+/// operation `step` began to completion on the caller's stack.  Whenever
+/// the machine cannot move, the thread waits with the machine's next step
+/// as the wake condition — deadlines, fail-over and the quarantine
+/// bail-outs all live inside that step.  Every wait sleeps where the
+/// backend says ([`Rendezvous::wait_on`]): in-proc it yields, then parks on
+/// the shard's event count, which every deposit, publication, ordered
+/// slave's clock advance, poison, quarantine and re-admission posts; over
+/// the wire it parks on the link's, which every ack, verdict and channel
+/// death posts.  A deadline raises no event: the park's 1 ms backstop
+/// re-checks it.
+fn drive<R: Rendezvous>(
     cx: &R::Cx,
     machine: &mut CallMachine<R>,
     req: Option<&SyscallRequest>,
@@ -228,21 +272,22 @@ pub(crate) fn drive<R: Rendezvous>(
     }
 }
 
-impl Drop for ThreadPort {
+impl<R: Rendezvous> Drop for ThreadPort<R> {
     fn drop(&mut self) {
         // Ports are re-acquirable "across phases of a workload", so a drop
         // is *not* evidence of shutdown: the close flushes compare-only
         // calls that are still deferred (the peers' equivalent drops, or
         // their next synchronous calls, meet the batch in the rendezvous
-        // table exactly as an inline flush would) before it hands the
-        // sequence counter back.  `Drop` has nowhere to report the verdict.
+        // table exactly as an inline flush would) — unless the run is
+        // already over — before it hands the sequence counter back.  `Drop`
+        // has nowhere to report the verdict.
         let machine = self.machine.get_mut();
-        let first = machine.close(&self.monitor);
-        let _ = drive(&*self.monitor, machine, None, first);
+        let first = machine.close(&self.cx);
+        let _ = drive(&*self.cx, machine, None, first);
     }
 }
 
-impl std::fmt::Debug for ThreadPort {
+impl<R: Rendezvous> std::fmt::Debug for ThreadPort<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPort")
             .field("machine", &self.machine)
@@ -250,10 +295,38 @@ impl std::fmt::Debug for ThreadPort {
     }
 }
 
+impl<R: Rendezvous> ThreadSyscallPort for ThreadPort<R>
+where
+    ThreadPort<R>: Send,
+{
+    fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
+        ThreadPort::syscall(self, req)
+    }
+
+    fn before_sync_op(&self, addr: u64) {
+        ThreadPort::before_sync_op(self, addr)
+    }
+
+    fn after_sync_op(&self, addr: u64) {
+        ThreadPort::after_sync_op(self, addr)
+    }
+
+    fn variant_index(&self) -> usize {
+        ThreadPort::variant_index(self)
+    }
+
+    fn thread_index(&self) -> usize {
+        ThreadPort::thread_index(self)
+    }
+
+    fn is_shut_down(&self) -> bool {
+        ThreadPort::is_shut_down(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Placement;
     use crate::mvee::Mvee;
     use crate::policy::MonitoringPolicy;
     use mvee_kernel::syscall::Sysno;
@@ -265,6 +338,7 @@ mod tests {
         // The compile_fail doctest in the module docs pins !Sync; this pins
         // the Send half of the contract.
         assert_send::<ThreadPort>();
+        assert_send::<crate::remote::LeaderPort>();
     }
 
     #[test]
@@ -336,30 +410,6 @@ mod tests {
         assert_eq!(stats.batched_comparisons, 4);
         assert_eq!(stats.batch_flushes, 2, "one flush per variant");
         assert!(!mvee.monitor().has_diverged());
-    }
-
-    #[test]
-    fn port_shard_binding_follows_the_placement_policy() {
-        // Grouped blocks scale to the *workload's* 8 threads, not the
-        // 64-slot table capacity: blocks of two threads per shard.
-        let mvee = Mvee::builder()
-            .variants(1)
-            .threads(8)
-            .shards(4)
-            .placement(Placement::Grouped)
-            .manual_clock(true)
-            .build();
-        let a = mvee.thread_port(0, 0);
-        assert_eq!(a.shard(), 0);
-        drop(a);
-        let b = mvee.thread_port(0, 1);
-        assert_eq!(b.shard(), 0, "contiguous threads share a shard");
-        drop(b);
-        let c = mvee.thread_port(0, 2);
-        assert_eq!(c.shard(), 1);
-        drop(c);
-        let d = mvee.thread_port(0, 7);
-        assert_eq!(d.shard(), 3, "the 8 threads cover all 4 shards");
     }
 
     #[test]

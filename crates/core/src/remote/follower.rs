@@ -16,9 +16,9 @@
 //!   the [`LockstepTable`](crate::lockstep::LockstepTable) as variant 0.
 //!
 //! The leader and the follower are one call machine split at the
-//! rendezvous.  The machine has three drivers (`ThreadPort`, the poller
-//! pool, `LeaderPort`) and two rendezvous backends: the leader's machine
-//! runs over the wire backend (`crate::remote::leader`), and each lane
+//! rendezvous.  The machine has two rendezvous backends: the leader's
+//! blocking port (`LeaderPort`, `ThreadPort<Wire>`) runs it over the wire
+//! backend (`crate::remote::leader`), and each lane
 //! here holds the in-proc backend's own deposit-and-settle waits —
 //! `ArrivalWait` for an `Arrive`, `FlushWait` for a `Batch`
 //! (`crate::call`) — as its one pending rendezvous.  The pump sees records, not calls (deferred calls reach it

@@ -7,14 +7,13 @@
 //! leader thread's port encodes into; a reader thread that decodes the
 //! follower's `Ack` / `Verdict` stream into shared link state; and a
 //! flusher thread that bounds how long a frame may wait in the buffer.
-//! A [`LeaderPort`] is the agent context, the link and a call machine
-//! (`crate::call`) over the wire backend, run by the same blocking driver
-//! as [`ThreadPort`](crate::port::ThreadPort) — the machine's third driver,
-//! beside that port and the poller pool — so the sequence keys, the
-//! dispositions and the deferred-batch discipline are the in-proc ones by
-//! construction.  Where the in-proc backend deposits into the rendezvous
-//! table, the wire backend appends a frame and lets the follower's pump
-//! deposit on its behalf; the rest of this page is its contract.
+//! A [`LeaderPort`] is `ThreadPort<Wire>`: the one blocking
+//! [`ThreadPort`] (agent context, call machine and driver) with the link
+//! as its rendezvous backend, so the sequence keys, the dispositions and
+//! the deferred-batch discipline are the in-proc ones by construction.
+//! Where the in-proc backend deposits into the rendezvous table, the wire
+//! backend appends a frame and lets the follower's pump deposit on its
+//! behalf; the rest of this page is its contract.
 //!
 //! # Push points
 //!
@@ -26,7 +25,7 @@
 //! * a replicated call, after it executes — and before it executes as well
 //!   when the call may block in the kernel (any call that may block pushes
 //!   first);
-//! * [`before_sync_op`](LeaderPort::before_sync_op), a full deferred batch,
+//! * [`before_sync_op`](ThreadPort::before_sync_op), a full deferred batch,
 //!   port drop and [`shutdown`](RemoteLeader::shutdown);
 //! * the flusher's tick, every eighth of the lockstep timeout (the tick
 //!   paces the flusher only; a waiting port parks on the link's event
@@ -98,7 +97,6 @@
 //! divergence-detection lag the follower measures — and follower death
 //! unblocks every waiting leader thread immediately.
 
-use std::cell::RefCell;
 use std::convert::Infallible;
 use std::io::Write;
 use std::sync::Arc;
@@ -108,17 +106,16 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use mvee_kernel::syscall::{SyscallOutcome, SyscallRequest, Sysno};
-use mvee_sync_agent::context::{SyncContext, VariantRole};
 use mvee_sync_agent::guards::{EventCount, Waiter};
 use mvee_sync_agent::SyncAgent;
 
-use crate::call::{Binding, CallMachine, Gated, Polled, Rendezvous, Settled};
+use crate::call::{Binding, Gated, Polled, Rendezvous, Settled};
 use crate::divergence::DivergenceReport;
 use crate::frame::FrameReader;
 use crate::journal::ClassKind;
 use crate::lockstep::{BatchArrival, SlotKey};
 use crate::monitor::{Monitor, MonitorError};
-use crate::port::drive;
+use crate::port::ThreadPort;
 use crate::remote::transport::Duplex;
 use crate::remote::wire::{push_batch, push_publish, CallCounts, WireRecord};
 use crate::remote::{PeerFailure, PeerFailureKind, RemotePeer};
@@ -336,11 +333,7 @@ impl RemoteLeader {
     /// Panics on an out-of-range thread index or if a live port already
     /// owns `(variant 0, thread)`.
     pub fn port(self: &Arc<Self>, thread: usize) -> LeaderPort {
-        LeaderPort {
-            ctx: SyncContext::new(VariantRole::from_variant_index(0), thread),
-            machine: RefCell::new(CallMachine::new(&**self, 0, thread)),
-            link: Arc::clone(self),
-        }
+        ThreadPort::new(Arc::clone(self), Arc::clone(&self.agent), 0, thread)
     }
 
     /// The first divergence verdict received over the channel, if any.
@@ -462,7 +455,7 @@ fn flush_held_frames(shared: &LinkShared) {
 /// A frame the leader waits on — a synchronous `Arrive` or a `Barrier` —
 /// settled once the follower's ack passes it (see the [module docs](self)).
 #[derive(Debug)]
-pub(crate) struct AckWait {
+pub struct AckWait {
     /// The ack that covers the frame: its stream index plus one.
     through: u64,
     /// The ack backstop.
@@ -487,8 +480,9 @@ impl AckWait {
 
 /// The wire rendezvous (see the [module docs](self)): one leader port's side
 /// of the link.  It learns of divergence and peer death from the link only.
+/// Opaque: it is the backend [`LeaderPort`] names, nothing more.
 #[derive(Debug, Default)]
-pub(crate) struct Wire {
+pub struct Wire {
     /// Gateway counters since this port's last `Counts` record.
     counts: CallCounts,
     /// A `Batch` was appended since this port's last push: the call in
@@ -517,17 +511,6 @@ impl Wire {
         self.append_counts(conn, at);
         self.push_due = false;
         link.shared.write(conn)
-    }
-
-    /// The `SyncOp` progress marker (the follower's lag metric counts
-    /// these), pushed.
-    fn sync_op(&mut self, link: &RemoteLeader, at: Binding) {
-        let mut conn = link.conn();
-        let marker = WireRecord::SyncOp {
-            thread: at.thread as u32,
-        };
-        conn.append(|out| marker.encode_frame(out));
-        let _ = self.push(link, &mut conn, at);
     }
 }
 
@@ -666,99 +649,24 @@ impl Rendezvous for Wire {
         }
     }
 
+    /// The `SyncOp` progress marker (the follower's lag metric counts
+    /// these), pushed.
+    fn sync_op(&mut self, link: &RemoteLeader, at: Binding) {
+        let mut conn = link.conn();
+        let marker = WireRecord::SyncOp {
+            thread: at.thread as u32,
+        };
+        conn.append(|out| marker.encode_frame(out));
+        let _ = self.push(link, &mut conn, at);
+    }
+
     fn wait_on(link: &RemoteLeader, _: usize, moved: impl FnMut() -> bool) {
         Waiter::default().wait_until_event(&link.shared.events, moved);
     }
 }
 
-/// The leader's per-thread syscall handle: the agent context, the link and
-/// the call machine over the wire backend (see the [module docs](self)).
-///
-/// `Send` but `!Sync`, like [`ThreadPort`](crate::port::ThreadPort): it owns
-/// unsynchronized counters and a deferred-comparison queue.
-pub struct LeaderPort {
-    link: Arc<RemoteLeader>,
-    /// The agent context, built once at acquisition.
-    ctx: SyncContext,
-    /// The per-call protocol; this port is its blocking driver.
-    machine: RefCell<CallMachine<Wire>>,
-}
-
-impl LeaderPort {
-    /// Zero-based variant index: the leader is always variant 0.
-    pub fn variant_index(&self) -> usize {
-        self.machine.borrow().variant()
-    }
-
-    /// Logical thread index within the variant.
-    pub fn thread_index(&self) -> usize {
-        self.machine.borrow().thread()
-    }
-
-    /// The shard / stat lane this thread is bound to (resolved through the
-    /// placement policy, identical to the in-proc binding).
-    pub fn shard(&self) -> usize {
-        self.machine.borrow().shard()
-    }
-
-    /// Deferred comparisons queued locally, awaiting the next flush point.
-    pub fn pending_comparisons(&self) -> usize {
-        self.machine.borrow().pending_comparisons()
-    }
-
-    /// Issues a system call on behalf of this port's logical thread:
-    /// returns the outcome the variant observes, or an error instructing
-    /// the variant to terminate.
-    pub fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError> {
-        let mut machine = self.machine.borrow_mut();
-        let first = machine.start(&self.link, req);
-        drive(&*self.link, &mut machine, Some(req), first)
-    }
-
-    /// Brackets the start of a sync op: streams pending deferred
-    /// comparisons and the `SyncOp` progress marker, then enters the agent.
-    pub fn before_sync_op(&self, addr: u64) {
-        {
-            let mut machine = self.machine.borrow_mut();
-            let first = machine.flush(&self.link);
-            let _ = drive(&*self.link, &mut machine, None, first);
-            let (wire, at) = machine.rendezvous();
-            wire.sync_op(&self.link, at);
-        }
-        self.link.agent.before_sync_op(&self.ctx, addr);
-    }
-
-    /// Brackets the end of a sync op.
-    pub fn after_sync_op(&self, addr: u64) {
-        self.link.agent.after_sync_op(&self.ctx, addr);
-    }
-
-    /// Convenience: brackets `op` between
-    /// [`before_sync_op`](Self::before_sync_op) and
-    /// [`after_sync_op`](Self::after_sync_op).
-    pub fn sync_op<T>(&self, addr: u64, op: impl FnOnce() -> T) -> T {
-        self.before_sync_op(addr);
-        let result = op();
-        self.after_sync_op(addr);
-        result
-    }
-}
-
-impl Drop for LeaderPort {
-    fn drop(&mut self) {
-        // As `ThreadPort`'s: stream trailing deferred comparisons (ports are
-        // re-acquirable across phases) unless the link already died or
-        // diverged, then hand the sequence counter back.
-        let machine = self.machine.get_mut();
-        let first = machine.close(&self.link);
-        let _ = drive(&*self.link, machine, None, first);
-    }
-}
-
-impl std::fmt::Debug for LeaderPort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaderPort")
-            .field("machine", &self.machine)
-            .finish()
-    }
-}
+/// The leader's per-thread syscall handle: the one blocking port over the
+/// wire backend (see the [module docs](self)).  `Send` but `!Sync`, like
+/// every [`ThreadPort`]: it owns unsynchronized counters and a
+/// deferred-comparison queue.
+pub type LeaderPort = ThreadPort<Wire>;

@@ -4,10 +4,11 @@
 //! In-proc, every variant's gateway shares one [`Monitor`]; here the
 //! monitored program's *leader* (variant 0) runs behind a byte channel.
 //! Leader and follower are one monitor split at the rendezvous, not two
-//! protocols: the per-call machine (`crate::call`) has three drivers — the
-//! blocking [`ThreadPort`](crate::port::ThreadPort), the poller pool and
-//! [`LeaderPort`] — over two rendezvous backends.  In-proc, a comparison
-//! is deposited in the lockstep table; the leader's *wire* backend instead
+//! protocols: the per-call machine (`crate::call`) runs over two
+//! rendezvous backends, and the blocking
+//! [`ThreadPort`](crate::port::ThreadPort) drives it over either —
+//! [`LeaderPort`] is `ThreadPort<Wire>`.  In-proc, a comparison is
+//! deposited in the lockstep table; the leader's *wire* backend instead
 //! streams it — CRC-framed `(sequence, comparison key, replicated result)`
 //! records riding the divergence journal's frame codec — to a *follower*
 //! monitor that hosts the rendezvous table, the remaining variants, and
@@ -17,7 +18,7 @@
 //!   loopback flavours (in-proc pipes, Unix socketpair, TCP loopback).
 //! * `wire` — the frame-level record protocol (crate-private).
 //! * [`leader`] — [`RemoteLeader`] (the channel endpoint), [`LeaderPort`]
-//!   (the per-thread front end: the call machine over the wire backend)
+//!   (the per-thread front end: the blocking port over the wire backend)
 //!   and that backend's contract; the leader blocks **only** at
 //!   synchronous lockstep points, exactly where the in-proc master blocks,
 //!   and streams deferred batches without waiting.

@@ -64,7 +64,7 @@ pub enum Sysno {
     Nanosleep,
     /// Pins the calling thread to a CPU core (the arg carries the core
     /// index).  The simulated kernel records the assignment per (process,
-    /// thread); the MVEE runner issues it for `Placement::Pinned` runs.
+    /// thread); variant programs issue it like any other call.
     SchedSetaffinity,
     Getrandom,
     Madvise,

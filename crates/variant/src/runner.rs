@@ -2,44 +2,38 @@
 //!
 //! [`run_native`] measures the program by itself (the "native execution" the
 //! paper's Figure 5 normalizes against); [`run_mvee`] builds an
-//! [`Mvee`] with the requested variant count, agent
-//! and policy, spawns one OS thread per (variant, logical thread) pair —
-//! each acquiring its [`ThreadPort`](mvee_core::port::ThreadPort) at thread
-//! start — and lets all variants run concurrently, exactly as ReMon runs
-//! its variants side by side on the same machine.
+//! [`Mvee`] with the requested variant count, agent and policy, spawns one
+//! OS thread per (variant, logical thread) pair — each acquiring its port
+//! at thread start — and lets all variants run concurrently, exactly as
+//! ReMon runs its variants side by side on the same machine.
 //!
-//! # Core pinning
-//!
-//! With a [`Placement::Pinned`] policy the runner threads each thread's
-//! core assignment into the run: every (variant, thread) issues a
-//! `sched_setaffinity` through its port before executing the program, so
-//! the simulated kernel records the pinning the placement prescribes (on
-//! real hardware this is where the `sched_setaffinity(2)` call would go).
-//! The thread's monitor shard was already resolved from the same core map
-//! at port acquisition, keeping shard state and core on the same
-//! (simulated) socket.
+//! Every (variant, thread) draws its port from the variant's gateway
+//! ([`VariantGateway::port`](mvee_core::mvee::VariantGateway::port)),
+//! which picks the one the configured
+//! [`Transport`](mvee_core::config::Transport) names: the blocking port,
+//! a ring-backed port, or — for variant 0 of a distributed MVEE — the
+//! leader's.  So one runner drives every transport.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mvee_core::config::{MveeConfig, Placement, RecoveryPolicy};
+use mvee_core::config::{MveeConfig, RecoveryPolicy};
 use mvee_core::mvee::Mvee;
 use mvee_core::policy::MonitoringPolicy;
 use mvee_kernel::kernel::Kernel;
-use mvee_kernel::syscall::{SyscallRequest, Sysno};
 use mvee_sync_agent::agents::AgentKind;
 use mvee_sync_agent::context::AgentConfig;
 
 use crate::diversity::DiversityProfile;
 use crate::executor::{execute_thread, ThreadRunStats};
 use crate::memory::VariantMemory;
-use crate::port::{NativePort, SyscallPort, ThreadSyscallPort};
+use crate::port::{NativePort, SyscallPort};
 use crate::program::Program;
 use crate::report::{NativeReport, RunReport};
 
 /// Configuration of an MVEE run.
 ///
-/// The shared tuning knobs (agent, policy, shards, batch, placement,
+/// The shared tuning knobs (agent, policy, transport, shards, batch,
 /// timeout, agent sizing) live in the embedded [`MveeConfig`]; `RunConfig`
 /// only adds what is specific to driving a program: the variant count and
 /// the diversity profile.
@@ -101,12 +95,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the shard/core placement policy (builder style).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.mvee.placement = placement;
-        self
-    }
-
     /// Sets the divergence recovery policy (builder style):
     /// [`RecoveryPolicy::Quarantine`] keeps a run serving on a degraded
     /// quorum when one variant diverges, instead of tearing everything
@@ -161,18 +149,6 @@ pub fn run_native(program: &Program) -> NativeReport {
     }
 }
 
-/// Issues the placement-prescribed `sched_setaffinity` for `thread`, if the
-/// placement pins cores.  Returns `false` when the MVEE shut down before
-/// the call went through.
-fn pin_thread(port: &dyn ThreadSyscallPort, placement: &Placement, thread: usize) -> bool {
-    match placement.core_for(thread) {
-        Some(core) => port
-            .syscall(&SyscallRequest::new(Sysno::SchedSetaffinity).with_int(core as i64))
-            .is_ok(),
-        None => true,
-    }
-}
-
 /// Runs `program` under the MVEE described by `config`.
 pub fn run_mvee(program: &Program, config: &RunConfig) -> RunReport {
     assert!(config.variants >= 1, "need at least one variant");
@@ -196,7 +172,6 @@ pub fn run_mvee(program: &Program, config: &RunConfig) -> RunReport {
     }
 
     let program_arc = Arc::new(program.clone());
-    let placement = config.mvee.placement.clone();
     let start = Instant::now();
     let mut handles = Vec::new();
     for v in 0..config.variants {
@@ -211,15 +186,8 @@ pub fn run_mvee(program: &Program, config: &RunConfig) -> RunReport {
             let program = Arc::clone(&program_arc);
             let port = Arc::clone(&port);
             let memory = Arc::clone(&memory);
-            let placement = placement.clone();
             handles.push(std::thread::spawn(move || {
                 let thread_port = port.thread_port(t);
-                if !pin_thread(&*thread_port, &placement, t) {
-                    return ThreadRunStats {
-                        killed: true,
-                        ..Default::default()
-                    };
-                }
                 execute_thread(&program, t, &*thread_port, &memory, factor)
             }));
         }
@@ -256,6 +224,8 @@ pub fn run_mvee(program: &Program, config: &RunConfig) -> RunReport {
 mod tests {
     use super::*;
     use crate::program::{Action, SyscallSpec, ThreadSpec};
+    use mvee_core::config::{RemoteChannel, Transport};
+    use mvee_kernel::syscall::{SyscallRequest, Sysno};
 
     /// A small producer/consumer program whose console output depends on the
     /// order in which the consumer threads pop the queue.
@@ -414,37 +384,37 @@ mod tests {
     }
 
     #[test]
-    fn every_placement_runs_cleanly() {
-        for placement in [
-            Placement::RoundRobin,
-            Placement::Grouped,
-            Placement::pinned(vec![0, 0, 1, 1]),
+    fn every_transport_runs_the_queue_program_cleanly() {
+        // The gateway's factory picks the port per transport: blocking,
+        // ring-backed, and the leader's for variant 0 of a distributed
+        // MVEE.  One runner drives all three.
+        for transport in [
+            Transport::Sync,
+            Transport::async_pool(1),
+            Transport::Remote {
+                channel: RemoteChannel::InProc,
+            },
         ] {
-            let config =
-                RunConfig::new(2, AgentKind::WallOfClocks).with_placement(placement.clone());
-            let report = run_mvee(&io_program(), &config);
+            let mut config = RunConfig::new(2, AgentKind::WallOfClocks);
+            config.mvee = config.mvee.with_transport(transport);
+            let report = run_mvee(&queue_program(8), &config);
             assert!(
                 report.completed_cleanly(),
                 "{} diverged: {:?}",
-                placement.name(),
+                transport.name(),
                 report.divergence
             );
-            assert!(report.outputs_identical(), "{}", placement.name());
+            assert!(report.outputs_identical(), "{}", transport.name());
         }
     }
 
     #[test]
     fn pinned_placement_records_affinity_in_every_variant() {
-        let config = RunConfig::new(2, AgentKind::WallOfClocks)
-            .with_placement(Placement::pinned(vec![3, 5]));
-        let report = run_mvee(&io_program(), &config);
-        assert!(report.completed_cleanly(), "{:?}", report.divergence);
-        // Re-run the scenario with an inspectable kernel: drive the pin call
-        // through a port directly.
+        // `sched_setaffinity` is a modelled call: each variant's kernel
+        // records the pinning its thread asked for.
         let mvee = Mvee::builder()
             .variants(2)
             .policy(MonitoringPolicy::NoComparison)
-            .placement(Placement::pinned(vec![3, 5]))
             .manual_clock(true)
             .build();
         for v in 0..2 {

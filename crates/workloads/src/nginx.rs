@@ -12,7 +12,7 @@
 //!
 //! * [`NginxServerConfig`] describes the server (pool size, page size,
 //!   whether the custom sync primitives are instrumented) and embeds the
-//!   shared [`MveeConfig`] tuning block (agent, shards, batch, placement).
+//!   shared [`MveeConfig`] tuning block (agent, transport, shards, batch).
 //! * [`run_nginx_experiment`] runs the server inside an
 //!   [`Mvee`] (or natively) while a load generator
 //!   modelled on `wrk` issues requests from outside the MVEE, and reports
@@ -23,8 +23,11 @@
 //!   malicious `mprotect`, so with ≥2 variants the monitor sees divergence.
 //!
 //! Every server thread — the listener and each pool worker — acquires its
-//! [`ThreadPort`] once at start-up and issues all of its monitored calls and
-//! sync-op brackets through it, the thread-port gateway discipline.
+//! port once at start-up from
+//! [`VariantGateway::port`](mvee_core::mvee::VariantGateway::port), which
+//! picks the port the configured transport names (blocking, ring-backed,
+//! or the remote leader's for variant 0), and issues all of its monitored
+//! calls and sync-op brackets through it as a [`ThreadSyscallPort`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +36,7 @@ use std::time::{Duration, Instant};
 use mvee_core::config::MveeConfig;
 use mvee_core::monitor::MonitorError;
 use mvee_core::mvee::{Mvee, VariantGateway};
-use mvee_core::port::ThreadPort;
+use mvee_core::port::ThreadSyscallPort;
 use mvee_kernel::net::LinkKind;
 use mvee_kernel::syscall::{SyscallArg, SyscallOutcome, SyscallRequest, Sysno};
 use mvee_kernel::vfs::OpenFlags;
@@ -60,7 +63,7 @@ pub struct NginxServerConfig {
     pub link: LinkKind,
     /// Diversity applied to the variants (ASLR + DCL in the paper).
     pub diversity: DiversityProfile,
-    /// The shared MVEE tuning knobs (agent, shards, batch, placement,
+    /// The shared MVEE tuning knobs (agent, transport, shards, batch,
     /// timeout), forwarded verbatim to the builder.
     pub mvee: MveeConfig,
 }
@@ -233,7 +236,8 @@ pub fn run_nginx_experiment(config: &NginxServerConfig, attack: bool) -> NginxRe
 /// work queue protected by nginx's *custom* spinlock (instrumented or not,
 /// per the configuration); pool threads pop FDs, read the request, update
 /// shared statistics under a pthread-style lock, and send the page.  Each
-/// thread acquires its [`ThreadPort`] once and drives everything through it.
+/// thread acquires its port once, from the gateway's factory, and drives
+/// everything through it.
 fn run_server_variant(
     gateway: VariantGateway,
     config: &NginxServerConfig,
@@ -242,8 +246,8 @@ fn run_server_variant(
 ) -> Result<(), MonitorError> {
     // The listener runs on logical thread 0 of this OS thread; its port also
     // performs the one-time server set-up calls.
-    let listener_port = gateway.thread(0);
-    let state = Arc::new(ServerState::new(&listener_port)?);
+    let listener_port = gateway.port(0);
+    let state = Arc::new(ServerState::new(&*listener_port)?);
 
     let mut handles = Vec::new();
     for worker in 1..=config.pool_threads {
@@ -251,13 +255,13 @@ fn run_server_variant(
         let gateway = gateway.clone();
         let cfg = config.clone();
         handles.push(std::thread::spawn(move || {
-            let port = gateway.thread(worker);
-            worker_loop(&port, &state, &cfg, code_base, expected_connections)
+            let port = gateway.port(worker);
+            worker_loop(&*port, &state, &cfg, code_base, expected_connections)
         }));
     }
 
     // Listener loop on thread 0.
-    let result = listener_loop(&listener_port, &state, config, expected_connections);
+    let result = listener_loop(&*listener_port, &state, config, expected_connections);
     for h in handles {
         let _ = h.join();
     }
@@ -289,7 +293,7 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn new(port: &ThreadPort) -> Result<Self, MonitorError> {
+    fn new(port: &dyn ThreadSyscallPort) -> Result<Self, MonitorError> {
         // socket / bind / listen / open the page.
         let sock = port.syscall(&SyscallRequest::new(Sysno::Socket))?;
         let listen_fd = sock.result.unwrap_or(-1) as i32;
@@ -321,7 +325,7 @@ impl ServerState {
 
     /// Acquires nginx's custom spinlock.  Each CAS attempt is a sync op, but
     /// only instrumented when `instrument` is true (the §5.5 experiment).
-    fn custom_lock_acquire(&self, port: &ThreadPort, instrument: bool) {
+    fn custom_lock_acquire(&self, port: &dyn ThreadSyscallPort, instrument: bool) {
         loop {
             if instrument {
                 port.before_sync_op(self.custom_lock_addr);
@@ -340,7 +344,7 @@ impl ServerState {
         }
     }
 
-    fn custom_lock_release(&self, port: &ThreadPort, instrument: bool) {
+    fn custom_lock_release(&self, port: &dyn ThreadSyscallPort, instrument: bool) {
         if instrument {
             port.before_sync_op(self.custom_lock_addr);
         }
@@ -352,7 +356,7 @@ impl ServerState {
 
     /// The pthread-style statistics lock is always instrumented (the paper
     /// had already covered pthread primitives before tackling nginx).
-    fn stats_lock_acquire(&self, port: &ThreadPort) {
+    fn stats_lock_acquire(&self, port: &dyn ThreadSyscallPort) {
         loop {
             port.before_sync_op(self.stats_lock_addr);
             let acquired = self
@@ -367,7 +371,7 @@ impl ServerState {
         }
     }
 
-    fn stats_lock_release(&self, port: &ThreadPort) {
+    fn stats_lock_release(&self, port: &dyn ThreadSyscallPort) {
         port.before_sync_op(self.stats_lock_addr);
         self.stats_lock.store(0, Ordering::Release);
         port.after_sync_op(self.stats_lock_addr);
@@ -375,7 +379,7 @@ impl ServerState {
 }
 
 fn listener_loop(
-    port: &ThreadPort,
+    port: &dyn ThreadSyscallPort,
     state: &Arc<ServerState>,
     config: &NginxServerConfig,
     expected_connections: usize,
@@ -406,7 +410,7 @@ fn listener_loop(
 }
 
 fn worker_loop(
-    port: &ThreadPort,
+    port: &dyn ThreadSyscallPort,
     state: &Arc<ServerState>,
     config: &NginxServerConfig,
     code_base: u64,
@@ -441,7 +445,7 @@ fn worker_loop(
 }
 
 fn handle_request(
-    port: &ThreadPort,
+    port: &dyn ThreadSyscallPort,
     state: &Arc<ServerState>,
     config: &NginxServerConfig,
     code_base: u64,
@@ -647,6 +651,7 @@ fn send_one_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvee_core::config::{RemoteChannel, Transport};
 
     fn quick_config(variants: usize) -> NginxServerConfig {
         NginxServerConfig {
@@ -704,18 +709,34 @@ mod tests {
     }
 
     #[test]
-    fn grouped_placement_serves_requests_without_divergence() {
-        let mut config = quick_config(2);
-        config.mvee = config
-            .mvee
-            .with_placement(mvee_core::config::Placement::Grouped);
-        let report = run_nginx_experiment(&config, false);
-        assert_eq!(
-            report.completed_requests, 8,
-            "diverged: {}",
-            report.diverged
-        );
-        assert!(!report.diverged);
+    fn ring_and_remote_transports_serve_requests_and_stop_the_attack() {
+        // The server draws every port from the gateway's factory, so it
+        // runs on ring-backed ports and behind the remote leader as well.
+        for transport in [
+            Transport::async_pool(1),
+            Transport::Remote {
+                channel: RemoteChannel::InProc,
+            },
+        ] {
+            let mut config = quick_config(2);
+            config.mvee = config.mvee.with_transport(transport);
+            let report = run_nginx_experiment(&config, false);
+            assert_eq!(
+                report.completed_requests,
+                8,
+                "{}: diverged: {}",
+                transport.name(),
+                report.diverged
+            );
+            assert!(!report.diverged, "{}", transport.name());
+            let attacked = run_nginx_experiment(&config, true);
+            assert_eq!(
+                attacked.attack,
+                AttackOutcome::DetectedAndStopped,
+                "{}",
+                transport.name()
+            );
+        }
     }
 
     #[test]

@@ -98,9 +98,10 @@ fn main() {
         "the benign program must not diverge"
     );
 
-    // The same gateway, by hand: each variant thread acquires its ThreadPort
-    // once (`gateway.thread(t)` / `mvee.thread_port(v, t)`) and issues every
-    // monitored call and sync op through it — the one entry into the monitor.
+    // The same gateway, by hand: each variant thread acquires its port once
+    // (`gateway.port(t)`, boxed by transport, or the typed
+    // `mvee.thread_port(v, t)`) and issues every monitored call and sync op
+    // through it — the one entry into the monitor.
     let mvee = Mvee::builder().variants(2).manual_clock(true).build();
     let mut handles = Vec::new();
     for v in 0..2 {

@@ -1,15 +1,19 @@
-//! Property tests: the [`ThreadPort`] gateway behaves the same under every
-//! [`Placement`] policy.
+//! Property tests: every port the gateway's factory hands out behaves like
+//! the blocking [`ThreadPort`](mvee::core::port::ThreadPort).
 //!
-//! A port resolves its shard binding once, at acquisition; which shard a
-//! thread's rendezvous slots, ordering clock and stat lane live in must not
-//! change anything a variant or an operator can observe.  For randomized
-//! per-thread call plans and batch sizes ∈ {1, 8}, the round-robin run is the
-//! reference; a `Grouped` and a `Pinned` run of the same plan must produce
+//! [`VariantGateway::port`](mvee::core::mvee::VariantGateway::port) picks a
+//! port by transport — the blocking port, a ring-backed port, or the remote
+//! leader's for variant 0 — and nothing a variant or an operator can
+//! observe may depend on which.  For randomized per-thread call plans and
+//! batch sizes ∈ {1, 8}, the `Sync` run through `Mvee::thread_port` is the
+//! reference; the same plan through the factory's ports under
+//! `Transport::async_pool(1)` and under `Transport::Remote` must produce
 //! exactly the same per-call outcomes, the same clean/diverged verdict, the
 //! same first-mismatch slot and blamed variant, and the same monitor
 //! statistics — even though real OS threads race through the monitor in
-//! every run.
+//! every run.  The remote and async suites reach their ports through the
+//! typed shorthands; this is the per-call suite that goes through the
+//! factory.
 //!
 //! The deterministic companions pin the divergence-report equivalence for an
 //! injected mid-batch mismatch and for a rendezvous timeout.
@@ -22,21 +26,34 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mvee::core::config::Placement;
+use mvee::core::config::{RemoteChannel, Transport};
 use mvee::core::monitor::MonitorStats;
 use mvee::core::mvee::Mvee;
+use mvee::core::port::ThreadSyscallPort;
 use mvee::core::DivergenceReport;
 use mvee::kernel::syscall::{SyscallRequest, Sysno};
 use mvee::sync_agent::agents::AgentKind;
 
-/// The round-robin reference first, then the placements compared against
-/// it; `cores` is the core map the pinned one uses.
-fn placements(cores: Vec<usize>) -> [Placement; 3] {
+/// The blocking reference first, then the transports whose factory ports
+/// are compared against it.
+fn faces() -> [Transport; 3] {
     [
-        Placement::RoundRobin,
-        Placement::Grouped,
-        Placement::pinned(cores),
+        Transport::Sync,
+        Transport::async_pool(1),
+        Transport::Remote {
+            channel: RemoteChannel::InProc,
+        },
     ]
+}
+
+/// The reference's port through the typed shorthand, every other face's
+/// through the gateway's factory.
+fn port(mvee: &Mvee, variant: usize, thread: usize) -> Box<dyn ThreadSyscallPort> {
+    let gateway = mvee.gateway(variant);
+    match gateway.transport() {
+        Transport::Sync => Box::new(mvee.thread_port(variant, thread)),
+        _ => gateway.port(thread),
+    }
 }
 
 /// The call an op tag stands for.  All tags are benign (identical across
@@ -54,13 +71,13 @@ fn req_for(tag: u8) -> SyscallRequest {
     }
 }
 
-fn build_mvee(variants: usize, threads: usize, batch: usize, placement: &Placement) -> Mvee {
+fn build_mvee(variants: usize, threads: usize, batch: usize, transport: Transport) -> Mvee {
     Mvee::builder()
         .variants(variants)
         .threads(threads.max(1))
         .agent(AgentKind::Null)
         .batch(batch)
-        .placement(placement.clone())
+        .transport(transport)
         .shards(4)
         .lockstep_timeout(std::time::Duration::from_secs(10))
         .manual_clock(true)
@@ -69,15 +86,16 @@ fn build_mvee(variants: usize, threads: usize, batch: usize, placement: &Placeme
 
 /// Runs `plan` (one op-tag vector per logical thread, identical in every
 /// variant) through a fresh MVEE on real OS threads, every (variant, thread)
-/// through its own `ThreadPort`.  Returns the per-(variant, thread) success
-/// counts, the monitor stats and the divergence report, if any.
+/// through its own port.  Returns each (variant, thread)'s per-call success
+/// flags, the monitor stats once a remote follower has caught up, and the
+/// divergence report, if any.
 fn run_plan(
     variants: usize,
     batch: usize,
-    placement: &Placement,
+    transport: Transport,
     plan: &[Vec<u8>],
-) -> (Vec<u64>, MonitorStats, Option<DivergenceReport>) {
-    let mvee = Arc::new(build_mvee(variants, plan.len(), batch, placement));
+) -> (Vec<Vec<bool>>, MonitorStats, Option<DivergenceReport>) {
+    let mvee = Arc::new(build_mvee(variants, plan.len(), batch, transport));
     let plan = Arc::new(plan.to_vec());
     let mut handles = Vec::new();
     for variant in 0..variants {
@@ -85,28 +103,29 @@ fn run_plan(
             let mvee = Arc::clone(&mvee);
             let plan = Arc::clone(&plan);
             handles.push(std::thread::spawn(move || {
-                let port = mvee.thread_port(variant, thread);
-                let ok = plan[thread]
+                let port = port(&mvee, variant, thread);
+                let ok: Vec<bool> = plan[thread]
                     .iter()
-                    .filter(|&&tag| port.syscall(&req_for(tag)).is_ok())
-                    .count() as u64;
+                    .map(|&tag| port.syscall(&req_for(tag)).is_ok())
+                    .collect();
                 ((variant, thread), ok)
             }));
         }
     }
-    let mut collected: Vec<((usize, usize), u64)> = handles
+    let mut collected: Vec<((usize, usize), Vec<bool>)> = handles
         .into_iter()
         .map(|h| h.join().expect("plan thread panicked"))
         .collect();
     collected.sort_by_key(|(id, _)| *id);
     let oks = collected.into_iter().map(|(_, ok)| ok).collect();
+    mvee.remote_barrier().expect("the follower is alive");
     (oks, mvee.monitor_stats(), mvee.divergence())
 }
 
 proptest! {
-    /// Clean plans: every placement succeeds on every call and agrees with
-    /// the round-robin run on every monitor counter, with the batch size
-    /// (∈ {1, 8}) part of the generated case.
+    /// Clean plans: every face succeeds on every call and agrees with the
+    /// blocking run on every monitor counter, with the batch size (∈ {1, 8})
+    /// part of the generated case.
     #[test]
     fn port_path_matches_index_path_on_clean_plans(
         plan in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..10), 1..3),
@@ -114,23 +133,24 @@ proptest! {
         batch_sel in 0usize..2,
     ) {
         let batch = [1usize, 8][batch_sel];
-        let [reference, others @ ..] = placements(vec![0, 2, 1]);
-        let (ref_ok, ref_stats, ref_div) = run_plan(variants, batch, &reference, &plan);
-        prop_assert!(ref_div.is_none(), "round-robin run diverged: {ref_div:?}");
-        for placement in others {
-            let (ok, stats, div) = run_plan(variants, batch, &placement, &plan);
-            prop_assert!(div.is_none(), "{} run diverged: {:?}", placement.name(), div);
+        let [reference, others @ ..] = faces();
+        let (ref_ok, ref_stats, ref_div) = run_plan(variants, batch, reference, &plan);
+        prop_assert!(ref_div.is_none(), "blocking run diverged: {ref_div:?}");
+        prop_assert!(ref_ok.iter().flatten().all(|&ok| ok), "a clean call failed");
+        for face in others {
+            let (ok, stats, div) = run_plan(variants, batch, face, &plan);
+            prop_assert!(div.is_none(), "{} run diverged: {:?}", face.name(), div);
             prop_assert_eq!(&ref_ok, &ok,
-                "per-thread outcomes differ (batch={}, {})", batch, placement.name());
+                "per-call outcomes differ (batch={}, {})", batch, face.name());
             prop_assert_eq!(ref_stats, stats,
-                "monitor stats differ (batch={}, {})", batch, placement.name());
+                "monitor stats differ (batch={}, {})", batch, face.name());
         }
     }
 }
 
 /// The injected-mismatch scenario: one thread, two variants, a mid-batch
 /// divergent mprotect followed by a synchronous write that forces the flush.
-/// Every placement must blame exactly the same (thread, sequence, variant).
+/// Every face must blame exactly the same (thread, sequence, variant).
 #[test]
 fn port_and_index_paths_report_identical_mismatch_verdicts() {
     let mprotect = |len: i64| SyscallRequest::new(Sysno::Mprotect).with_int(len);
@@ -141,37 +161,38 @@ fn port_and_index_paths_report_identical_mismatch_verdicts() {
     };
     for batch in [1usize, 8] {
         let mut reports = Vec::new();
-        for placement in placements(vec![1]) {
-            let mvee = Arc::new(build_mvee(2, 1, batch, &placement));
+        for face in faces() {
+            let mvee = Arc::new(build_mvee(2, 1, batch, face));
             let m = Arc::clone(&mvee);
             let slave = std::thread::spawn(move || {
-                let port = m.thread_port(1, 0);
+                let port = port(&m, 1, 0);
                 for len in [4096i64, 666, 4096] {
                     port.syscall(&mprotect(len))?;
                 }
                 port.syscall(&write())
             });
             let master = (|| {
-                let port = mvee.thread_port(0, 0);
+                let port = port(&mvee, 0, 0);
                 for _ in 0..3 {
                     port.syscall(&mprotect(4096))?;
                 }
                 port.syscall(&write())
             })();
             let slave = slave.join().unwrap();
-            assert!(master.is_err() || slave.is_err());
+            assert!(master.is_err() || slave.is_err(), "{}", face.name());
+            mvee.remote_barrier().expect("the follower is alive");
             let report = mvee.divergence().expect("divergence report");
-            reports.push((placement, report));
+            reports.push((face, report));
         }
         let (_, reference) = &reports[0];
         assert_eq!(reference.sequence, 1, "must blame the exact mid-batch slot");
         assert_eq!(reference.variant, 1);
-        for (placement, report) in &reports[1..] {
+        for (face, report) in &reports[1..] {
             assert_eq!(
                 reference.sequence,
                 report.sequence,
                 "batch={batch} {}: first-mismatch slot differs",
-                placement.name()
+                face.name()
             );
             assert_eq!(reference.thread, report.thread);
             assert_eq!(reference.variant, report.variant, "blamed variant differs");
@@ -185,25 +206,26 @@ fn port_and_index_paths_report_identical_mismatch_verdicts() {
 }
 
 /// The rendezvous-timeout scenario: only the master arrives at a compared
-/// call.  Every placement must report the same timeout verdict, at batch 1
-/// and 8.
+/// call.  Every face must report the same timeout verdict, at batch 1 and
+/// 8.
 #[test]
 fn port_and_index_paths_report_identical_timeout_verdicts() {
     let open = SyscallRequest::new(Sysno::Open).with_path("/missing");
     for batch in [1usize, 8] {
         let mut reports = Vec::new();
-        for placement in placements(vec![1]) {
+        for face in faces() {
             let mvee = Mvee::builder()
                 .variants(2)
                 .threads(1)
                 .agent(AgentKind::Null)
                 .batch(batch)
-                .placement(placement)
+                .transport(face)
                 .lockstep_timeout(std::time::Duration::from_millis(150))
                 .manual_clock(true)
                 .build();
-            let result = mvee.thread_port(0, 0).syscall(&open);
-            assert!(result.is_err());
+            let result = port(&mvee, 0, 0).syscall(&open);
+            assert!(result.is_err(), "{}", face.name());
+            mvee.remote_barrier().expect("the follower is alive");
             reports.push(mvee.divergence().expect("divergence report"));
         }
         for report in &reports[1..] {
@@ -214,9 +236,10 @@ fn port_and_index_paths_report_identical_timeout_verdicts() {
 
 /// The `Send` half of the port's threading contract, checked at compile
 /// time from outside the defining crate (the `!Sync` half is a
-/// `compile_fail` doctest on `mvee_core::port`).
+/// `compile_fail` doctest on `mvee_core::port`), for both backends.
 #[test]
 fn thread_port_is_send_across_crates() {
     fn assert_send<T: Send>() {}
     assert_send::<mvee::core::port::ThreadPort>();
+    assert_send::<mvee::core::remote::LeaderPort>();
 }
