@@ -392,12 +392,21 @@ impl AsyncThreadPort {
     /// at its reap point (a replication point must never overtake a
     /// pending comparison — the same position in the call stream as the
     /// sync transport's inline flush), then enters the agent.
+    ///
+    /// The infallible form, as on
+    /// [`ThreadPort::before_sync_op`](crate::port::ThreadPort::before_sync_op);
+    /// [`ThreadSyscallPort::before_sync_op`] reports the end of the run.
     pub fn before_sync_op(&self, addr: u64) {
+        self.enter_sync_op(addr);
+    }
+
+    /// Enters the sync op; `false` when the agent bailed.
+    fn enter_sync_op(&self, addr: u64) -> bool {
         // A flush failure has already recorded the divergence and poisoned
-        // table + agent; the thread learns about it at its next monitored
-        // call, exactly like the sync transport.
+        // table + agent; the agent's bail or the next monitored call
+        // reports it, exactly like the sync transport.
         let _ = self.flush();
-        self.agent.before_sync_op(&self.ctx, addr);
+        self.agent.before_sync_op(&self.ctx, addr)
     }
 
     /// Brackets the end of a sync op.
@@ -495,8 +504,16 @@ impl ThreadSyscallPort for AsyncThreadPort {
         AsyncThreadPort::syscall(self, req)
     }
 
-    fn before_sync_op(&self, addr: u64) {
-        AsyncThreadPort::before_sync_op(self, addr)
+    fn before_sync_op(&self, addr: u64) -> Result<(), MonitorError> {
+        if self.is_shut_down() {
+            return Err(MonitorError::ShutDown);
+        }
+        if self.enter_sync_op(addr) {
+            return Ok(());
+        }
+        // A bailed agent still holds a master's ordering guard.
+        self.after_sync_op(addr);
+        Err(MonitorError::ShutDown)
     }
 
     fn after_sync_op(&self, addr: u64) {

@@ -73,7 +73,14 @@ pub trait ThreadSyscallPort: Send + std::fmt::Debug {
     fn syscall(&self, req: &SyscallRequest) -> Result<SyscallOutcome, MonitorError>;
 
     /// Called immediately before a sync op on the variable at `addr`.
-    fn before_sync_op(&self, addr: u64);
+    ///
+    /// An error says the run is over for this thread (a verdict shut the
+    /// MVEE down, or the agent was poisoned where the op would wait): the
+    /// op must not execute, the bracket is already closed (no
+    /// `after_sync_op` follows), and the thread must terminate.  So a guest
+    /// loop made only of sync ops — a spin on a lock or a barrier whose
+    /// peer the verdict killed — ends with the run.
+    fn before_sync_op(&self, addr: u64) -> Result<(), MonitorError>;
 
     /// Called immediately after the sync op on the variable at `addr`.
     fn after_sync_op(&self, addr: u64);
@@ -87,6 +94,17 @@ pub trait ThreadSyscallPort: Send + std::fmt::Debug {
     /// Whether the run is over for this port: its next call would be
     /// refused.
     fn is_shut_down(&self) -> bool;
+}
+
+impl dyn ThreadSyscallPort + '_ {
+    /// `op` bracketed as one instrumented sync op on the variable at
+    /// `addr`.  An error says the run is over; `op` then does not run.
+    pub fn sync_op<T>(&self, addr: u64, op: impl FnOnce() -> T) -> Result<T, MonitorError> {
+        self.before_sync_op(addr)?;
+        let result = op();
+        self.after_sync_op(addr);
+        Ok(result)
+    }
 }
 
 /// A per-(variant, thread) syscall handle, generic over where its
@@ -194,15 +212,25 @@ impl<R: Rendezvous> ThreadPort<R> {
     /// comparisons (a replication point must never overtake a pending
     /// comparison) — over the wire, then streams the `SyncOp` progress
     /// marker — and enters the agent.
+    ///
+    /// The infallible form: the caller always closes the bracket with
+    /// [`after_sync_op`](Self::after_sync_op) and learns that the run is
+    /// over at its next monitored call.  A variant thread's port
+    /// ([`ThreadSyscallPort::before_sync_op`]) reports it at once.
     pub fn before_sync_op(&self, addr: u64) {
+        self.enter_sync_op(addr);
+    }
+
+    /// Enters the sync op; `false` when the agent bailed.
+    fn enter_sync_op(&self, addr: u64) -> bool {
         if self.pending_comparisons() > 0 {
             // A flush failure has already recorded the divergence and
-            // poisoned table + agent; the thread learns about it at its next
-            // monitored call.
+            // poisoned table + agent; the agent's bail or the next
+            // monitored call reports it.
             let _ = self.flush();
         }
         self.machine.borrow_mut().sync_op(&self.cx);
-        self.agent.before_sync_op(&self.ctx, addr);
+        self.agent.before_sync_op(&self.ctx, addr)
     }
 
     /// Brackets the end of a sync op.
@@ -303,8 +331,16 @@ where
         ThreadPort::syscall(self, req)
     }
 
-    fn before_sync_op(&self, addr: u64) {
-        ThreadPort::before_sync_op(self, addr)
+    fn before_sync_op(&self, addr: u64) -> Result<(), MonitorError> {
+        if self.is_shut_down() {
+            return Err(MonitorError::ShutDown);
+        }
+        if self.enter_sync_op(addr) {
+            return Ok(());
+        }
+        // A bailed agent still holds a master's ordering guard.
+        self.after_sync_op(addr);
+        Err(MonitorError::ShutDown)
     }
 
     fn after_sync_op(&self, addr: u64) {

@@ -16,13 +16,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::context::{AgentConfig, SyncContext, VariantRole, MAX_THREADS};
 use crate::guards::GuardTable;
-use crate::ring::{RecordRing, SyncRecord};
+use crate::ring::{zeroed, RecordRing, SyncRecord};
 use crate::stats::AgentStats;
 use crate::{AgentCore, SyncAgent, SyncStep, WaitSite};
 
 use super::AgentKind;
 
-/// Per-slave replay state, all pre-allocated (§3.3: no dynamic allocation).
+/// Per-slave replay state, all pre-allocated (§3.3: no dynamic allocation);
+/// the two per-slot maps start on zero pages, like the ring's slots.
 #[derive(Debug)]
 struct SlaveState {
     /// `completed[pos % capacity] == pos + 1` once this slave finished the op
@@ -43,8 +44,8 @@ struct SlaveState {
 impl SlaveState {
     fn new(capacity: usize) -> Self {
         SlaveState {
-            completed: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            claimed_map: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            completed: zeroed(capacity, AtomicU64::new),
+            claimed_map: zeroed(capacity, AtomicU64::new),
             threads: (0..MAX_THREADS).map(|_| ThreadReplay::default()).collect(),
         }
     }

@@ -101,6 +101,8 @@ pub struct AgentConfig {
     /// Number of logical threads the workload uses (≤ [`MAX_THREADS`]).
     pub threads: usize,
     /// Capacity, in records, of each sync buffer.  Must be a power of two.
+    /// A record costs 32 bytes, touched as the buffer's write cursor first
+    /// reaches it (see [`ring`](crate::ring)).
     pub buffer_capacity: usize,
     /// Number of logical clocks in the wall-of-clocks agent.
     pub clock_count: usize,

@@ -223,7 +223,9 @@ pub trait SyncAgent: Send + Sync {
     fn try_before_sync_op(&self, ctx: &context::SyncContext, addr: u64) -> SyncStep<'_>;
 
     /// Called immediately before a sync op on the variable at `addr`;
-    /// returns once the op may execute.
+    /// returns once the op may execute (`true`), or `false` once the agent
+    /// [bailed](SyncStep::Bailed): it was poisoned where the op would wait,
+    /// so the run is over.  Either way `after_sync_op` closes the bracket.
     ///
     /// The driver shared by every agent: fires the replication hook (before
     /// any guard is taken, so a blocking hook cannot deadlock against the
@@ -235,7 +237,7 @@ pub trait SyncAgent: Send + Sync {
     /// full-ring waits for a master (guard waits are not stalls), any wait
     /// for a slave — its spins, yields and parks summed over the sites.  A
     /// bailed op counts nothing.
-    fn before_sync_op(&self, ctx: &context::SyncContext, addr: u64) {
+    fn before_sync_op(&self, ctx: &context::SyncContext, addr: u64) -> bool {
         let core = self.core();
         if let Some(hook) = core.hook.get() {
             core.stats.count_replication_point(ctx.thread);
@@ -260,9 +262,11 @@ pub trait SyncAgent: Send + Sync {
                 tally.merge(waited);
             }
         }
-        if let SyncStep::Ready = step {
+        let ready = matches!(step, SyncStep::Ready);
+        if ready {
             core.stats.count_op(ctx.thread, ctx.role, tally);
         }
+        ready
     }
 
     /// Called immediately after the sync op on the variable at `addr` has

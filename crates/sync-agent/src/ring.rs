@@ -24,10 +24,20 @@
 //! * **SPSC fast path** — [`new_spsc`](RecordRing::new_spsc) marks a ring
 //!   single-producer (the wall-of-clocks one-ring-per-master-thread shape),
 //!   and its push is a plain load + plain store: no compare-exchange at all.
-//! * **False-sharing control** — slots are cache-line-aligned
-//!   (`#[repr(align(64))]`), and the write cursor, the cached minimum and
+//! * **False-sharing control** — the write cursor, the cached minimum and
 //!   every reader cursor live on their own cache line, so a producer
-//!   publishing and a slave consuming never dirty each other's lines.
+//!   moving its cursor and a slave moving its own never dirty each other's
+//!   lines.  Slots are dense (32 bytes, two per line): slaves read a ring
+//!   in order behind its producer, so a slot line is shared only while a
+//!   slave reads the record just published beside it.
+//!
+//! # Memory
+//!
+//! A ring costs 32 bytes per record, paid when the write cursor first
+//! reaches it.  The slots are built from a zeroed allocation without
+//! writing them (the all-zero slot is the empty slot), so their pages fault
+//! in on first push, as a ReMon sync buffer mapped once does; nothing is
+//! allocated after construction.
 //!
 //! The implementation uses only safe atomics; each slot carries a sequence
 //! number that is published with `Release` ordering after the record fields
@@ -83,30 +93,41 @@ impl SyncRecord {
     }
 }
 
-/// A slot of the ring.  `seq == position + 1` marks the record as published
-/// for the generation that starts at `position`.  One cache line per slot:
-/// a slave polling slot `n`'s sequence must not stall the producer writing
-/// slot `n + 1`.
+/// A slot of the ring: four words, 32 bytes, so two slots share a cache
+/// line.  `seq == position + 1` marks the record as published for the
+/// generation that starts at `position`; `id` packs the record's two `u32`
+/// fields as `thread << 32 | clock`.
+///
+/// The slot has the layout of `[u64; 4]` (no `repr(align)`), so a ring is
+/// built from a zeroed allocation: the all-zero slot is the empty slot
+/// (`seq == 0`), and its pages fault in only when the write cursor first
+/// reaches them.
 #[derive(Debug)]
-#[repr(align(64))]
 struct Slot {
     seq: AtomicU64,
-    thread: AtomicU64,
+    id: AtomicU64,
     addr: AtomicU64,
-    clock: AtomicU64,
     time: AtomicU64,
 }
 
 impl Slot {
-    fn new() -> Self {
+    fn from_words([seq, id, addr, time]: [u64; 4]) -> Self {
         Slot {
-            seq: AtomicU64::new(0),
-            thread: AtomicU64::new(0),
-            addr: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            time: AtomicU64::new(0),
+            seq: AtomicU64::new(seq),
+            id: AtomicU64::new(id),
+            addr: AtomicU64::new(addr),
+            time: AtomicU64::new(time),
         }
     }
+}
+
+/// `n` zeroed values of `T` built from `n` zeroed words `W`, in safe Rust
+/// and without touching a page: `vec!` of zeros takes the allocator's
+/// zeroed path (fresh pages), the in-place collect reuses that allocation
+/// (`T` must have `W`'s size and alignment), and in release the map
+/// compiles to nothing.  A debug build writes every element.
+pub(crate) fn zeroed<W: Clone + Default, T>(n: usize, from: impl FnMut(W) -> T) -> Vec<T> {
+    vec![W::default(); n].into_iter().map(from).collect()
 }
 
 /// A cursor on its own cache line, so the producer's write cursor, the
@@ -177,7 +198,7 @@ impl RecordRing {
             "capacity must be a power of two"
         );
         RecordRing {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: zeroed(capacity, Slot::from_words),
             capacity: capacity as u64,
             spsc,
             write_cursor: PaddedCursor::default(),
@@ -301,10 +322,9 @@ impl RecordRing {
     #[inline]
     fn publish(&self, pos: u64, record: SyncRecord) {
         let slot = &self.slots[(pos % self.capacity) as usize];
-        slot.thread
-            .store(u64::from(record.thread), Ordering::Relaxed);
+        let id = u64::from(record.thread) << 32 | u64::from(record.clock);
+        slot.id.store(id, Ordering::Relaxed);
         slot.addr.store(record.addr, Ordering::Relaxed);
-        slot.clock.store(u64::from(record.clock), Ordering::Relaxed);
         slot.time.store(record.time, Ordering::Relaxed);
         slot.seq.store(pos + 1, Ordering::Release);
     }
@@ -315,10 +335,11 @@ impl RecordRing {
         if slot.seq.load(Ordering::Acquire) != pos + 1 {
             return None;
         }
+        let id = slot.id.load(Ordering::Relaxed);
         Some(SyncRecord {
-            thread: slot.thread.load(Ordering::Relaxed) as u32,
+            thread: (id >> 32) as u32,
             addr: slot.addr.load(Ordering::Relaxed),
-            clock: slot.clock.load(Ordering::Relaxed) as u32,
+            clock: id as u32,
             time: slot.time.load(Ordering::Relaxed),
         })
     }

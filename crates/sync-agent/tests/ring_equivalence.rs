@@ -129,6 +129,48 @@ proptest! {
     }
 }
 
+/// A record from arbitrary fields, with `edges` forcing some of them to
+/// their maximum so the extremes of the packed `thread << 32 | clock` word
+/// are always covered.
+fn record_from((thread, addr, clock, time, edges): (u32, u64, u32, u64, u8)) -> SyncRecord {
+    let pick32 = |bit: u8, v: u32| if edges & bit != 0 { u32::MAX } else { v };
+    let pick64 = |bit: u8, v: u64| if edges & bit != 0 { u64::MAX } else { v };
+    SyncRecord::with_clock(
+        pick32(1, thread),
+        pick64(2, addr),
+        pick32(4, clock),
+        pick64(8, time),
+    )
+}
+
+proptest! {
+    /// Every record comes back bit-exact from either ring flavour, across
+    /// several wraps of an 8-slot ring: the slot packs `thread` and `clock`
+    /// into one word, so neither may bleed into the other.
+    #[test]
+    fn packed_records_round_trip_bit_exact(
+        fields in proptest::collection::vec(
+            (any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            17..80,
+        ),
+    ) {
+        let records: Vec<SyncRecord> = fields.into_iter().map(record_from).collect();
+        for ring in [RecordRing::new(8, 1), RecordRing::new_spsc(8, 1)] {
+            for chunk in records.chunks(8) {
+                let first = ring.write_pos();
+                for &record in chunk {
+                    prop_assert!(matches!(ring.try_push(record), PushOutcome::Stored(_)));
+                }
+                for (i, &record) in chunk.iter().enumerate() {
+                    prop_assert_eq!(ring.get(first + i as u64), Some(record));
+                    ring.advance_reader(0);
+                }
+            }
+            prop_assert_eq!(ring.write_pos(), records.len() as u64);
+        }
+    }
+}
+
 /// Deterministic companion: a full wrap-around cycle (fill, drain, refill)
 /// leaves both flavours with byte-identical observables.
 #[test]

@@ -175,10 +175,7 @@ fn run_action(
         Action::LockAcquire(lock) => {
             let addr = memory.lock_addr(*lock);
             loop {
-                port.before_sync_op(addr);
-                let acquired = memory.lock_try_acquire(*lock);
-                port.after_sync_op(addr);
-                state.stats.sync_ops += 1;
+                let acquired = sync_op(port, addr, state, || memory.lock_try_acquire(*lock))?;
                 state.stats.instructions += 8;
                 if acquired {
                     break;
@@ -188,18 +185,12 @@ fn run_action(
         }
         Action::LockRelease(lock) => {
             let addr = memory.lock_addr(*lock);
-            port.before_sync_op(addr);
-            memory.lock_release(*lock);
-            port.after_sync_op(addr);
-            state.stats.sync_ops += 1;
+            sync_op(port, addr, state, || memory.lock_release(*lock))?;
             state.stats.instructions += 4;
         }
         Action::AtomicAdd { counter, amount } => {
             let addr = memory.counter_addr(*counter);
-            port.before_sync_op(addr);
-            memory.counter_add(*counter, *amount);
-            port.after_sync_op(addr);
-            state.stats.sync_ops += 1;
+            sync_op(port, addr, state, || memory.counter_add(*counter, *amount))?;
             state.stats.instructions += 4;
         }
         Action::BarrierWait {
@@ -207,16 +198,10 @@ fn run_action(
             participants,
         } => {
             let addr = memory.barrier_addr(*barrier);
-            port.before_sync_op(addr);
-            let mut seen = memory.barrier_arrive(*barrier);
-            port.after_sync_op(addr);
-            state.stats.sync_ops += 1;
+            let mut seen = sync_op(port, addr, state, || memory.barrier_arrive(*barrier))?;
             state.stats.instructions += 8;
             while seen < *participants {
-                port.before_sync_op(addr);
-                seen = memory.barrier_count(*barrier);
-                port.after_sync_op(addr);
-                state.stats.sync_ops += 1;
+                seen = sync_op(port, addr, state, || memory.barrier_count(*barrier))?;
                 state.stats.instructions += 4;
                 if seen < *participants {
                     std::thread::yield_now();
@@ -225,16 +210,16 @@ fn run_action(
         }
         Action::QueuePush { queue, value } => {
             let lock_addr = memory.queue_lock_addr(*queue);
-            acquire_raw(port, memory, lock_addr, *queue, state);
+            acquire_raw(port, memory, lock_addr, *queue, state)?;
             memory.queue_push(*queue, *value);
-            release_raw(port, memory, lock_addr, *queue, state);
+            release_raw(port, memory, lock_addr, *queue, state)?;
             state.stats.instructions += 24;
         }
         Action::QueuePop { queue, print } => {
             let lock_addr = memory.queue_lock_addr(*queue);
-            acquire_raw(port, memory, lock_addr, *queue, state);
+            acquire_raw(port, memory, lock_addr, *queue, state)?;
             let popped = memory.queue_pop(*queue);
-            release_raw(port, memory, lock_addr, *queue, state);
+            release_raw(port, memory, lock_addr, *queue, state)?;
             state.stats.instructions += 24;
             if *print {
                 let value = popped.map(|v| v as i64).unwrap_or(-1);
@@ -247,10 +232,7 @@ fn run_action(
         }
         Action::PrintCounter(counter) => {
             let addr = memory.counter_addr(*counter);
-            port.before_sync_op(addr);
-            let value = memory.counter_value(*counter);
-            port.after_sync_op(addr);
-            state.stats.sync_ops += 1;
+            let value = sync_op(port, addr, state, || memory.counter_value(*counter))?;
             let payload = format!("counter {} = {}\n", counter, value);
             let req = SyscallRequest::new(Sysno::Write)
                 .with_fd(1)
@@ -269,6 +251,19 @@ fn run_action(
     Ok(())
 }
 
+/// One instrumented sync op, counted.  `Killed` once the port reports the
+/// run over; `op` then does not run.
+fn sync_op<T>(
+    port: &dyn ThreadSyscallPort,
+    addr: u64,
+    state: &mut ThreadState,
+    op: impl FnOnce() -> T,
+) -> Result<T, Killed> {
+    let result = port.sync_op(addr, op).map_err(|_| Killed)?;
+    state.stats.sync_ops += 1;
+    Ok(result)
+}
+
 /// Queue helper: acquire the queue lock with instrumented CAS attempts.
 fn acquire_raw(
     port: &dyn ThreadSyscallPort,
@@ -276,17 +271,12 @@ fn acquire_raw(
     lock_addr: u64,
     queue: u32,
     state: &mut ThreadState,
-) {
-    loop {
-        port.before_sync_op(lock_addr);
-        let acquired = memory.lock_try_acquire_queue(queue);
-        port.after_sync_op(lock_addr);
-        state.stats.sync_ops += 1;
-        if acquired {
-            break;
-        }
+) -> Result<(), Killed> {
+    let try_acquire = || memory.lock_try_acquire_queue(queue);
+    while !sync_op(port, lock_addr, state, try_acquire)? {
         std::thread::yield_now();
     }
+    Ok(())
 }
 
 /// Queue helper: release the queue lock with an instrumented store.
@@ -296,11 +286,8 @@ fn release_raw(
     lock_addr: u64,
     queue: u32,
     state: &mut ThreadState,
-) {
-    port.before_sync_op(lock_addr);
-    memory.lock_release_queue(queue);
-    port.after_sync_op(lock_addr);
-    state.stats.sync_ops += 1;
+) -> Result<(), Killed> {
+    sync_op(port, lock_addr, state, || memory.lock_release_queue(queue))
 }
 
 fn run_syscall_spec(

@@ -132,8 +132,9 @@ impl ThreadSyscallPort for NativeThreadPort {
             .execute(self.shared.pid, self.thread as u64, req))
     }
 
-    fn before_sync_op(&self, _addr: u64) {
+    fn before_sync_op(&self, _addr: u64) -> Result<(), MonitorError> {
         self.shared.sync_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     fn after_sync_op(&self, _addr: u64) {}
@@ -172,7 +173,7 @@ mod tests {
         let port = factory.thread_port(0);
         let out = port.syscall(&SyscallRequest::new(Sysno::Getpid)).unwrap();
         assert!(out.is_ok());
-        port.before_sync_op(0x1000);
+        port.before_sync_op(0x1000).unwrap();
         port.after_sync_op(0x1000);
         assert_eq!(factory.syscall_count(), 1);
         assert_eq!(factory.sync_op_count(), 1);
@@ -233,7 +234,7 @@ mod tests {
         let gw = mvee.gateway(0);
         let factory: &dyn SyscallPort = &gw;
         let port = factory.thread_port(0);
-        port.before_sync_op(0x2000);
+        port.before_sync_op(0x2000).unwrap();
         port.after_sync_op(0x2000);
         let out = port.syscall(&SyscallRequest::new(Sysno::Gettid)).unwrap();
         assert!(out.is_ok());

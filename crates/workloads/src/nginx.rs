@@ -325,56 +325,63 @@ impl ServerState {
 
     /// Acquires nginx's custom spinlock.  Each CAS attempt is a sync op, but
     /// only instrumented when `instrument` is true (the §5.5 experiment).
-    fn custom_lock_acquire(&self, port: &dyn ThreadSyscallPort, instrument: bool) {
-        loop {
-            if instrument {
-                port.before_sync_op(self.custom_lock_addr);
-            }
-            let acquired = self
-                .custom_lock
+    /// Fails once the port reports the run over, so a worker spinning on a
+    /// lock whose holder was killed ends with the run.
+    fn custom_lock_acquire(
+        &self,
+        port: &dyn ThreadSyscallPort,
+        instrument: bool,
+    ) -> Result<(), MonitorError> {
+        let try_acquire = || {
+            self.custom_lock
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            if instrument {
-                port.after_sync_op(self.custom_lock_addr);
-            }
+                .is_ok()
+        };
+        loop {
+            let acquired = if instrument {
+                port.sync_op(self.custom_lock_addr, try_acquire)?
+            } else {
+                try_acquire()
+            };
             if acquired {
-                return;
+                return Ok(());
             }
             std::thread::yield_now();
         }
     }
 
-    fn custom_lock_release(&self, port: &dyn ThreadSyscallPort, instrument: bool) {
+    fn custom_lock_release(
+        &self,
+        port: &dyn ThreadSyscallPort,
+        instrument: bool,
+    ) -> Result<(), MonitorError> {
+        let release = || self.custom_lock.store(0, Ordering::Release);
         if instrument {
-            port.before_sync_op(self.custom_lock_addr);
-        }
-        self.custom_lock.store(0, Ordering::Release);
-        if instrument {
-            port.after_sync_op(self.custom_lock_addr);
+            port.sync_op(self.custom_lock_addr, release)
+        } else {
+            release();
+            Ok(())
         }
     }
 
     /// The pthread-style statistics lock is always instrumented (the paper
     /// had already covered pthread primitives before tackling nginx).
-    fn stats_lock_acquire(&self, port: &dyn ThreadSyscallPort) {
-        loop {
-            port.before_sync_op(self.stats_lock_addr);
-            let acquired = self
-                .stats_lock
+    fn stats_lock_acquire(&self, port: &dyn ThreadSyscallPort) -> Result<(), MonitorError> {
+        let try_acquire = || {
+            self.stats_lock
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            port.after_sync_op(self.stats_lock_addr);
-            if acquired {
-                return;
-            }
+                .is_ok()
+        };
+        while !port.sync_op(self.stats_lock_addr, try_acquire)? {
             std::thread::yield_now();
         }
+        Ok(())
     }
 
-    fn stats_lock_release(&self, port: &dyn ThreadSyscallPort) {
-        port.before_sync_op(self.stats_lock_addr);
-        self.stats_lock.store(0, Ordering::Release);
-        port.after_sync_op(self.stats_lock_addr);
+    fn stats_lock_release(&self, port: &dyn ThreadSyscallPort) -> Result<(), MonitorError> {
+        port.sync_op(self.stats_lock_addr, || {
+            self.stats_lock.store(0, Ordering::Release)
+        })
     }
 }
 
@@ -393,9 +400,9 @@ fn listener_loop(
         match accept.result {
             Ok(conn_fd) => {
                 accepted += 1;
-                state.custom_lock_acquire(port, config.instrument_custom_sync);
+                state.custom_lock_acquire(port, config.instrument_custom_sync)?;
                 state.queue.lock().push_back(conn_fd as i32);
-                state.custom_lock_release(port, config.instrument_custom_sync);
+                state.custom_lock_release(port, config.instrument_custom_sync)?;
             }
             Err(_) => {
                 // Backlog empty.  The retry count is consistent across
@@ -420,13 +427,13 @@ fn worker_loop(
         if port.is_shut_down() {
             return Err(MonitorError::ShutDown);
         }
-        state.custom_lock_acquire(port, config.instrument_custom_sync);
+        state.custom_lock_acquire(port, config.instrument_custom_sync)?;
         let conn = state.queue.lock().pop_front();
         if conn.is_some() {
             state.processed.fetch_add(1, Ordering::Relaxed);
         }
         let processed = state.processed.load(Ordering::Relaxed);
-        state.custom_lock_release(port, config.instrument_custom_sync);
+        state.custom_lock_release(port, config.instrument_custom_sync)?;
         let conn_fd = match conn {
             Some(fd) => fd,
             None => {
@@ -507,11 +514,11 @@ fn handle_request(
 
     // Normal request: update statistics under the pthread-style lock, then
     // send the header and the page body.
-    state.stats_lock_acquire(port);
+    state.stats_lock_acquire(port)?;
     state
         .bytes_served
         .fetch_add(config.page_bytes as u64, Ordering::Relaxed);
-    state.stats_lock_release(port);
+    state.stats_lock_release(port)?;
 
     let header = format!(
         "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
@@ -736,6 +743,48 @@ mod tests {
                 "{}",
                 transport.name()
             );
+        }
+    }
+
+    #[test]
+    fn a_worker_spinning_on_a_killed_holders_lock_ends_with_the_run() {
+        // In each of two variants, thread 0 holds the custom lock and is
+        // killed at a diverging write before it releases it; thread 1 spins
+        // on the lock meanwhile.  The verdict must reach the spinner.
+        let mvee = Mvee::builder().variants(2).threads(2).build();
+        let (done, finished) = std::sync::mpsc::channel();
+        for v in 0..2u64 {
+            let gateway = mvee.gateway(v as usize);
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let state = ServerState {
+                    listen_fd: -1,
+                    page_fd: -1,
+                    queue: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+                    custom_lock_addr: 0x7f80_0000_0000 + v * 0x100_0000,
+                    custom_lock: AtomicU64::new(1),
+                    stats_lock_addr: 0x7f80_0000_0040 + v * 0x100_0000,
+                    stats_lock: AtomicU64::new(0),
+                    bytes_served: AtomicU64::new(0),
+                    processed: AtomicU64::new(0),
+                };
+                let holder = gateway.port(0);
+                let worker = gateway.port(1);
+                std::thread::scope(|s| {
+                    let state = &state;
+                    s.spawn(move || done.send(state.custom_lock_acquire(&*worker, true)));
+                    let write = SyscallRequest::new(Sysno::Write)
+                        .with_fd(1)
+                        .with_payload(&v.to_le_bytes());
+                    assert!(holder.syscall(&write).is_err(), "the writes differ");
+                });
+            });
+        }
+        for _ in 0..2 {
+            let spin = finished
+                .recv_timeout(Duration::from_secs(1))
+                .expect("the spinning worker outlived the verdict by 1 s");
+            assert!(matches!(spin, Err(MonitorError::ShutDown)), "{spin:?}");
         }
     }
 
